@@ -43,7 +43,6 @@ __all__ = [
     "EnforcementResult",
     "EnforcementTraceRecord",
     "separation_cut",
-    "ellipsoid_update",
     "enforce_flow",
 ]
 
@@ -150,11 +149,6 @@ def separation_cut(
     if float(np.max(np.abs(g))) < floor:
         raise DegenerateCut("observed flow already matches the target")
     return g
-
-
-def ellipsoid_update(E: Ellipsoid, g: np.ndarray) -> Ellipsoid:
-    """Central-cut update keeping {x : g.x >= g.center(E)}."""
-    return E.update(g)
 
 
 def enforce_flow(

@@ -58,7 +58,6 @@ class NoConvergence(RuntimeError):
 class EqConfig:
     accuracy: float = 1e-8  # Beckmann duality-gap target, absolute
     max_iterations: int = 6000  # total conditional-gradient + Newton steps
-    tie_break: str = "edge-id"
 
     def __post_init__(self) -> None:
         if not self.accuracy > 0:
@@ -478,9 +477,10 @@ def solve_equilibrium(
         return _solve_parallel_strict(game, tau)
     A = _coeff_matrix(game)
     demands = np.array([c.demand for c in game.commodities])
-    vi = game.vertex_index
-    adj = game.adjacency_out
-    tails = [vi[e.tail] for e in game.edges]
+    skel = game.skeleton()
+    vi = skel.vertex_index
+    adj = skel.adjacency_out
+    tails = skel.tails
     state = _PathState(game)
 
     def sp_all(costs: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .paths import reachable
+
 __all__ = [
     "InvalidGame",
     "Infeasible",
@@ -174,23 +176,11 @@ class RoutingGame:
         return len(self.commodities)
 
     @cached_property
-    def vertex_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def adjacency_out(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex outgoing (edge_index, head_index), in edge-id order."""
-        out: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        vi = self.vertex_index
-        for e_idx, e in enumerate(self.edges):
-            out[vi[e.tail]].append((e_idx, vi[e.head]))
-        return tuple(tuple(lst) for lst in out)
-
-    @cached_property
     def constants(self) -> GameConstants:
         return derive_constants(self)
 
-    def skeleton(self) -> "GameSkeleton":
+    @cached_property
+    def _skeleton(self) -> "GameSkeleton":
         return GameSkeleton(
             vertices=self.vertices,
             edge_ids=tuple(e.id for e in self.edges),
@@ -200,10 +190,19 @@ class RoutingGame:
             constants=self.constants,
         )
 
+    def skeleton(self) -> "GameSkeleton":
+        """The game's public structure; one instance, built on first use."""
+        return self._skeleton
+
 
 @dataclass(frozen=True)
 class GameSkeleton:
-    """Public structure of a game: everything except the latency functions."""
+    """Public structure of a game: everything except the latency functions.
+
+    The skeleton owns every graph index; each is built once, on first use.
+    Adjacency lists are in edge-id order, which fixes the tie-breaking of
+    every traversal and shortest-path search.
+    """
 
     vertices: tuple[str, ...]
     edge_ids: tuple[str, ...]
@@ -220,19 +219,60 @@ class GameSkeleton:
     def k(self) -> int:
         return len(self.commodities)
 
+    def skeleton(self) -> "GameSkeleton":
+        return self
+
     @cached_property
     def vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def adjacency_out(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        out: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+    def tails(self) -> tuple[int, ...]:
+        """Tail vertex index of each edge."""
         vi = self.vertex_index
-        for e_idx in range(self.m):
-            out[vi[self.edge_tails[e_idx]]].append(
-                (e_idx, vi[self.edge_heads[e_idx]])
-            )
+        return tuple(vi[t] for t in self.edge_tails)
+
+    @cached_property
+    def heads(self) -> tuple[int, ...]:
+        """Head vertex index of each edge."""
+        vi = self.vertex_index
+        return tuple(vi[h] for h in self.edge_heads)
+
+    @cached_property
+    def adjacency_out(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex outgoing (edge_index, head_index), in edge-id order."""
+        out: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for e_idx, (tail, head) in enumerate(zip(self.tails, self.heads)):
+            out[tail].append((e_idx, head))
         return tuple(tuple(lst) for lst in out)
+
+    @cached_property
+    def adjacency_in(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex incoming (edge_index, tail_index), in edge-id order."""
+        inc: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for e_idx, (tail, head) in enumerate(zip(self.tails, self.heads)):
+            inc[head].append((e_idx, tail))
+        return tuple(tuple(lst) for lst in inc)
+
+    @cached_property
+    def topological_order(self) -> tuple[int, ...] | None:
+        """Topological vertex order (Kahn), or None if there is a cycle."""
+        n = len(self.vertices)
+        indeg = [0] * n
+        adj = self.adjacency_out
+        for v in range(n):
+            for _, head in adj[v]:
+                indeg[head] += 1
+        queue = [v for v in range(n) if indeg[v] == 0]
+        i = 0
+        while i < len(queue):
+            v = queue[i]
+            i += 1
+            for _, head in adj[v]:
+                indeg[head] -= 1
+                if indeg[head] == 0:
+                    queue.append(head)
+        return tuple(queue) if len(queue) == n else None
 
 
 @dataclass(frozen=True)
@@ -308,6 +348,7 @@ def validate_game(game: RoutingGame) -> RoutingGame:
             )
         if game.coeff_bound is not None and max(e.latency.coeffs) > game.coeff_bound:
             raise InvalidGame(f"edge {e.id!r} exceeds the coefficient bound")
+    skel = game.skeleton()
     reach_cache: dict[str, set[int]] = {}
     for c in game.commodities:
         if c.source not in vset or c.sink not in vset:
@@ -317,25 +358,13 @@ def validate_game(game: RoutingGame) -> RoutingGame:
         if not c.demand > 0:
             raise InvalidGame(f"commodity demand must be positive, got {c.demand}")
         if c.source not in reach_cache:
-            reach_cache[c.source] = _reachable_from(game, c.source)
-        if game.vertex_index[c.sink] not in reach_cache[c.source]:
+            reach_cache[c.source] = reachable(
+                skel.adjacency_out, skel.vertex_index[c.source]
+            )
+        if skel.vertex_index[c.sink] not in reach_cache[c.source]:
             raise InvalidGame(f"sink {c.sink!r} unreachable from {c.source!r}")
     game.constants  # force derivation
     return game
-
-
-def _reachable_from(game: RoutingGame, source: str) -> set[int]:
-    start = game.vertex_index[source]
-    seen = {start}
-    stack = [start]
-    adj = game.adjacency_out
-    while stack:
-        v = stack.pop()
-        for _, head in adj[v]:
-            if head not in seen:
-                seen.add(head)
-                stack.append(head)
-    return seen
 
 
 def derive_constants(game: RoutingGame) -> GameConstants:
@@ -364,17 +393,6 @@ def derive_constants(game: RoutingGame) -> GameConstants:
     )
 
 
-def _endpoint_indices(game) -> tuple[list[int], list[int]]:
-    """Edge (tail, head) vertex indices for a RoutingGame or GameSkeleton."""
-    vi = game.vertex_index
-    if hasattr(game, "edges"):
-        return [vi[e.tail] for e in game.edges], [vi[e.head] for e in game.edges]
-    return (
-        [vi[t] for t in game.edge_tails],
-        [vi[h] for h in game.edge_heads],
-    )
-
-
 def is_feasible(game, f: FlowVector, tol: float = FEASIBILITY_TOL) -> bool:
     """True iff every commodity conserves flow and routes its full demand.
 
@@ -384,10 +402,11 @@ def is_feasible(game, f: FlowVector, tol: float = FEASIBILITY_TOL) -> bool:
         return False
     if np.any(f.per_commodity < -tol):
         return False
-    vi = game.vertex_index
-    tails, heads = _endpoint_indices(game)
-    n = len(game.vertices)
-    for i, c in enumerate(game.commodities):
+    skel = game.skeleton()
+    vi = skel.vertex_index
+    tails, heads = skel.tails, skel.heads
+    n = len(skel.vertices)
+    for i, c in enumerate(skel.commodities):
         net = np.zeros(n)
         row = f.per_commodity[i]
         for e_idx in range(game.m):
@@ -415,12 +434,11 @@ def _find_positive_cycle(game, row: np.ndarray, tol: float) -> list[int] | None:
 
     Returns the cycle as a list of edge indices, or None.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in game.vertices]
-    tails, heads = _endpoint_indices(game)
-    for e_idx in range(game.m):
-        if row[e_idx] > tol:
-            adj[tails[e_idx]].append((e_idx, heads[e_idx]))
-    n = len(game.vertices)
+    adj = [
+        [(e_idx, head) for e_idx, head in out if row[e_idx] > tol]
+        for out in game.skeleton().adjacency_out
+    ]
+    n = len(adj)
     color = [0] * n  # 0 unvisited, 1 on stack, 2 done
     for start in range(n):
         if color[start] != 0:

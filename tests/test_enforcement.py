@@ -16,7 +16,9 @@ from tollopt.enforcement import (
     enforce_flow,
     separation_cut,
 )
+from tollopt.equilibrium import NoConvergence
 from tollopt.exact import marginal_cost_tolls, optimal_flow
+from tollopt.instances import InstanceSpec, generate
 from tollopt.oracle import EquilibriumOracle, OracleMode
 
 
@@ -203,3 +205,21 @@ class TestVolumeDecay:
         )
         t = len(volumes)
         assert volumes[-1] <= volumes[0] - (t - 1) / (2.0 * (game.m + 1)) + t * 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NoConvergence,
+    reason="known solver defect: the duality gap stalls at 2.4e-10 above its "
+    "1.65e-10 target at tolls near T_max/2; the outcome depends on edge order",
+)
+def test_random_dag_seed6_enforcement_reaches_solver_gap():
+    spec = InstanceSpec(
+        topology="random_dag", n_vertices=7, degree=3, commodities=2, seed=6
+    )
+    game = generate(spec)
+    tau = np.random.default_rng(1003).uniform(0.0, 1.0, game.m)
+    target = solve_equilibrium(game, TollVector(tau)).flow
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, 1e-10)
+    res = enforce_flow(oracle, target, EnforcementConfig(delta=1e-3))
+    assert res.status is EnforcementStatus.SUCCESS

@@ -22,10 +22,13 @@ from tollopt import (
     derive_constants,
     eval_latency,
     is_feasible,
+    solve_equilibrium,
     total_latency,
     validate_game,
 )
 from tollopt.game import has_positive_cycle
+from tollopt.instances import TOPOLOGIES, InstanceSpec, generate
+from tollopt.paths import dag_order, decompose_paths, shortest_path
 
 
 class TestValidation:
@@ -292,3 +295,35 @@ class TestVectors:
     def test_negative_toll_rejected(self):
         with pytest.raises(ValueError):
             TollVector(np.array([0.5, -0.1]))
+
+
+class TestSkeleton:
+    def test_built_once(self, pigou):
+        skel = pigou.skeleton()
+        assert pigou.skeleton() is skel
+        assert skel.skeleton() is skel
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_helpers_agree_on_game_and_skeleton(self, topology):
+        commodities = 2 if topology == "random_dag" else 1
+        spec = InstanceSpec(topology=topology, commodities=commodities, seed=1)
+        game = generate(spec)
+        skel = game.skeleton()
+        rng = np.random.default_rng(7)
+        f = solve_equilibrium(game, TollVector(rng.uniform(0, 1, game.m))).flow
+        shifted = FlowVector(f.per_commodity + 0.1)
+        costs = rng.uniform(0, 1, game.m)
+        assert dag_order(game) == dag_order(skel)
+        for flow in (f, shifted):
+            assert is_feasible(game, flow) == is_feasible(skel, flow)
+        assert np.array_equal(
+            acyclic_reduce(game, f).per_commodity, acyclic_reduce(skel, f).per_commodity
+        )
+        for i, c in enumerate(game.commodities):
+            assert shortest_path(game, costs, c.source, c.sink) == shortest_path(
+                skel, costs, c.source, c.sink
+            )
+            row = f.per_commodity[i]
+            assert decompose_paths(game, row, c.source, c.sink) == decompose_paths(
+                skel, row, c.source, c.sink
+            )

@@ -13,35 +13,33 @@ from tollopt.zeroorder import (
     _fd_gradient,
     affine_hull_basis,
     compute_optimal_tolls,
-    estimate_gradient,
     minimize_total_latency,
     project_to_polytope,
     reference_flow,
-    zero_order_cost_oracle,
 )
 
 
 class TestZeroOrderCostOracle:
     def test_pigou_half_half(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        s = zero_order_cost_oracle(oracle, FlowVector.single([0.5, 0.5]), 0.01)
+        s = SampleEngine(oracle, 0.01).sample(FlowVector.single([0.5, 0.5]))
         assert 0.74 <= s.observed_cost <= 0.76
         assert s.queries_spent >= 2
 
     def test_fig1_l1_free_flow(self, fig1_l1):
         oracle = EquilibriumOracle(fig1_l1, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        s = zero_order_cost_oracle(oracle, FlowVector.single([0.0, 1.0]), 0.01)
+        s = SampleEngine(oracle, 0.01).sample(FlowVector.single([0.0, 1.0]))
         assert abs(s.observed_cost) <= 0.01
 
     def test_fig1_l2_half_half(self, fig1_l2):
         oracle = EquilibriumOracle(fig1_l2, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        s = zero_order_cost_oracle(oracle, FlowVector.single([0.5, 0.5]), 0.01)
+        s = SampleEngine(oracle, 0.01).sample(FlowVector.single([0.5, 0.5]))
         assert 0.74 <= s.observed_cost <= 0.76
 
     def test_flow_only_oracle_rejected(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY)
         with pytest.raises(ValueError):
-            zero_order_cost_oracle(oracle, FlowVector.single([0.5, 0.5]), 0.01)
+            SampleEngine(oracle, 0.01).sample(FlowVector.single([0.5, 0.5]))
 
     def test_accuracy_against_hidden_cost(self, rng):
         delta = 0.01
@@ -83,7 +81,7 @@ class TestZeroOrderCostOracle:
         )
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         f = FlowVector.single([1.0, 1.0, 0.2, 0.2])
-        s = zero_order_cost_oracle(oracle, f, 0.02)
+        s = SampleEngine(oracle, 0.02).sample(f)
         assert not has_positive_cycle(game, s.requested_flow)
         assert np.allclose(s.requested_flow.per_commodity[0], [1, 1, 0, 0])
 
@@ -164,7 +162,14 @@ class TestGradient:
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         delta = 1e-4
         h = float(np.sqrt(delta))
-        g = estimate_gradient(oracle, FlowVector.single([0.75, 0.25]), h, delta)
+        engine = SampleEngine(oracle, delta)
+        g = _fd_gradient(
+            lambda x: engine.sample(x).observed_cost,
+            oracle.skeleton,
+            affine_hull_basis(oracle.skeleton),
+            FlowVector.single([0.75, 0.25]),
+            h,
+        )
         K2 = 2.0  # curvature of f1^2 + f2 along the hull
         tol = max(1e-4, delta / h + K2 * h)
         assert abs(abs(g[0]) - 0.5 / np.sqrt(2)) <= tol
