@@ -2,9 +2,10 @@
 enforcement, end-to-end toll optimization, the flow-only impossibility
 demo, and query-count benchmarking.
 
-Exit codes: 0 success, 2 a checked tolerance failed, 3 invalid input,
-4 query budget exhausted.  Every command is deterministic given --seed and
-emits a machine-readable report with a stable field order.
+Exit codes: 0 success, 2 a checked tolerance failed (including an
+equilibrium solve or ellipsoid update that could not reach its accuracy),
+3 invalid input, 4 query budget exhausted.  Every command is deterministic
+given --seed and emits a machine-readable report with a stable field order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .enforcement import (
     TargetInfeasible,
     enforce_flow,
 )
-from .equilibrium import EqConfig, solve_equilibrium
+from .ellipsoid import NumericBreakdown
+from .equilibrium import EqConfig, NoConvergence, solve_equilibrium
 from .exact import optimal_flow
 from .game import InvalidGame, TollVector, total_latency
 from .instances import TOPOLOGIES, BadSpec, InstanceSpec, generate
@@ -172,17 +174,14 @@ def run_impossibility_demo(
 def _pipeline_on_game(
     game,
     instance_desc: dict,
-    epsilon: float,
-    delta: float | None,
-    max_queries: int | None,
+    cfg: OptConfig,
     trace_path: str | None = None,
 ) -> dict:
     started = time.perf_counter()
     _, opt_cost = optimal_flow(game)
     oracle = EquilibriumOracle(
-        game, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=max_queries
+        game, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=cfg.max_queries
     )
-    cfg = OptConfig(epsilon=epsilon, delta=delta, max_queries=max_queries)
     tolls, report = compute_optimal_tolls(oracle, game.skeleton(), cfg)
     induced = solve_equilibrium(game, tolls)
     induced_cost = total_latency(game, induced.flow)
@@ -196,7 +195,7 @@ def _pipeline_on_game(
         "best_sampled_cost": report.best_cost,
         "induced_equilibrium_cost": induced_cost,
         "gap": gap,
-        "gap_within_2eps": bool(gap <= 2 * epsilon + 1e-12),
+        "gap_within_2eps": bool(gap <= 2 * cfg.epsilon + 1e-12),
         "tolls": list(tolls.values),
         "optimizer_status": report.status,
         "optimizer_queries": report.total_oracle_queries,
@@ -204,7 +203,8 @@ def _pipeline_on_game(
     return _report(
         "optimize",
         instance_desc,
-        {"epsilon": epsilon, "delta": delta, "max_queries": max_queries},
+        {"epsilon": cfg.epsilon, "delta": cfg.delta,
+         "max_queries": cfg.max_queries},
         results,
         oracle.query_count,
         started,
@@ -221,9 +221,8 @@ def run_pipeline(
     """Generate a game, hide it behind a cost-revealing oracle, compute
     near-optimal tolls, and score them against the full-knowledge optimum."""
     game = generate(spec)
-    return _pipeline_on_game(
-        game, asdict(spec), epsilon, delta, max_queries, trace_path
-    )
+    cfg = OptConfig(epsilon=epsilon, delta=delta, max_queries=max_queries)
+    return _pipeline_on_game(game, asdict(spec), cfg, trace_path)
 
 
 def run_bench(
@@ -369,7 +368,16 @@ def solve_eq_cmd(instance, tolls_path, accuracy, out) -> None:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             click.echo(f"invalid tolls: {exc}", err=True)
             sys.exit(EXIT_INVALID)
-    result = solve_equilibrium(game, tolls, EqConfig(accuracy=accuracy))
+    try:
+        cfg = EqConfig(accuracy=accuracy)
+    except ValueError as exc:
+        click.echo(f"invalid accuracy: {exc}", err=True)
+        sys.exit(EXIT_INVALID)
+    try:
+        result = solve_equilibrium(game, tolls, cfg)
+    except NoConvergence as exc:
+        click.echo(f"solver did not converge: {exc}", err=True)
+        sys.exit(EXIT_TOLERANCE)
     report = _report(
         "solve-eq",
         {"path": instance, "m": game.m, "k": game.k},
@@ -435,6 +443,9 @@ def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
     except OracleBudgetExceeded:
         click.echo("query budget exhausted", err=True)
         sys.exit(EXIT_BUDGET)
+    except NoConvergence as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(EXIT_TOLERANCE)
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -491,16 +502,19 @@ def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
             )
             game = generate(spec)
             desc = asdict(spec)
-    except BadSpec as exc:
-        click.echo(f"invalid spec: {exc}", err=True)
+        cfg = OptConfig(epsilon=epsilon, delta=delta, max_queries=max_queries)
+        cfg.resolved(game.skeleton())  # rejects a delta above its bound
+    except ValueError as exc:  # BadSpec, or an invalid epsilon or delta
+        click.echo(f"invalid input: {exc}", err=True)
         sys.exit(EXIT_INVALID)
     try:
-        report = _pipeline_on_game(
-            game, desc, epsilon, delta, max_queries, trace_path
-        )
+        report = _pipeline_on_game(game, desc, cfg, trace_path)
     except (OracleBudgetExceeded, OracleSampleFailed) as exc:
         click.echo(f"budget exhausted: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
+    except (NoConvergence, NumericBreakdown) as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(EXIT_TOLERANCE)
     _emit(report, out)
     if report["results"]["optimizer_status"] == "BUDGET_EXHAUSTED":
         sys.exit(EXIT_BUDGET)

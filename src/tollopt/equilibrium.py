@@ -16,6 +16,10 @@ works in path space with column generation:
    nonnegative and stalled systems handed back to conditional-gradient
    steps (this happens when constant-latency edges tie).
 
+Parallel links with strictly increasing latencies skip the path machinery:
+one level solve (a threshold sweep on chord models, then bracketed Newton
+when some link is not affine) finds the common tolled cost of the links.
+
 The duality gap  sum_e c_e F_e - sum_i d_i * dist_i  certifies the result:
 it upper-bounds the Beckmann suboptimality and is reported as
 ``beckmann_gap``.  Everything is deterministic: adjacency lists are in
@@ -343,105 +347,83 @@ def _solve_parallel_strict(
     """Fast path for parallel links with strictly increasing latencies.
 
     The aggregate equilibrium is unique there: the common tolled cost
-    level lambda satisfies sum_e x_e(lambda) = d with x_e the (clamped)
-    inverse of l_e + tau_e.  Bisection brackets lambda, then Newton sweeps
-    polish links and level to machine precision.  Output coincides with
-    the general path solver; this branch only saves time.
+    level lambda satisfies sum_e x_e(lambda) = d with x_e the inverse of
+    l_e + tau_e, clamped at 0.  A sorted threshold sweep on each link's
+    chord model l_e(0) + s_e x, with s_e = (l_e(d) - l_e(0)) / d, gives the
+    level exactly for affine links and a seed otherwise.  Bracketed Newton
+    on the level then runs to its floating-point fixed point, inverting
+    each link by Newton from its last value; a step that leaves the
+    bracket [min_e l_e(0) + tau_e, max_e l_e(d) + tau_e] is replaced by
+    bisection.  Output coincides with the general path solver; this branch
+    only saves time.
     """
     d = game.commodities[0].demand
     lats = [e.latency for e in game.edges]
     m = game.m
     base = [lats[e].value(0.0) + tau[e] for e in range(m)]
+    slopes = []
+    for lat in lats:
+        s = 0.0
+        for a in reversed(lat.coeffs[1:]):
+            s = s * d + a
+        slopes.append(s)
 
-    if all(lat.degree <= 1 for lat in lats):
-        # affine latencies: the level solves a sorted threshold sweep exactly
-        slopes = [lat.coeffs[1] if len(lat.coeffs) > 1 else 0.0 for lat in lats]
-        order = sorted(range(m), key=lambda e: (base[e], e))
-        inv_sum = 0.0
-        weighted = 0.0
-        lam = None
-        for pos, e in enumerate(order):
-            inv_sum += 1.0 / slopes[e]
-            weighted += base[e] / slopes[e]
-            cand = (d + weighted) / inv_sum
-            nxt = base[order[pos + 1]] if pos + 1 < m else float("inf")
-            if cand >= base[e] and cand <= nxt:
-                lam = cand
-                break
-        if lam is None:
-            lam = (d + weighted) / inv_sum
-        arr = np.array(
-            [max(0.0, (lam - base[e]) / slopes[e]) for e in range(m)]
-        )
-        total = float(arr.sum())
-        if total > 0:
-            arr *= d / total
-        costs = np.array([lats[e].value(arr[e]) + tau[e] for e in range(m)])
-        dist = float(costs.min())
-        gap = max(0.0, float(np.dot(costs, arr)) - d * dist)
-        viol = max(
-            (float(costs[e]) - dist for e in range(m) if arr[e] > 0), default=0.0
-        )
-        return EquilibriumResult(
-            flow=FlowVector(arr.reshape(1, -1)),
-            beckmann_gap=gap,
-            wardrop_violation=max(0.0, viol),
-            iterations=1,
-        )
-
-    def invert(e: int, lam: float, x0: float) -> float:
-        if lam <= base[e]:
-            return 0.0
-        x = min(max(x0, 0.0), d)
-        target = lam - tau[e]
-        for _ in range(40):
-            fx = lats[e].value(x) - target
-            sl = lats[e].slope(x)
-            if sl <= 0:
-                break
-            step = fx / sl
-            x -= step
-            if x < 0.0:
-                x = 0.0
-            if abs(step) <= 1e-14 * max(1.0, abs(x)):
-                break
-        return min(max(x, 0.0), d)
-
-    lo = min(base)
-    hi = max(lats[e].value(d) + tau[e] for e in range(m)) + 1.0
-    x = [0.0] * m
-    for _ in range(45):
-        lam = 0.5 * (lo + hi)
-        total = 0.0
-        for e in range(m):
-            x[e] = invert(e, lam, x[e])
-            total += x[e]
-        if total < d:
-            lo = lam
-        else:
-            hi = lam
-    lam = 0.5 * (lo + hi)
-    for _ in range(6):  # Newton polish on the level
-        total = 0.0
-        inv_slope = 0.0
-        for e in range(m):
-            x[e] = invert(e, lam, x[e])
-            total += x[e]
-            if x[e] > 0.0 or lam > base[e]:
-                sl = lats[e].slope(x[e])
-                if sl > 0:
-                    inv_slope += 1.0 / sl
-        if inv_slope <= 0:
+    order = sorted(range(m), key=lambda e: (base[e], e))
+    inv_sum = 0.0
+    weighted = 0.0
+    lam = None
+    for pos, e in enumerate(order):
+        inv_sum += 1.0 / slopes[e]
+        weighted += base[e] / slopes[e]
+        cand = (d + weighted) / inv_sum
+        nxt = base[order[pos + 1]] if pos + 1 < m else float("inf")
+        if cand >= base[e] and cand <= nxt:
+            lam = cand
             break
-        lam -= (total - d) / inv_slope
-    total = 0.0
-    for e in range(m):
-        x[e] = invert(e, lam, x[e])
-        total += x[e]
-    if total > 0:
-        scale = d / total
-        x = [v * scale for v in x]
+    if lam is None:
+        lam = (d + weighted) / inv_sum
+    x = [max(0.0, (lam - base[e]) / slopes[e]) for e in range(m)]
+
+    if any(lat.degree > 1 for lat in lats):
+        lo = min(base)
+        hi = max(lats[e].value(d) + tau[e] for e in range(m))
+        for _ in range(100):
+            total = 0.0
+            inv_slope = 0.0
+            for e in range(m):
+                if lam <= base[e]:
+                    x[e] = 0.0
+                    continue
+                target = lam - tau[e]
+                xe = x[e] if x[e] > 0.0 else (lam - base[e]) / slopes[e]
+                for _ in range(40):
+                    sl = lats[e].slope(xe)
+                    if sl <= 0.0:
+                        break
+                    step = (lats[e].value(xe) - target) / sl
+                    xe = max(xe - step, 0.0)
+                    if abs(step) <= 1e-14 * d:
+                        break
+                x[e] = xe
+                total += xe
+                if sl > 0.0:
+                    inv_slope += 1.0 / sl
+            if total < d:
+                lo = lam
+            else:
+                hi = lam
+            # with no link active the level is below every base: bisect
+            nxt = lam - (total - d) / inv_slope if inv_slope > 0.0 else hi
+            if nxt != lam and not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if nxt == lam:
+                break
+            lam = nxt
+
     arr = np.array(x)
+    total = float(arr.sum())
+    if total > 0:
+        arr *= d / total
     costs = np.array([lats[e].value(arr[e]) + tau[e] for e in range(m)])
     dist = float(costs.min())
     gap = max(0.0, float(np.dot(costs, arr)) - d * dist)
@@ -526,6 +508,22 @@ def solve_equilibrium(
         gap = max(0.0, total - float(np.dot(demands, dist)))
         return F, costs, best
 
+    def cg_step(F: np.ndarray, best: list[tuple[int, ...]]) -> bool:
+        """Conditional-gradient step toward the all-or-nothing assignment
+        on ``best``; False, changing nothing, when the line search gives 0."""
+        S = np.zeros(game.m)
+        for i, p in enumerate(best):
+            for e in p:
+                S[e] += demands[i]
+        gamma = _line_search(A, F, S - F, tau)
+        if gamma <= 0.0:
+            return False
+        for i in range(k):
+            state.flows[i] = [h * (1.0 - gamma) for h in state.flows[i]]
+            state.add_path(i, best[i], gamma * float(demands[i]))
+        state.prune(1e-16 * float(demands.max()))
+        return True
+
     newton_tol_floor = 1e-13
     warmup = 0
     while iterations < cfg.max_iterations:
@@ -534,18 +532,8 @@ def solve_equilibrium(
             break
         iterations += 1
         warmup += 1
-        # conditional-gradient step toward the all-or-nothing assignment
-        S = np.zeros(game.m)
-        for i, p in enumerate(best):
-            for e in p:
-                S[e] += demands[i]
-        gamma = _line_search(A, F, S - F, tau)
-        if gamma <= 0.0:
+        if not cg_step(F, best):
             break
-        for i in range(k):
-            state.flows[i] = [h * (1.0 - gamma) for h in state.flows[i]]
-            state.add_path(i, best[i], gamma * float(demands[i]))
-        state.prune(1e-16 * float(demands.max()))
 
     newton_tol = max(newton_tol_floor * scale, 1e-15)
     add_tol = 20 * newton_tol
@@ -555,20 +543,10 @@ def solve_equilibrium(
         ok, inner = _newton_round(state, A, tau, demands, newton_tol)
         iterations += max(inner, 1)
         F, costs, best = measure()
-        if not ok and gap > cfg.accuracy:
+        if not ok and gap > cfg.accuracy and cg_step(F, best):
             # constant-latency ties: shift flow by conditional gradient
-            S = np.zeros(game.m)
-            for i, p in enumerate(best):
-                for e in p:
-                    S[e] += demands[i]
-            gamma = _line_search(A, F, S - F, tau)
-            if gamma > 0.0:
-                for i in range(k):
-                    state.flows[i] = [h * (1.0 - gamma) for h in state.flows[i]]
-                    state.add_path(i, best[i], gamma * float(demands[i]))
-                state.prune(1e-16 * float(demands.max()))
-                iterations += 1
-                continue
+            iterations += 1
+            continue
         added = False
         for i in range(k):
             plist = state.paths[i]

@@ -116,7 +116,7 @@ def eval_latency(lat: PolyLatency, x):
     """
     if x < 0:
         raise ValueError(f"latency evaluated at negative flow {x}")
-    if isinstance(x, Fraction):
+    if not isinstance(x, float) and isinstance(x, Fraction):
         acc = Fraction(0)
         for a in reversed(lat.coeffs):
             acc = acc * x + Fraction(a)

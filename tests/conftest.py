@@ -50,6 +50,18 @@ def random_parallel(m, rng, bound=1.5, quadratic=False):
     return make_parallel(lats)
 
 
+def random_cubic_parallel(m, rng, bound=1.5):
+    """Degree-3 parallel links; about half are flat at zero (a_1 = 0)."""
+    lats = []
+    for _ in range(m):
+        a0 = round(float(rng.uniform(0.0, bound / 2)), 6)
+        a1 = round(float(rng.uniform(0.3, bound)), 6) if rng.random() < 0.5 else 0.0
+        a2 = round(float(rng.uniform(0.0, bound / 2)), 6)
+        a3 = round(float(rng.uniform(0.3, bound)), 6)
+        lats.append((a0, a1, a2, a3))
+    return make_parallel(lats)
+
+
 def random_dag_game(n, m_target, k, rng, bound=1.5):
     pairs = {(i, i + 1) for i in range(n - 1)}
     attempts = 0

@@ -5,12 +5,15 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from tollopt import cli
 from tollopt.cli import (
     main,
     run_impossibility_demo,
     run_pipeline,
     validate_report,
 )
+from tollopt.ellipsoid import NumericBreakdown
+from tollopt.equilibrium import NoConvergence
 from tollopt.instances import InstanceSpec
 
 
@@ -64,6 +67,28 @@ def test_solve_eq_missing_instance(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_solve_eq_no_convergence_exits_2(runner, tmp_path):
+    game_path = tmp_path / "game.json"
+    runner.invoke(
+        main,
+        ["gen", "--topology", "random_dag", "--n-vertices", "7", "--degree", "3",
+         "--commodities", "2", "--seed", "6", "--out", str(game_path)],
+    )
+    result = runner.invoke(
+        main, ["solve-eq", "--instance", str(game_path), "--accuracy", "1e-30"]
+    )
+    assert result.exit_code == 2
+
+
+def test_solve_eq_bad_accuracy_exits_3(runner, tmp_path):
+    game_path = tmp_path / "game.json"
+    runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
+    result = runner.invoke(
+        main, ["solve-eq", "--instance", str(game_path), "--accuracy", "-1"]
+    )
+    assert result.exit_code == 3
+
+
 def test_enforce_success_and_trace(runner, tmp_path):
     game_path = tmp_path / "game.json"
     runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
@@ -105,6 +130,38 @@ def test_optimize_pigou(runner):
     report = json.loads(result.output)
     assert validate_report(report)
     assert report["results"]["gap_within_2eps"] is True
+
+
+@pytest.mark.parametrize("args", [["--epsilon", "-1"], ["--delta", "0.5"]])
+def test_optimize_bad_config_exits_3(runner, args):
+    result = runner.invoke(main, ["optimize", "--topology", "pigou", *args])
+    assert result.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("compute_optimal_tolls", NoConvergence),
+        ("compute_optimal_tolls", NumericBreakdown),
+        ("enforce_flow", NoConvergence),
+    ],
+)
+def test_numerical_failure_exits_2(runner, monkeypatch, tmp_path, call, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, call, fail)
+    if call == "compute_optimal_tolls":
+        result = runner.invoke(main, ["optimize", "--topology", "pigou"])
+    else:
+        game_path = tmp_path / "game.json"
+        runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
+        target = tmp_path / "target.json"
+        target.write_text('{"e0": "0.5", "e1": "0.5"}')
+        result = runner.invoke(
+            main, ["enforce", "--instance", str(game_path), "--target", str(target)]
+        )
+    assert result.exit_code == 2
 
 
 def test_demo_impossibility_small_grid(runner):

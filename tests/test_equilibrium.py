@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 
 from closedforms import parallel_equilibrium
-from conftest import random_dag_game, random_parallel
+from conftest import (
+    make_parallel,
+    random_cubic_parallel,
+    random_dag_game,
+    random_parallel,
+)
 from tollopt import (
     EqConfig,
     FlowVector,
     Infeasible,
     TollVector,
     beckmann_potential,
+    derive_constants,
+    equilibrium,
     is_feasible,
     solve_equilibrium,
     total_latency,
@@ -60,16 +67,53 @@ class TestSolveEquilibrium:
         assert total_latency(braess, res.flow) == pytest.approx(2.0, abs=1e-9)
 
     def test_matches_closed_form_on_random_parallel(self, rng):
-        lats_sets = []
+        cases = []
         for _ in range(30):
             m = int(rng.integers(2, 5))
-            game = random_parallel(m, rng, quadratic=True)
-            tau = rng.uniform(0.0, 2.0, m)
-            ref = parallel_equilibrium(
-                [e.latency.coeffs for e in game.edges], tau
+            cases.append(
+                (random_parallel(m, rng, quadratic=True), rng.uniform(0.0, 2.0, m))
             )
+        for _ in range(15):
+            m = int(rng.integers(2, 6))
+            game = random_cubic_parallel(m, rng)
+            tau = rng.uniform(0.0, 2.0, m)
+            # tolls near T_max price the first half of the links out
+            priced = tau.copy()
+            t_max = derive_constants(game).T_max
+            priced[: m // 2] = t_max * (1.0 - 0.01 * rng.random(m // 2))
+            cases += [(game, tau), (game, priced)]
+        for game, tau in cases:
+            coeffs = [e.latency.coeffs for e in game.edges]
+            ref = parallel_equilibrium(coeffs, tau)
             res = solve_equilibrium(game, TollVector(tau))
-            assert np.max(np.abs(res.flow.aggregate - ref)) < 1e-6
+            assert is_feasible(game, res.flow)
+            assert res.beckmann_gap <= 1e-12
+            # on a link flat at zero the reference's flow error can reach
+            # the cube root of its level error, near 1e-5
+            flat = any(len(c) > 2 and c[1] == 0.0 for c in coeffs)
+            tol = 1e-4 if flat else 1e-6
+            assert np.max(np.abs(res.flow.aggregate - ref)) < tol
+
+    def test_parallel_links_flat_at_zero(self):
+        # l'(0) = 0 on both links: the level solve must still leave zero flow
+        game = make_parallel([(0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)])
+        res = solve_equilibrium(game)
+        assert is_feasible(game, res.flow)
+        assert res.beckmann_gap <= 1e-12
+        assert np.allclose(
+            res.flow.aggregate, [0.43015971, 0.56984029], rtol=0.0, atol=1e-8
+        )
+
+    def test_parallel_fast_path_matches_general_solver(self, rng, monkeypatch):
+        cases = []
+        for _ in range(10):
+            game = random_cubic_parallel(int(rng.integers(2, 6)), rng)
+            tau = TollVector(rng.uniform(0.0, 2.0, game.m))
+            cases.append((game, tau, solve_equilibrium(game, tau)))
+        monkeypatch.setattr(equilibrium, "_is_strict_parallel", lambda game: False)
+        for game, tau, fast in cases:
+            general = solve_equilibrium(game, tau)
+            assert np.max(np.abs(fast.flow.aggregate - general.flow.aggregate)) <= 1e-9
 
     def test_deterministic_bitwise(self, rng):
         game = random_dag_game(6, 12, 2, rng)
