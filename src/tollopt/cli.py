@@ -4,8 +4,11 @@ demo, and query-count benchmarking.
 
 Exit codes: 0 success, 2 a checked tolerance failed (including an
 equilibrium solve or ellipsoid update that could not reach its accuracy),
-3 invalid input, 4 query budget exhausted.  Every command is deterministic
-given --seed and emits a machine-readable report with a stable field order.
+3 invalid input, 4 query budget exhausted (including a cost sample whose
+enforcement failed).  Every command that queries an oracle (``enforce``,
+``optimize``, ``demo-impossibility``, ``bench``) maps these failures the
+same way.  Every command is deterministic given --seed and emits a
+machine-readable report with a stable field order.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import click
@@ -300,6 +304,20 @@ def _emit(report: dict, out: str | None) -> None:
         click.echo(text)
 
 
+@contextmanager
+def _solver_failures_exit():
+    """Exit 4 on a spent budget or failed cost sample, 2 on a solver or
+    ellipsoid that could not reach its accuracy."""
+    try:
+        yield
+    except (OracleBudgetExceeded, OracleSampleFailed) as exc:
+        click.echo(f"budget exhausted: {exc}", err=True)
+        sys.exit(EXIT_BUDGET)
+    except (NoConvergence, NumericBreakdown) as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(EXIT_TOLERANCE)
+
+
 def _load_game(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -434,18 +452,13 @@ def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
             )
 
     try:
-        result = enforce_flow(
-            oracle, f_star, EnforcementConfig(delta=delta), on_iteration=sink
-        )
+        with _solver_failures_exit():
+            result = enforce_flow(
+                oracle, f_star, EnforcementConfig(delta=delta), on_iteration=sink
+            )
     except (TargetInfeasible, TargetCyclic) as exc:
         click.echo(f"invalid target: {exc}", err=True)
         sys.exit(EXIT_INVALID)
-    except OracleBudgetExceeded:
-        click.echo("query budget exhausted", err=True)
-        sys.exit(EXIT_BUDGET)
-    except NoConvergence as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_TOLERANCE)
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -507,14 +520,8 @@ def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
     except ValueError as exc:  # BadSpec, or an invalid epsilon or delta
         click.echo(f"invalid input: {exc}", err=True)
         sys.exit(EXIT_INVALID)
-    try:
+    with _solver_failures_exit():
         report = _pipeline_on_game(game, desc, cfg, trace_path)
-    except (OracleBudgetExceeded, OracleSampleFailed) as exc:
-        click.echo(f"budget exhausted: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    except (NoConvergence, NumericBreakdown) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_TOLERANCE)
     _emit(report, out)
     if report["results"]["optimizer_status"] == "BUDGET_EXHAUSTED":
         sys.exit(EXIT_BUDGET)
@@ -530,7 +537,8 @@ def demo_cmd(grid_resolution, toll_max, out) -> None:
     if grid_resolution < 2:
         click.echo("grid resolution must be at least 2", err=True)
         sys.exit(EXIT_INVALID)
-    report = run_impossibility_demo(grid_resolution, toll_max)
+    with _solver_failures_exit():
+        report = run_impossibility_demo(grid_resolution, toll_max)
     _emit(report, out)
     ok = report["results"]["indistinguishable"] and report["results"]["optima_differ"]
     sys.exit(EXIT_OK if ok else EXIT_TOLERANCE)
@@ -553,13 +561,14 @@ def bench_cmd(sizes, epsilon, delta, opt_iterations, seed, out) -> None:
     except ValueError as exc:
         click.echo(f"invalid sizes: {exc}", err=True)
         sys.exit(EXIT_INVALID)
-    report = run_bench(
-        size_tuple,
-        epsilon=epsilon,
-        delta_enforce=delta,
-        seed=seed,
-        opt_iterations=opt_iterations,
-    )
+    with _solver_failures_exit():
+        report = run_bench(
+            size_tuple,
+            epsilon=epsilon,
+            delta_enforce=delta,
+            seed=seed,
+            opt_iterations=opt_iterations,
+        )
     _emit(report, out)
     sys.exit(EXIT_OK)
 

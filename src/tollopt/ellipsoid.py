@@ -105,7 +105,12 @@ class Ellipsoid:
             raise NumericBreakdown("cut direction has nonpositive B-norm")
         step = Bg / math.sqrt(gBg)
         center = self.center + step / (D + 1.0)
+        # exactly symmetric, as shape and outer(Bg, Bg) are, so the
+        # constructor's symmetrization would return it unchanged
         B = (D * D / (D * D - 1.0)) * (
             self.shape - (2.0 / (D + 1.0)) * np.outer(Bg, Bg) / gBg
         )
-        return Ellipsoid(center, B)
+        updated = object.__new__(Ellipsoid)
+        object.__setattr__(updated, "center", center)
+        object.__setattr__(updated, "shape", B)
+        return updated

@@ -146,7 +146,7 @@ def separation_cut(
     docstring).
     """
     g = np.asarray(f_observed, dtype=float) - np.asarray(f_target, dtype=float)
-    if float(np.max(np.abs(g))) < floor:
+    if float(np.abs(g).max()) < floor:
         raise DegenerateCut("observed flow already matches the target")
     return g
 
@@ -203,9 +203,9 @@ def enforce_flow(
     while it < res.max_iterations:
         it += 1
         c = E.center
-        low = c < -box_tol
-        high = c > t_max + box_tol
-        if low.any() or high.any():
+        if c.min() < -box_tol or c.max() > t_max + box_tol:
+            low = c < -box_tol
+            high = c > t_max + box_tol
             j = int(np.argmax(low)) if low.any() else int(np.argmax(high))
             g = np.zeros(m)
             g[j] = 1.0 if low[j] else -1.0
@@ -214,15 +214,16 @@ def enforce_flow(
             dev = None
         else:
             tau_q = np.clip(c, 0.0, t_max)
-            resp = oracle.query(TollVector(tau_q))
-            dev = float(np.max(np.abs(resp.aggregate_flow - target)))
+            tolls = TollVector(tau_q)
+            resp = oracle.query(tolls)
+            dev = float(np.abs(resp.aggregate_flow - target).max())
             if dev < best_dev:
                 best_dev = dev
                 best_tau = tau_q
             if dev <= 2.0 * res.delta - margin:
                 status = EnforcementStatus.SUCCESS
                 break
-            g = separation_cut(TollVector(tau_q), resp.aggregate_flow, target)
+            g = separation_cut(tolls, resp.aggregate_flow, target)
             cut_type = "separation"
         try:
             E = E.update(g)

@@ -39,6 +39,7 @@ from .game import (
     Infeasible,
     RoutingGame,
     TollVector,
+    _horner,
     is_feasible,
 )
 from .paths import Unreachable, decompose_paths, dijkstra, shortest_path
@@ -74,14 +75,6 @@ class EquilibriumResult:
     beckmann_gap: float
     wardrop_violation: float
     iterations: int
-
-
-def _coeff_matrix(game: RoutingGame) -> np.ndarray:
-    rmax = max((len(e.latency.coeffs) for e in game.edges), default=1)
-    A = np.zeros((game.m, rmax))
-    for i, e in enumerate(game.edges):
-        A[i, : len(e.latency.coeffs)] = e.latency.coeffs
-    return A
 
 
 def _eval_poly_rows(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -332,13 +325,7 @@ def _writeback(state: _PathState, rows, h: np.ndarray) -> None:
 
 
 def _is_strict_parallel(game: RoutingGame) -> bool:
-    if game.k != 1:
-        return False
-    com = game.commodities[0]
-    return all(
-        e.tail == com.source and e.head == com.sink and not e.latency.constant
-        for e in game.edges
-    )
+    return game.latency_table.strict_parallel
 
 
 def _solve_parallel_strict(
@@ -358,15 +345,12 @@ def _solve_parallel_strict(
     only saves time.
     """
     d = game.commodities[0].demand
-    lats = [e.latency for e in game.edges]
+    table = game.latency_table
+    horner, slope_horner = table.horner, table.slope_horner
     m = game.m
-    base = [lats[e].value(0.0) + tau[e] for e in range(m)]
-    slopes = []
-    for lat in lats:
-        s = 0.0
-        for a in reversed(lat.coeffs[1:]):
-            s = s * d + a
-        slopes.append(s)
+    tau = tau.tolist()
+    base = [a + t for a, t in zip(table.at_zero, tau)]
+    slopes = table.chord
 
     order = sorted(range(m), key=lambda e: (base[e], e))
     inv_sum = 0.0
@@ -384,9 +368,9 @@ def _solve_parallel_strict(
         lam = (d + weighted) / inv_sum
     x = [max(0.0, (lam - base[e]) / slopes[e]) for e in range(m)]
 
-    if any(lat.degree > 1 for lat in lats):
+    if table.max_degree > 1:
         lo = min(base)
-        hi = max(lats[e].value(d) + tau[e] for e in range(m))
+        hi = max(_horner(horner[e], d) + tau[e] for e in range(m))
         for _ in range(100):
             total = 0.0
             inv_slope = 0.0
@@ -397,10 +381,10 @@ def _solve_parallel_strict(
                 target = lam - tau[e]
                 xe = x[e] if x[e] > 0.0 else (lam - base[e]) / slopes[e]
                 for _ in range(40):
-                    sl = lats[e].slope(xe)
+                    sl = _horner(slope_horner[e], xe)
                     if sl <= 0.0:
                         break
-                    step = (lats[e].value(xe) - target) / sl
+                    step = (_horner(horner[e], xe) - target) / sl
                     xe = max(xe - step, 0.0)
                     if abs(step) <= 1e-14 * d:
                         break
@@ -424,11 +408,13 @@ def _solve_parallel_strict(
     total = float(arr.sum())
     if total > 0:
         arr *= d / total
-    costs = np.array([lats[e].value(arr[e]) + tau[e] for e in range(m)])
+    flows = arr.tolist()
+    cost_list = [_horner(h, xe) + t for h, xe, t in zip(horner, flows, tau)]
+    costs = np.array(cost_list)
     dist = float(costs.min())
     gap = max(0.0, float(np.dot(costs, arr)) - d * dist)
     viol = max(
-        (float(costs[e]) - dist for e in range(m) if arr[e] > 0), default=0.0
+        (c - dist for c, xe in zip(cost_list, flows) if xe > 0), default=0.0
     )
     return EquilibriumResult(
         flow=FlowVector(arr.reshape(1, -1)),
@@ -457,7 +443,7 @@ def solve_equilibrium(
         return EquilibriumResult(FlowVector.zeros(0, game.m), 0.0, 0.0, 0)
     if _is_strict_parallel(game):
         return _solve_parallel_strict(game, tau)
-    A = _coeff_matrix(game)
+    A = game.latency_table.coeffs
     demands = np.array([c.demand for c in game.commodities])
     skel = game.skeleton()
     vi = skel.vertex_index
@@ -593,8 +579,7 @@ def wardrop_violation(game: RoutingGame, tolls: TollVector, f: FlowVector) -> fl
     tolled distance, at the loads induced by ``f``."""
     if not is_feasible(game, f):
         raise Infeasible("flow is not feasible for this game")
-    A = _coeff_matrix(game)
-    costs = _eval_poly_rows(A, f.aggregate) + tolls.values
+    costs = _eval_poly_rows(game.latency_table.coeffs, f.aggregate) + tolls.values
     worst = 0.0
     for i, com in enumerate(game.commodities):
         pieces = decompose_paths(game, f.per_commodity[i], com.source, com.sink)

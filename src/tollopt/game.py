@@ -9,6 +9,7 @@ a latency ceiling K and the toll cap T_max.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,7 @@ __all__ = [
     "Edge",
     "RoutingGame",
     "GameSkeleton",
+    "LatencyTable",
     "FlowVector",
     "TollVector",
     "GameConstants",
@@ -121,10 +123,7 @@ def eval_latency(lat: PolyLatency, x):
         for a in reversed(lat.coeffs):
             acc = acc * x + Fraction(a)
         return acc
-    acc = 0.0
-    for a in reversed(lat.coeffs):
-        acc = acc * x + a
-    return acc
+    return _horner(reversed(lat.coeffs), x)
 
 
 @dataclass(frozen=True)
@@ -193,6 +192,56 @@ class RoutingGame:
     def skeleton(self) -> "GameSkeleton":
         """The game's public structure; one instance, built on first use."""
         return self._skeleton
+
+    @cached_property
+    def latency_table(self) -> "LatencyTable":
+        """The latency functions in the forms the solvers evaluate."""
+        return LatencyTable.of(self)
+
+
+@dataclass(frozen=True, eq=False)
+class LatencyTable:
+    """A game's latency functions, laid out once for the solvers.
+
+    Every entry is computed with the arithmetic of ``PolyLatency`` (Horner
+    from ``acc = 0.0``), so a solver that evaluates through the table gets
+    the same bits as one that calls ``value`` and ``slope``.  The table is
+    part of the hidden game: nothing in ``GameSkeleton`` refers to it.
+    """
+
+    coeffs: np.ndarray  # (m, max len) coefficient matrix, zero-padded, read-only
+    horner: tuple[tuple[float, ...], ...]  # per edge: a_r, ..., a_1, a_0
+    slope_horner: tuple[tuple[float, ...], ...]  # per edge: r a_r, ..., 1 a_1
+    at_zero: tuple[float, ...]  # l_e(0)
+    chord: tuple[float, ...]  # (l_e(d) - l_e(0)) / d at the total demand d
+    max_degree: int
+    strict_parallel: bool  # one commodity, every edge source -> sink, none constant
+
+    @classmethod
+    def of(cls, game: "RoutingGame") -> "LatencyTable":
+        lats = [e.latency for e in game.edges]
+        width = max((len(lat.coeffs) for lat in lats), default=1)
+        A = np.zeros((len(lats), width))
+        for i, lat in enumerate(lats):
+            A[i, : len(lat.coeffs)] = lat.coeffs
+        A.flags.writeable = False
+        d = float(sum(c.demand for c in game.commodities))
+        ends = {(c.source, c.sink) for c in game.commodities}
+        strict_parallel = game.k == 1 and all(
+            (e.tail, e.head) in ends and not e.latency.constant for e in game.edges
+        )
+        return cls(
+            coeffs=A,
+            horner=tuple(tuple(reversed(lat.coeffs)) for lat in lats),
+            slope_horner=tuple(
+                tuple(j * lat.coeffs[j] for j in range(len(lat.coeffs) - 1, 0, -1))
+                for lat in lats
+            ),
+            at_zero=tuple(lat.value(0.0) for lat in lats),
+            chord=tuple(_horner(reversed(lat.coeffs[1:]), d) for lat in lats),
+            max_degree=max((lat.degree for lat in lats), default=0),
+            strict_parallel=strict_parallel,
+        )
 
 
 @dataclass(frozen=True)
@@ -273,6 +322,29 @@ class GameSkeleton:
                 if indeg[head] == 0:
                     queue.append(head)
         return tuple(queue) if len(queue) == n else None
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Node-arc incidence matrix (n x m): +1 at each edge's tail, -1 at
+        its head.  Read-only."""
+        B = np.zeros((len(self.vertices), self.m))
+        cols = np.arange(self.m)
+        B[list(self.tails), cols] = 1.0
+        B[list(self.heads), cols] = -1.0
+        B.flags.writeable = False
+        return B
+
+    @cached_property
+    def supply(self) -> np.ndarray:
+        """Net outflow each commodity must have at each vertex (k x n):
+        its demand at its source, minus its demand at its sink.  Read-only."""
+        vi = self.vertex_index
+        S = np.zeros((self.k, len(self.vertices)))
+        for i, c in enumerate(self.commodities):
+            S[i, vi[c.source]] += c.demand
+            S[i, vi[c.sink]] -= c.demand
+        S.flags.writeable = False
+        return S
 
 
 @dataclass(frozen=True)
@@ -397,36 +469,38 @@ def is_feasible(game, f: FlowVector, tol: float = FEASIBILITY_TOL) -> bool:
     """True iff every commodity conserves flow and routes its full demand.
 
     Accepts a RoutingGame or a GameSkeleton (feasibility needs no latencies).
+    A NaN entry makes the flow infeasible.
     """
-    if f.per_commodity.shape != (game.k, game.m):
-        return False
-    if np.any(f.per_commodity < -tol):
+    X = f.per_commodity
+    if X.shape != (game.k, game.m):
         return False
     skel = game.skeleton()
-    vi = skel.vertex_index
-    tails, heads = skel.tails, skel.heads
-    n = len(skel.vertices)
-    for i, c in enumerate(skel.commodities):
-        net = np.zeros(n)
-        row = f.per_commodity[i]
-        for e_idx in range(game.m):
-            net[tails[e_idx]] += row[e_idx]
-            net[heads[e_idx]] -= row[e_idx]
-        net[vi[c.source]] -= c.demand
-        net[vi[c.sink]] += c.demand
-        if np.max(np.abs(net)) > tol:
-            return False
-    return True
+    excess = X @ skel.incidence.T - skel.supply
+    # comparisons in this direction are False for NaN
+    return bool(
+        X.min(initial=0.0) >= -tol and np.abs(excess).max(initial=0.0) <= tol
+    )
 
 
 def total_latency(game: RoutingGame, f: FlowVector, tol: float = FEASIBILITY_TOL) -> float:
     """Total latency sum_e F_e * l_e(F_e) over the aggregate flow."""
     if not is_feasible(game, f, tol):
         raise Infeasible("flow is not feasible for this game")
-    agg = f.aggregate
     return float(
-        sum(x * e.latency.value(x) for x, e in zip(agg, game.edges) if x > 0.0)
+        sum(
+            x * _horner(h, x)
+            for x, h in zip(f.aggregate.tolist(), game.latency_table.horner)
+            if x > 0.0
+        )
     )
+
+
+def _horner(coeffs: Iterable[float], x: float) -> float:
+    """Polynomial with coefficients highest degree first, at x."""
+    acc = 0.0
+    for a in coeffs:
+        acc = acc * x + a
+    return acc
 
 
 def _find_positive_cycle(game, row: np.ndarray, tol: float) -> list[int] | None:

@@ -115,8 +115,9 @@ class EquilibriumOracle:
         if tau.shape != (m,):
             raise TollOutOfRange(f"expected {m} tolls, got shape {tau.shape}")
         t_max = self.skeleton.constants.T_max
-        if np.any(tau < -1e-12) or np.any(tau > t_max * (1 + 1e-12)):
-            raise TollOutOfRange(f"tolls must lie in [0, {t_max}]")
+        lo, hi = tau.min(initial=0.0), tau.max(initial=0.0)
+        if not (lo >= -1e-12 and hi <= t_max * (1 + 1e-12)):  # False for NaN
+            raise TollOutOfRange(f"tolls must be finite and lie in [0, {t_max}]")
         if self.max_queries is not None and self._count >= self.max_queries:
             raise OracleBudgetExceeded(f"budget of {self.max_queries} queries spent")
         tau = np.clip(tau, 0.0, t_max)
@@ -126,11 +127,11 @@ class EquilibriumOracle:
             cost = total_latency(self.__game, result.flow)
         self._count += 1
         resp = OracleResponse(
-            aggregate_flow=result.flow.aggregate.copy(),
+            aggregate_flow=result.flow.aggregate,
             total_cost=cost,
             query_index=self._count,
         )
-        self._log.append((tau.copy(), resp))
+        self._log.append((tau, resp))
         return resp
 
     def reset_counter(self) -> None:

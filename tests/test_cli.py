@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from tollopt import cli
+from tollopt import cli, oracle
 from tollopt.cli import (
     main,
     run_impossibility_demo,
@@ -15,6 +15,8 @@ from tollopt.cli import (
 from tollopt.ellipsoid import NumericBreakdown
 from tollopt.equilibrium import NoConvergence
 from tollopt.instances import InstanceSpec
+from tollopt.oracle import OracleBudgetExceeded
+from tollopt.zeroorder import OracleSampleFailed
 
 
 @pytest.fixture
@@ -162,6 +164,32 @@ def test_numerical_failure_exits_2(runner, monkeypatch, tmp_path, call, error):
             main, ["enforce", "--instance", str(game_path), "--target", str(target)]
         )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (NoConvergence, 2),
+        (NumericBreakdown, 2),
+        (OracleSampleFailed, 4),
+        (OracleBudgetExceeded, 4),
+    ],
+)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["demo-impossibility", "--grid", "2"],
+        ["bench", "--sizes", "2,3", "--epsilon", "0.2", "--opt-iterations", "3"],
+    ],
+)
+def test_oracle_failure_exit_codes(runner, monkeypatch, args, error, code):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(oracle, "solve_equilibrium", fail)
+    result = runner.invoke(main, args)
+    assert result.exit_code == code
+    assert "injected" in result.output
 
 
 def test_demo_impossibility_small_grid(runner):

@@ -102,3 +102,10 @@ def test_update_volume_identity_property(dim, seed):
     cut = E.update(g)
     ratio = math.exp(cut.log_volume() - E.log_volume())
     assert abs(ratio - central_cut_volume_ratio(dim)) < 1e-9
+
+
+def test_shape_stays_exactly_symmetric_under_cuts(rng):
+    E = Ellipsoid.ball(np.zeros(8), 10.0)
+    for _ in range(500):
+        E = E.update(rng.normal(size=8))
+        assert np.array_equal(E.shape, E.shape.T)

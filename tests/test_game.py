@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_parallel, random_dag_game, random_parallel
+from conftest import (
+    make_parallel,
+    random_cubic_parallel,
+    random_dag_game,
+    random_parallel,
+)
 from tollopt import (
     Commodity,
     Edge,
@@ -26,7 +31,7 @@ from tollopt import (
     total_latency,
     validate_game,
 )
-from tollopt.game import has_positive_cycle
+from tollopt.game import FEASIBILITY_TOL, has_positive_cycle
 from tollopt.instances import TOPOLOGIES, InstanceSpec, generate
 from tollopt.paths import dag_order, decompose_paths, shortest_path
 
@@ -128,9 +133,50 @@ class TestTotalLatency:
     def test_pigou_all_on_linear_edge(self, pigou):
         assert total_latency(pigou, FlowVector.single([1.0, 0.0])) == 1.0
 
+    def test_equals_edge_sum_on_random_cubic_games(self, rng):
+        for _ in range(20):
+            game = random_cubic_parallel(int(rng.integers(2, 9)), rng)
+            for _ in range(5):
+                w = rng.dirichlet(np.ones(game.m))
+                w[rng.random(game.m) < 0.3] = 0.0
+                if w.sum() == 0.0:
+                    w[0] = 1.0
+                f = FlowVector.single(w / w.sum())
+                direct = sum(
+                    x * e.latency.value(x)
+                    for x, e in zip(f.aggregate, game.edges)
+                    if x > 0
+                )
+                assert total_latency(game, f) == direct
+
     def test_infeasible_flow_rejected(self, pigou):
         with pytest.raises(Infeasible):
             total_latency(pigou, FlowVector.single([0.7, 0.2]))
+
+
+class TestLatencyTable:
+    def test_built_once(self, rng):
+        game = random_cubic_parallel(4, rng)
+        assert game.latency_table is game.latency_table
+
+    def test_matches_latency_methods(self, rng):
+        game = random_cubic_parallel(6, rng)
+        table = game.latency_table
+        for e, edge in enumerate(game.edges):
+            for x in rng.uniform(0.0, 2.0, 5).tolist() + [0.0]:
+                acc = 0.0
+                for a in table.horner[e]:
+                    acc = acc * x + a
+                assert acc == edge.latency.value(x)
+                acc = 0.0
+                for a in table.slope_horner[e]:
+                    acc = acc * x + a
+                assert acc == edge.latency.slope(x)
+            assert table.at_zero[e] == edge.latency.value(0.0)
+            assert list(table.coeffs[e, : len(edge.latency.coeffs)]) == list(
+                edge.latency.coeffs
+            )
+        assert not table.coeffs.flags.writeable
 
 
 class TestIsFeasible:
@@ -152,6 +198,55 @@ class TestIsFeasible:
 
     def test_negative_flow_rejected(self, pigou):
         assert not is_feasible(pigou, FlowVector.single([1.5, -0.5]))
+
+    @staticmethod
+    def _reference(game, f, tol=FEASIBILITY_TOL):
+        """Per-edge conservation loop; a NaN fails every comparison."""
+        X = f.per_commodity
+        if X.shape != (game.k, game.m):
+            return False
+        skel = game.skeleton()
+        vi = skel.vertex_index
+        for i, c in enumerate(skel.commodities):
+            net = [0.0] * len(skel.vertices)
+            for e in range(game.m):
+                x = float(X[i, e])
+                if not x >= -tol:
+                    return False
+                net[skel.tails[e]] += x
+                net[skel.heads[e]] -= x
+            net[vi[c.source]] -= c.demand
+            net[vi[c.sink]] += c.demand
+            if not all(abs(v) <= tol for v in net):
+                return False
+        return True
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_matches_per_edge_reference(self, topology):
+        commodities = 2 if topology == "random_dag" else 1
+        game = generate(InstanceSpec(topology=topology, commodities=commodities, seed=1))
+        tol = FEASIBILITY_TOL
+        X = solve_equilibrium(game).flow.per_commodity
+
+        def check(Y, expected):
+            f = FlowVector(Y)
+            assert is_feasible(game, f) == self._reference(game, f) == expected
+            assert is_feasible(game.skeleton(), f) == expected
+
+        check(X, True)
+        for e in range(game.m):
+            for shift, expected in ((0.5 * tol, True), (2.0 * tol, False)):
+                Y = X.copy()
+                Y[0, e] += shift
+                check(Y, expected)
+            Y = X.copy()
+            Y[0, e] = -1.5 * tol
+            check(Y, False)
+            Y = X.copy()
+            Y[0, e] = np.nan
+            check(Y, False)
+        check(np.hstack([X, np.zeros((game.k, 1))]), False)
+        check(np.vstack([X, X]), False)
 
 
 def _two_cycle_game():

@@ -1,12 +1,22 @@
 """Query boundary: response correctness, counting, logging, privacy."""
 
+import dataclasses
+import enum
 import json
 
 import numpy as np
 import pytest
 
-from conftest import random_parallel
-from tollopt import FlowVector, TollVector, solve_equilibrium, total_latency
+from conftest import make_parallel, random_parallel
+from tollopt import (
+    FlowVector,
+    PolyLatency,
+    RoutingGame,
+    TollVector,
+    solve_equilibrium,
+    total_latency,
+)
+from tollopt.game import LatencyTable
 from tollopt.oracle import (
     EquilibriumOracle,
     OracleBudgetExceeded,
@@ -82,6 +92,20 @@ def test_toll_out_of_range(pigou):
         oracle.query(TollVector(np.array([1.0, 1.0, 1.0])))  # wrong length
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("topology", ["braess", "parallel"])
+def test_non_finite_toll_rejected_uncounted(braess, rng, topology, bad):
+    game = braess if topology == "braess" else random_parallel(4, rng)
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST)
+    tau = np.full(game.m, 0.5)
+    tau[1] = bad
+    with pytest.raises(TollOutOfRange):
+        oracle.query(TollVector(tau))
+    assert oracle.query_count == 0
+    assert oracle.query_log == []
+    assert oracle.query(TollVector(np.full(game.m, 0.5))).query_index == 1
+
+
 def test_budget_exhaustion(pigou):
     oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, max_queries=2)
     oracle.query(TollVector.zeros(2))
@@ -130,6 +154,43 @@ def test_no_game_leak_in_repr_or_skeleton(pigou):
     oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY)
     assert "PolyLatency" not in repr(oracle)
     assert not hasattr(oracle.skeleton, "edges")  # ids and endpoints only
+
+
+def _reachable(obj, depth=0):
+    """obj and every value reachable from it through containers, arrays and
+    instance attributes."""
+    yield obj
+    if depth > 6 or isinstance(obj, (str, bytes, enum.Enum)):
+        return
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, np.ndarray):
+        children = obj.ravel().tolist()
+    elif dataclasses.is_dataclass(obj) or hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        children = []
+    for child in children:
+        yield from _reachable(child, depth + 1)
+
+
+def test_no_latency_data_reachable_from_skeleton_or_oracle():
+    coeffs = {0.1234567, 0.7654321, 0.3141592, 0.2718281, 0.5772156}
+    game = make_parallel([(0.1234567, 0.7654321), (0.3141592, 0.2718281, 0.5772156)])
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST)
+    oracle.query(TollVector(np.array([0.5, 0.0])))
+    skel = oracle.skeleton
+    for name in dir(skel):  # fill every cached index
+        if not name.startswith("_"):
+            getattr(skel, name)
+    assert game.latency_table is not None
+    exposed = [v for k, v in vars(oracle).items() if k != "_EquilibriumOracle__game"]
+    exposed += [oracle.query_log, skel]
+    for value in _reachable(exposed):
+        assert not isinstance(value, (RoutingGame, LatencyTable, PolyLatency))
+        assert not (isinstance(value, float) and value in coeffs)
 
 
 def test_query_log_serialization(pigou):
