@@ -32,7 +32,7 @@ from .enforcement import (
 from .ellipsoid import NumericBreakdown
 from .equilibrium import EqConfig, NoConvergence, solve_equilibrium
 from .exact import optimal_flow
-from .game import InvalidGame, TollVector, total_latency
+from .game import InvalidGame, TollOutOfRange, TollVector, total_latency
 from .instances import TOPOLOGIES, BadSpec, InstanceSpec, generate
 from .oracle import (
     EquilibriumOracle,
@@ -124,18 +124,21 @@ def _report(command: str, instance: dict, config: dict, results: dict,
     }
 
 
-def run_impossibility_demo(
-    grid_resolution: int = 21, toll_max: float = 2.0, flow_tol: float = 1e-6
-) -> dict:
+def run_impossibility_demo(grid_resolution: int = 21, toll_max: float = 2.0) -> dict:
     """Probe the fig1 pair with a toll grid through flow-only oracles.
 
-    The two games answer identically on every grid point even though their
-    optimal flows (and costs) differ, so no flow-only strategy can tell
-    which tolls are optimal.
+    The two games answer identically (within 1e-6) on every grid point
+    even though their optimal flows (and costs) differ, so no flow-only
+    strategy can tell which tolls are optimal.  Raises ``TollOutOfRange``
+    before any query when ``toll_max`` is not in [0, T_max].
     """
     started = time.perf_counter()
+    flow_tol = 1e-6
     g1 = generate(InstanceSpec(topology="fig1_l1"))
     g2 = generate(InstanceSpec(topology="fig1_l2"))
+    t_max = min(g1.constants.T_max, g2.constants.T_max)
+    if not 0.0 <= toll_max <= t_max:  # False for NaN
+        raise TollOutOfRange(f"toll_max must lie in [0, {t_max}]")
     o1 = EquilibriumOracle(g1, OracleMode.FLOW_ONLY, eps_query=1e-10)
     o2 = EquilibriumOracle(g2, OracleMode.FLOW_ONLY, eps_query=1e-10)
     grid = np.linspace(0.0, toll_max, grid_resolution)
@@ -244,6 +247,12 @@ def run_bench(
     sizes stay affordable).  Log-log slopes against m are reported as an
     empirical trend, not a guarantee.
     """
+    opt_cfg = OptConfig(epsilon=epsilon, max_iterations=opt_iterations or 60)
+    return _bench(sizes, EnforcementConfig(delta=delta_enforce), opt_cfg, seed)
+
+
+def _bench(sizes: tuple[int, ...], enforce_cfg: EnforcementConfig,
+           opt_cfg: OptConfig, seed: int) -> dict:
     started = time.perf_counter()
     enforce_counts: list[int] = []
     optimize_counts: list[int] = []
@@ -254,13 +263,9 @@ def run_bench(
         tau = TollVector(rng.uniform(0.0, 1.0, m))
         target = solve_equilibrium(game, tau).flow
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-10)
-        res = enforce_flow(oracle, target, EnforcementConfig(delta=delta_enforce))
+        res = enforce_flow(oracle, target, enforce_cfg)
         enforce_counts.append(res.queries_used)
         oracle2 = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        opt_cfg = OptConfig(
-            epsilon=epsilon,
-            max_iterations=opt_iterations if opt_iterations else 60,
-        )
         _, rep = compute_optimal_tolls(oracle2, game.skeleton(), opt_cfg)
         optimize_counts.append(rep.total_oracle_queries)
     logs = np.log(np.asarray(sizes, dtype=float))
@@ -283,7 +288,8 @@ def run_bench(
     return _report(
         "bench",
         {"topology": "parallel", "sizes": list(sizes)},
-        {"epsilon": epsilon, "delta_enforce": delta_enforce, "seed": seed},
+        {"epsilon": opt_cfg.epsilon, "delta_enforce": enforce_cfg.delta,
+         "seed": seed},
         results,
         sum(enforce_counts) + sum(optimize_counts),
         started,
@@ -426,10 +432,11 @@ def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
     started = time.perf_counter()
     game = _load_game(instance)
     try:
+        cfg = EnforcementConfig(delta=delta)
         with open(target, encoding="utf-8") as fh:
             f_star = flow_from_json(game, fh.read())
     except (OSError, json.JSONDecodeError, ValueError) as exc:
-        click.echo(f"invalid target: {exc}", err=True)
+        click.echo(f"invalid input: {exc}", err=True)
         sys.exit(EXIT_INVALID)
     oracle = EquilibriumOracle(
         game, OracleMode.FLOW_ONLY, eps_query=1e-10, max_queries=max_queries
@@ -453,9 +460,7 @@ def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
 
     try:
         with _solver_failures_exit():
-            result = enforce_flow(
-                oracle, f_star, EnforcementConfig(delta=delta), on_iteration=sink
-            )
+            result = enforce_flow(oracle, f_star, cfg, on_iteration=sink)
     except (TargetInfeasible, TargetCyclic) as exc:
         click.echo(f"invalid target: {exc}", err=True)
         sys.exit(EXIT_INVALID)
@@ -516,7 +521,7 @@ def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
             game = generate(spec)
             desc = asdict(spec)
         cfg = OptConfig(epsilon=epsilon, delta=delta, max_queries=max_queries)
-        cfg.resolved(game.skeleton())  # rejects a delta above its bound
+        cfg.resolved_delta(game.skeleton())  # rejects a delta above its bound
     except ValueError as exc:  # BadSpec, or an invalid epsilon or delta
         click.echo(f"invalid input: {exc}", err=True)
         sys.exit(EXIT_INVALID)
@@ -538,7 +543,11 @@ def demo_cmd(grid_resolution, toll_max, out) -> None:
         click.echo("grid resolution must be at least 2", err=True)
         sys.exit(EXIT_INVALID)
     with _solver_failures_exit():
-        report = run_impossibility_demo(grid_resolution, toll_max)
+        try:
+            report = run_impossibility_demo(grid_resolution, toll_max)
+        except TollOutOfRange as exc:
+            click.echo(f"invalid toll range: {exc}", err=True)
+            sys.exit(EXIT_INVALID)
     _emit(report, out)
     ok = report["results"]["indistinguishable"] and report["results"]["optima_differ"]
     sys.exit(EXIT_OK if ok else EXIT_TOLERANCE)
@@ -558,17 +567,13 @@ def bench_cmd(sizes, epsilon, delta, opt_iterations, seed, out) -> None:
         size_tuple = tuple(int(s) for s in sizes.split(","))
         if any(s < 2 for s in size_tuple):
             raise ValueError("sizes must be at least 2")
+        enforce_cfg = EnforcementConfig(delta=delta)
+        opt_cfg = OptConfig(epsilon=epsilon, max_iterations=opt_iterations or 60)
     except ValueError as exc:
-        click.echo(f"invalid sizes: {exc}", err=True)
+        click.echo(f"invalid input: {exc}", err=True)
         sys.exit(EXIT_INVALID)
     with _solver_failures_exit():
-        report = run_bench(
-            size_tuple,
-            epsilon=epsilon,
-            delta_enforce=delta,
-            seed=seed,
-            opt_iterations=opt_iterations,
-        )
+        report = _bench(size_tuple, enforce_cfg, opt_cfg, seed)
     _emit(report, out)
     sys.exit(EXIT_OK)
 

@@ -74,9 +74,6 @@ class Ellipsoid:
             raise NumericBreakdown("shape matrix is not positive definite")
         return unit_ball_log_volume(self.dim) + 0.5 * logdet
 
-    def volume(self) -> float:
-        return math.exp(self.log_volume())
-
     def contains(self, x, tol: float = 1e-9) -> bool:
         d = np.asarray(x, dtype=float).reshape(-1) - self.center
         try:

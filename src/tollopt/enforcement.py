@@ -66,51 +66,21 @@ class EnforcementStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class EnforcementConfig:
-    """Tolerance delta plus derived search limits.
+    """Tolerance delta and an optional iteration cap.
 
-    Fields left as None are resolved against the oracle's public constants:
-    eps_query defaults to delta^2 / (K m k sum_d); max_iterations to
-    ceil(16 m^2 ln(T_max m K / delta)); the volume floor to the volume of
-    an m-ball of radius delta / (4 m K).
+    ``enforce_flow`` derives the rest from delta and the game's constants:
+    the oracle accuracy it needs, delta^2 / (K m k sum_d), raised to
+    ``ACCURACY_FLOOR``; the iteration cap, ceil(16 m^2 ln(T_max m K /
+    delta)) and at least 64, unless ``max_iterations`` is set; and the
+    volume floor, the volume of an m-ball of radius delta / (4 m K).
     """
 
     delta: float
-    eps_query: float | None = None
     max_iterations: int | None = None
-    log_volume_floor: float | None = None
 
     def __post_init__(self) -> None:
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-
-    def resolved(self, oracle: EquilibriumOracle) -> "_Resolved":
-        const = oracle.skeleton.constants
-        m, k = oracle.skeleton.m, oracle.skeleton.k
-        sum_d = max(const.total_demand, 1e-30)
-        eps = self.eps_query
-        if eps is None:
-            eps = self.delta**2 / (const.K * m * max(k, 1) * sum_d)
-        max_iter = self.max_iterations
-        if max_iter is None:
-            max_iter = max(
-                64,
-                math.ceil(
-                    16 * m * m * math.log(const.T_max * m * const.K / self.delta)
-                ),
-            )
-        floor = self.log_volume_floor
-        if floor is None:
-            radius = self.delta / (4.0 * m * const.K)
-            floor = unit_ball_log_volume(m) + m * math.log(radius)
-        return _Resolved(self.delta, eps, max_iter, floor)
-
-
-@dataclass(frozen=True)
-class _Resolved:
-    delta: float
-    eps_query: float
-    max_iterations: int
-    log_volume_floor: float
 
 
 @dataclass(frozen=True)
@@ -137,16 +107,15 @@ def separation_cut(
     tau_queried: TollVector,
     f_observed: np.ndarray,
     f_target: np.ndarray,
-    floor: float = 1e-12,
 ) -> np.ndarray:
     """Cut normal g = f_observed - f_target.
 
     The half-space {tau': g . tau' >= g . tau_queried} contains every toll
     vector inducing f_target exactly (monotonicity argument in the module
-    docstring).
+    docstring).  Raises ``DegenerateCut`` when no entry of g reaches 1e-12.
     """
     g = np.asarray(f_observed, dtype=float) - np.asarray(f_target, dtype=float)
-    if float(np.abs(g).max()) < floor:
+    if float(np.abs(g).max()) < 1e-12:
         raise DegenerateCut("observed flow already matches the target")
     return g
 
@@ -170,16 +139,24 @@ def enforce_flow(
         raise TargetInfeasible("target flow is not feasible for this game")
     if has_positive_cycle(skel, f_star):
         raise TargetCyclic("target flow routes flow around a directed cycle")
-    res = cfg.resolved(oracle)
-    eps_acc = max(res.eps_query, ACCURACY_FLOOR)
+    const = skel.constants
+    m, k, delta = skel.m, skel.k, cfg.delta
+    sum_d = max(const.total_demand, 1e-30)
+    eps_acc = max(delta**2 / (const.K * m * max(k, 1) * sum_d), ACCURACY_FLOOR)
     if oracle.eps_query > eps_acc * (1 + 1e-9):
         raise ValueError(
             f"oracle accuracy {oracle.eps_query} is coarser than the "
             f"required {eps_acc}"
         )
+    max_iterations = cfg.max_iterations
+    if max_iterations is None:
+        max_iterations = max(
+            64, math.ceil(16 * m * m * math.log(const.T_max * m * const.K / delta))
+        )
+    floor_radius = delta / (4.0 * m * const.K)
+    log_volume_floor = unit_ball_log_volume(m) + m * math.log(floor_radius)
     margin = oracle.eps_query
-    t_max = skel.constants.T_max
-    m = skel.m
+    t_max = const.T_max
     target = f_star.aggregate
     box_tol = 1e-12 * max(1.0, t_max)
 
@@ -198,9 +175,9 @@ def enforce_flow(
     # tolls seen; success remains oracle-verified, so restarts only speed
     # things up or honestly fail.
     restarts_left = 6
-    restart_scale = 8.0 * m * skel.constants.K
+    restart_scale = 8.0 * m * const.K
     it = 0
-    while it < res.max_iterations:
+    while it < max_iterations:
         it += 1
         c = E.center
         if c.min() < -box_tol or c.max() > t_max + box_tol:
@@ -220,7 +197,7 @@ def enforce_flow(
             if dev < best_dev:
                 best_dev = dev
                 best_tau = tau_q
-            if dev <= 2.0 * res.delta - margin:
+            if dev <= 2.0 * delta - margin:
                 status = EnforcementStatus.SUCCESS
                 break
             g = separation_cut(tolls, resp.aggregate_flow, target)
@@ -232,7 +209,7 @@ def enforce_flow(
             if restarts_left <= 0 or best_tau is None:
                 break
             radius = min(
-                max(restart_scale * best_dev, 1e3 * res.delta),
+                max(restart_scale * best_dev, 1e3 * delta),
                 full_radius,
             ) * 16.0 ** (6 - restarts_left)
             restarts_left -= 1
@@ -250,7 +227,7 @@ def enforce_flow(
                     ellipsoid=E,
                 )
             )
-        if log_vol < res.log_volume_floor:
+        if log_vol < log_volume_floor:
             break
     queries_used = oracle.query_count - queries_before
     if best_tau is None:

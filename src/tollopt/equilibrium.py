@@ -59,10 +59,13 @@ class NoConvergence(RuntimeError):
     """The iteration budget ran out before the requested accuracy."""
 
 
+#: Cap on the total conditional-gradient and Newton steps of one solve.
+MAX_ITERATIONS = 6000
+
+
 @dataclass(frozen=True)
 class EqConfig:
     accuracy: float = 1e-8  # Beckmann duality-gap target, absolute
-    max_iterations: int = 6000  # total conditional-gradient + Newton steps
 
     def __post_init__(self) -> None:
         if not self.accuracy > 0:
@@ -213,13 +216,13 @@ def _newton_round(
     tau: np.ndarray,
     demands: np.ndarray,
     tol: float,
-    max_inner: int = 40,
 ) -> tuple[bool, int]:
     """Equilibrate the working paths: equal cost per commodity, demands met.
 
-    Returns (converged, inner_iterations).  ``converged`` is False when the
-    linearized system cannot make progress (ties between constant-latency
-    routes); the caller then falls back to conditional-gradient steps.
+    Runs at most 40 Newton iterations and returns (converged,
+    inner_iterations).  ``converged`` is False when the linearized system
+    cannot make progress (ties between constant-latency routes); the
+    caller then falls back to conditional-gradient steps.
     """
     game = state.game
     rows: list[tuple[int, tuple[int, ...]]] = []
@@ -255,7 +258,7 @@ def _newton_round(
     r, c = residual(h, lam)
     best_norm = float(np.max(np.abs(r)))
     it = 0
-    while best_norm > tol and it < max_inner:
+    while best_norm > tol and it < 40:
         it += 1
         F = h @ N
         W = _eval_slope_rows(A, F)
@@ -512,7 +515,7 @@ def solve_equilibrium(
 
     newton_tol_floor = 1e-13
     warmup = 0
-    while iterations < cfg.max_iterations:
+    while iterations < MAX_ITERATIONS:
         F, costs, best = measure()
         if gap <= max(cfg.accuracy * 0.5, 1e-3 * scale) or warmup >= 25:
             break
@@ -524,7 +527,7 @@ def solve_equilibrium(
     newton_tol = max(newton_tol_floor * scale, 1e-15)
     add_tol = 20 * newton_tol
     rounds = 0
-    while rounds < 60 and iterations < cfg.max_iterations:
+    while rounds < 60 and iterations < MAX_ITERATIONS:
         rounds += 1
         ok, inner = _newton_round(state, A, tau, demands, newton_tol)
         iterations += max(inner, 1)

@@ -30,7 +30,7 @@ def marginal_game(game: RoutingGame) -> RoutingGame:
     edges = tuple(
         Edge(e.id, e.tail, e.head, e.latency.marginal()) for e in game.edges
     )
-    return replace(game, edges=edges, coeff_bound=None, max_degree=None)
+    return replace(game, edges=edges)
 
 
 def optimal_flow(game: RoutingGame, gap: float = 1e-9) -> tuple[FlowVector, float]:

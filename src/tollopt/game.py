@@ -9,6 +9,7 @@ a latency ceiling K and the toll cap T_max.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .paths import reachable
 __all__ = [
     "InvalidGame",
     "Infeasible",
+    "TollOutOfRange",
     "PolyLatency",
     "Commodity",
     "Edge",
@@ -49,6 +51,10 @@ class InvalidGame(ValueError):
 
 class Infeasible(ValueError):
     """A flow does not satisfy conservation or nonnegativity."""
+
+
+class TollOutOfRange(ValueError):
+    """Tolls are negative or not finite, or a queried toll exceeds T_max."""
 
 
 @dataclass(frozen=True)
@@ -159,8 +165,6 @@ class RoutingGame:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     commodities: tuple[Commodity, ...]
-    coeff_bound: float | None = None  # U; defaults to the max coefficient
-    max_degree: int | None = None  # r cap; defaults to the max edge degree
 
     @property
     def m(self) -> int:
@@ -387,8 +391,9 @@ class TollVector:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float).reshape(-1)
-        if np.any(arr < 0):
-            raise ValueError("tolls must be nonnegative")
+        # comparisons in this direction are False for NaN
+        if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
+            raise TollOutOfRange("tolls must be finite and nonnegative")
         object.__setattr__(self, "values", arr)
 
     @classmethod
@@ -414,12 +419,6 @@ def validate_game(game: RoutingGame) -> RoutingGame:
             raise InvalidGame(f"edge {e.id!r} references unknown vertex")
         if e.tail == e.head:
             raise InvalidGame(f"edge {e.id!r} is a self-loop")
-        if game.max_degree is not None and e.latency.degree > game.max_degree:
-            raise InvalidGame(
-                f"edge {e.id!r} has degree {e.latency.degree} > cap {game.max_degree}"
-            )
-        if game.coeff_bound is not None and max(e.latency.coeffs) > game.coeff_bound:
-            raise InvalidGame(f"edge {e.id!r} exceeds the coefficient bound")
     skel = game.skeleton()
     reach_cache: dict[str, set[int]] = {}
     for c in game.commodities:
@@ -450,10 +449,7 @@ def derive_constants(game: RoutingGame) -> GameConstants:
     """
     total_demand = float(sum(c.demand for c in game.commodities))
     r = max((e.latency.degree for e in game.edges), default=0)
-    if game.max_degree is not None:
-        r = max(r, 0)
-    max_coeff = max((max(e.latency.coeffs) for e in game.edges), default=0.0)
-    U = max(max_coeff, game.coeff_bound or 0.0)
+    U = max((max(e.latency.coeffs) for e in game.edges), default=0.0)
     base = max(1.0, total_demand) ** r
     K = max(1.0, (r + 1) * max(1.0, r / 2.0) * U * base)
     m = game.m
@@ -482,9 +478,9 @@ def is_feasible(game, f: FlowVector, tol: float = FEASIBILITY_TOL) -> bool:
     )
 
 
-def total_latency(game: RoutingGame, f: FlowVector, tol: float = FEASIBILITY_TOL) -> float:
+def total_latency(game: RoutingGame, f: FlowVector) -> float:
     """Total latency sum_e F_e * l_e(F_e) over the aggregate flow."""
-    if not is_feasible(game, f, tol):
+    if not is_feasible(game, f):
         raise Infeasible("flow is not feasible for this game")
     return float(
         sum(
@@ -544,23 +540,22 @@ def _find_positive_cycle(game, row: np.ndarray, tol: float) -> list[int] | None:
     return None
 
 
-def has_positive_cycle(game, f: FlowVector, tol: float = FEASIBILITY_TOL) -> bool:
+def has_positive_cycle(game, f: FlowVector) -> bool:
     """True if some commodity routes flow around a directed cycle."""
-    scale = max(1.0, float(f.per_commodity.max(initial=0.0)))
-    cycle_tol = 1e-12 * scale
+    cycle_tol = 1e-12 * max(1.0, float(f.per_commodity.max(initial=0.0)))
     return any(
         _find_positive_cycle(game, f.per_commodity[i], cycle_tol) is not None
         for i in range(f.k)
     )
 
 
-def acyclic_reduce(game, f: FlowVector, tol: float = FEASIBILITY_TOL) -> FlowVector:
+def acyclic_reduce(game, f: FlowVector) -> FlowVector:
     """Cancel per-commodity positive-flow cycles.
 
     The result is feasible for the same demands, is edgewise <= f in every
     commodity, and (latencies being nondecreasing) never costs more.
     """
-    if not is_feasible(game, f, tol):
+    if not is_feasible(game, f):
         raise Infeasible("flow is not feasible for this game")
     out = np.array(f.per_commodity, dtype=float, copy=True)
     cycle_tol = 1e-12 * max(1.0, float(out.max(initial=0.0)))

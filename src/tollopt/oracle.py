@@ -19,6 +19,7 @@ from .equilibrium import EqConfig, solve_equilibrium
 from .game import (
     GameSkeleton,
     RoutingGame,
+    TollOutOfRange,
     TollVector,
     total_latency,
     validate_game,
@@ -37,10 +38,6 @@ __all__ = [
 #: Flow accuracies below this are not honestly deliverable in double
 #: precision; callers demanding less get this floor instead.
 ACCURACY_FLOOR = 1e-11
-
-
-class TollOutOfRange(ValueError):
-    """Queried tolls are negative or exceed the toll cap T_max."""
 
 
 class OracleBudgetExceeded(RuntimeError):

@@ -20,7 +20,6 @@ __all__ = [
     "dijkstra",
     "reachable",
     "shortest_path",
-    "dag_order",
     "dag_shortest_path",
     "decompose_paths",
 ]
@@ -110,11 +109,6 @@ def shortest_path(game, edge_costs, s: str, t: str) -> tuple[tuple[int, ...], fl
     return _trace(pred, skel.tails, vi[s], ti), dist[ti]
 
 
-def dag_order(game) -> tuple[int, ...] | None:
-    """Topological vertex order, or None if the graph has a directed cycle."""
-    return game.skeleton().topological_order
-
-
 def dag_shortest_path(
     game, edge_costs, s: str, t: str
 ) -> tuple[tuple[int, ...], float]:
@@ -144,17 +138,17 @@ def dag_shortest_path(
 
 
 def decompose_paths(
-    game, flow_row: np.ndarray, s: str, t: str, tol: float = 1e-12
+    game, flow_row: np.ndarray, s: str, t: str
 ) -> list[tuple[tuple[int, ...], float]]:
     """Greedy path decomposition of one commodity's edge flow.
 
-    Repeatedly extracts an s-t path through positive-flow edges (earliest
-    edge id first) and routes the bottleneck amount along it.  Leftover
-    circulation, if any, is not reported.
+    Repeatedly extracts an s-t path through edges whose residual flow
+    exceeds 1e-12 * max(1, largest flow), earliest edge id first, and
+    routes the bottleneck amount along it.  Leftover circulation, if any,
+    is not reported.
     """
     residual = np.array(flow_row, dtype=float, copy=True)
-    scale = max(1.0, float(residual.max(initial=0.0)))
-    cut = tol * scale
+    cut = 1e-12 * max(1.0, float(residual.max(initial=0.0)))
     skel = game.skeleton()
     vi = skel.vertex_index
     adj = skel.adjacency_out

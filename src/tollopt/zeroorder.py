@@ -57,53 +57,32 @@ class OracleSampleFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Targets for the zero-order minimizer.
+    """Targets and budgets for the zero-order minimizer.
 
-    ``delta`` defaults to epsilon / (8 N^2) where N = mk, keeping the
-    value-oracle error a configured polynomial factor below the optimality
-    target; ``fd_step`` defaults to sqrt(delta), balancing oracle error
-    delta/h against curvature error O(h).
+    ``delta``, the value-oracle error, defaults to epsilon / (8 N^2) where
+    N = mk and may not exceed it, keeping that error a fixed polynomial
+    factor below the optimality target.  The finite-difference step is
+    sqrt(delta), balancing oracle error delta/h against curvature error
+    O(h); probes mix in the reference flow with weight 1e-3.
     """
 
     epsilon: float
     delta: float | None = None
-    theta: float = 1e-3  # interior mix toward the reference flow
-    fd_step: float | None = None
     max_iterations: int = 60
     max_queries: int | None = None
-    p_factor: float | None = None  # defaults to 8 N^2
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not 0 < self.theta < 1:
-            raise ValueError("theta must lie in (0, 1)")
 
-    def resolved(self, skeleton: GameSkeleton) -> "_ResolvedOpt":
+    def resolved_delta(self, skeleton: GameSkeleton) -> float:
+        """delta, checked to be positive and at most epsilon / (8 N^2)."""
         N = max(1, skeleton.constants.N)
-        p = self.p_factor if self.p_factor is not None else 8.0 * N * N
+        p = 8.0 * N * N
         delta = self.delta if self.delta is not None else self.epsilon / p
-        if delta > self.epsilon / p * (1 + 1e-12):
-            raise ValueError(f"delta must be at most epsilon / {p}")
-        h = self.fd_step if self.fd_step is not None else math.sqrt(delta)
-        return _ResolvedOpt(
-            epsilon=self.epsilon,
-            delta=delta,
-            theta=self.theta,
-            fd_step=h,
-            max_iterations=self.max_iterations,
-            max_queries=self.max_queries,
-        )
-
-
-@dataclass(frozen=True)
-class _ResolvedOpt:
-    epsilon: float
-    delta: float
-    theta: float
-    fd_step: float
-    max_iterations: int
-    max_queries: int | None
+        if not 0.0 < delta <= self.epsilon / p * (1 + 1e-12):  # False for NaN
+            raise ValueError(f"delta must lie in (0, epsilon / {p}]")
+        return delta
 
 
 @dataclass(frozen=True)
@@ -289,14 +268,13 @@ def reference_flow(skel: GameSkeleton) -> FlowVector:
     return FlowVector(out)
 
 
-def project_to_polytope(
-    skel: GameSkeleton, x, gap_target: float = 1e-10, max_iterations: int = 2000
-) -> FlowVector:
+def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
     """Euclidean projection onto the feasible-flow polytope.
 
     Runs an away-step conditional gradient per commodity over the path
     polytope (linear minimization is a DAG shortest path, which tolerates
-    the negative costs a quadratic objective produces).  Deterministic;
+    the negative costs a quadratic objective produces), for at most 2000
+    steps or until the Frank-Wolfe gap is at most 1e-10.  Deterministic;
     already-feasible points are returned unchanged.
     """
     pts = np.asarray(x, dtype=float)
@@ -316,7 +294,7 @@ def project_to_polytope(
         f = np.zeros(skel.m)
         for e in path0:
             f[e] += d_i
-        for _ in range(max_iterations):
+        for _ in range(2000):
             grad = 2.0 * (f - target)
             fw_path, _ = dag_shortest_path(skel, grad, com.source, com.sink)
             v_fw = np.zeros(skel.m)
@@ -329,7 +307,7 @@ def project_to_polytope(
             for e in away_path:
                 v_away[e] += d_i
             gap_fw = float(np.dot(grad, f - v_fw))
-            if gap_fw <= gap_target:
+            if gap_fw <= 1e-10:
                 break
             gap_away = float(np.dot(grad, v_away - f))
             if gap_fw >= gap_away:
@@ -439,8 +417,8 @@ def minimize_total_latency(
     """
     if tuple(skeleton.edge_ids) != tuple(oracle.skeleton.edge_ids):
         raise ValueError("skeleton does not match the oracle's game")
-    res = cfg.resolved(skeleton)
-    engine = SampleEngine(oracle, res.delta)
+    delta = cfg.resolved_delta(skeleton)
+    engine = SampleEngine(oracle, delta)
     basis = affine_hull_basis(skeleton)
     f_ref = reference_flow(skeleton)
     queries_start = oracle.query_count
@@ -450,19 +428,19 @@ def minimize_total_latency(
         return oracle.query_count - queries_start
 
     def over_budget() -> bool:
-        return res.max_queries is not None and spent() >= res.max_queries
+        return cfg.max_queries is not None and spent() >= cfg.max_queries
 
     best = engine.sample(f_ref)
     current = best
     status = "BUDGET_EXHAUSTED"
     alpha = 0.25
     stall = 0
-    for it in range(1, res.max_iterations + 1):
+    for it in range(1, cfg.max_iterations + 1):
         if over_budget():
             break
         f = current.requested_flow
-        mixed = FlowVector(
-            (1.0 - res.theta) * f.per_commodity + res.theta * f_ref.per_commodity
+        mixed = FlowVector(  # interior mix toward the reference flow
+            (1.0 - 1e-3) * f.per_commodity + 1e-3 * f_ref.per_commodity
         )
         try:
             g_hat = _fd_gradient(
@@ -470,7 +448,7 @@ def minimize_total_latency(
                 skeleton,
                 basis,
                 mixed,
-                res.fd_step,
+                math.sqrt(delta),
             )
         except OracleSampleFailed:
             break
@@ -494,7 +472,7 @@ def minimize_total_latency(
                 best = cand
         if tried:
             a_win, cand_win = min(tried, key=lambda t: t[1].observed_cost)
-            if cand_win.observed_cost < current.observed_cost + 0.5 * res.delta:
+            if cand_win.observed_cost < current.observed_cost + 0.5 * delta:
                 current = cand_win
                 alpha = max(min(a_win * 1.5, 4.0), 1e-4)
                 improved = True
@@ -514,11 +492,11 @@ def minimize_total_latency(
                 "queries": spent(),
             }
         )
-        if est_gap <= res.epsilon / 2.0 and it >= 2:
+        if est_gap <= cfg.epsilon / 2.0 and it >= 2:
             status = "CONVERGED"
             break
         if stall >= 3:
-            if est_gap <= res.epsilon or not over_budget():
+            if est_gap <= cfg.epsilon or not over_budget():
                 status = "CONVERGED"
             break
     return OptimizationReport(

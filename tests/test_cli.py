@@ -91,6 +91,18 @@ def test_solve_eq_bad_accuracy_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_solve_eq_non_finite_toll_exits_3(runner, tmp_path):
+    game_path = tmp_path / "game.json"
+    runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
+    tolls = tmp_path / "tolls.json"
+    tolls.write_text('{"e0": "nan", "e1": 0.5}')
+    result = runner.invoke(
+        main, ["solve-eq", "--instance", str(game_path), "--tolls", str(tolls)]
+    )
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
+
+
 def test_enforce_success_and_trace(runner, tmp_path):
     game_path = tmp_path / "game.json"
     runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
@@ -134,10 +146,43 @@ def test_optimize_pigou(runner):
     assert report["results"]["gap_within_2eps"] is True
 
 
-@pytest.mark.parametrize("args", [["--epsilon", "-1"], ["--delta", "0.5"]])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--epsilon", "-1"],
+        ["--delta", "0.5"],
+        ["--delta", "0"],
+        ["--delta", "-1"],
+        ["--delta", "nan"],
+    ],
+)
 def test_optimize_bad_config_exits_3(runner, args):
     result = runner.invoke(main, ["optimize", "--topology", "pigou", *args])
     assert result.exit_code == 3
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["enforce", "--delta-enforce", "0"],
+        ["bench", "--sizes", "2", "--epsilon", "0"],
+        ["bench", "--sizes", "2", "--delta-enforce", "-1"],
+        ["demo-impossibility", "--grid", "2", "--toll-max", "-1"],
+        ["demo-impossibility", "--grid", "2", "--toll-max", "nan"],
+        ["demo-impossibility", "--grid", "2", "--toll-max", "9"],  # T_max is 8
+    ],
+)
+def test_invalid_number_exits_3(runner, tmp_path, args):
+    if args[0] == "enforce":
+        game_path = tmp_path / "game.json"
+        runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
+        target = tmp_path / "target.json"
+        target.write_text('{"e0": "0.5", "e1": "0.5"}')
+        args = [*args, "--instance", str(game_path), "--target", str(target)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize(

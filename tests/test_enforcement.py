@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_dag_game, random_parallel
 from tollopt import FlowVector, TollVector, solve_equilibrium
+from tollopt.ellipsoid import Ellipsoid
 from tollopt.enforcement import (
     DegenerateCut,
     EnforcementConfig,
@@ -19,7 +20,7 @@ from tollopt.enforcement import (
 from tollopt.equilibrium import NoConvergence
 from tollopt.exact import marginal_cost_tolls, optimal_flow
 from tollopt.instances import InstanceSpec, generate
-from tollopt.oracle import EquilibriumOracle, OracleMode
+from tollopt.oracle import ACCURACY_FLOOR, EquilibriumOracle, OracleMode
 
 
 class TestSeparationCut:
@@ -95,6 +96,33 @@ class TestEnforceFlow:
         assert res.status is EnforcementStatus.NOT_FOUND
         assert res.queries_used <= 3
         assert math.isfinite(res.achieved_deviation)
+
+    def test_volume_floor_gives_not_found(self, pigou):
+        # a start ball of radius 1e-6 is below the floor radius
+        # delta / (4 m K) = 6.25e-5 after the first cut
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        res = enforce_flow(
+            oracle,
+            FlowVector.single([0.5, 0.5]),
+            EnforcementConfig(delta=1e-3),
+            initial=Ellipsoid.ball([1.0, 1.0], 1e-6),
+        )
+        assert res.status is EnforcementStatus.NOT_FOUND
+        assert res.queries_used == 1
+        assert res.iterations == 1
+        assert res.achieved_deviation == pytest.approx(0.5)
+
+    def test_required_accuracy_raised_to_floor(self, pigou):
+        # delta^2 / (K m k sum_d) = 2.5e-13 is below ACCURACY_FLOOR, so an
+        # oracle at the floor is accepted
+        oracle = EquilibriumOracle(
+            pigou, OracleMode.FLOW_ONLY, eps_query=ACCURACY_FLOOR
+        )
+        res = enforce_flow(
+            oracle, FlowVector.single([0.5, 0.5]), EnforcementConfig(delta=1e-6)
+        )
+        assert res.status is EnforcementStatus.SUCCESS
+        assert res.achieved_deviation <= 2e-6
 
     def test_infeasible_target_rejected(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY)

@@ -255,13 +255,12 @@ class TestOptConfig:
     def test_delta_cap_enforced(self, pigou):
         cfg = OptConfig(epsilon=0.02, delta=0.01)  # way above eps/(8 N^2)
         with pytest.raises(ValueError):
-            cfg.resolved(pigou.skeleton())
+            cfg.resolved_delta(pigou.skeleton())
 
     def test_defaults(self, pigou):
-        res = OptConfig(epsilon=0.02).resolved(pigou.skeleton())
+        delta = OptConfig(epsilon=0.02).resolved_delta(pigou.skeleton())
         N = pigou.skeleton().constants.N
-        assert res.delta == pytest.approx(0.02 / (8 * N * N))
-        assert res.fd_step == pytest.approx(np.sqrt(res.delta))
+        assert delta == pytest.approx(0.02 / (8 * N * N))
 
 
 class TestComputeOptimalTolls:
