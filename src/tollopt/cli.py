@@ -28,6 +28,7 @@ from .enforcement import (
     TargetCyclic,
     TargetInfeasible,
     enforce_flow,
+    required_accuracy,
 )
 from .ellipsoid import NumericBreakdown
 from .equilibrium import EqConfig, NoConvergence, solve_equilibrium
@@ -102,13 +103,6 @@ def validate_report(report: dict, schema: dict = REPORT_SCHEMA) -> bool:
         return isinstance(report, str)
     if kind == "number":
         return isinstance(report, (int, float)) and not isinstance(report, bool)
-    if kind == "array":
-        if not isinstance(report, list):
-            return False
-        item_schema = schema.get("items")
-        return item_schema is None or all(
-            validate_report(x, item_schema) for x in report
-        )
     return True
 
 
@@ -262,7 +256,8 @@ def _bench(sizes: tuple[int, ...], enforce_cfg: EnforcementConfig,
         rng = np.random.default_rng(seed + 1000 + idx)
         tau = TollVector(rng.uniform(0.0, 1.0, m))
         target = solve_equilibrium(game, tau).flow
-        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-10)
+        eps = min(1e-10, required_accuracy(game, enforce_cfg.delta))
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=eps)
         res = enforce_flow(oracle, target, enforce_cfg)
         enforce_counts.append(res.queries_used)
         oracle2 = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
@@ -439,7 +434,10 @@ def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
         click.echo(f"invalid input: {exc}", err=True)
         sys.exit(EXIT_INVALID)
     oracle = EquilibriumOracle(
-        game, OracleMode.FLOW_ONLY, eps_query=1e-10, max_queries=max_queries
+        game,
+        OracleMode.FLOW_ONLY,
+        eps_query=min(1e-10, required_accuracy(game, delta)),
+        max_queries=max_queries,
     )
     trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
 

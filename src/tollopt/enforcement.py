@@ -42,6 +42,7 @@ __all__ = [
     "EnforcementConfig",
     "EnforcementResult",
     "EnforcementTraceRecord",
+    "required_accuracy",
     "separation_cut",
     "enforce_flow",
 ]
@@ -69,10 +70,10 @@ class EnforcementConfig:
     """Tolerance delta and an optional iteration cap.
 
     ``enforce_flow`` derives the rest from delta and the game's constants:
-    the oracle accuracy it needs, delta^2 / (K m k sum_d), raised to
-    ``ACCURACY_FLOOR``; the iteration cap, ceil(16 m^2 ln(T_max m K /
-    delta)) and at least 64, unless ``max_iterations`` is set; and the
-    volume floor, the volume of an m-ball of radius delta / (4 m K).
+    the oracle accuracy it needs (``required_accuracy``); the iteration
+    cap, ceil(16 m^2 ln(T_max m K / delta)) and at least 64, unless
+    ``max_iterations`` is set; and the volume floor, the volume of an
+    m-ball of radius delta / (4 m K).
     """
 
     delta: float
@@ -101,6 +102,17 @@ class EnforcementTraceRecord:
     deviation: float | None
     log_volume: float
     ellipsoid: Ellipsoid
+
+
+def required_accuracy(skeleton, delta: float) -> float:
+    """Oracle accuracy ``enforce_flow`` needs at tolerance delta on a game
+    (or skeleton): delta^2 / (K m k sum_d), raised to ``ACCURACY_FLOOR``."""
+    const = skeleton.constants
+    sum_d = max(const.total_demand, 1e-30)
+    return max(
+        delta**2 / (const.K * skeleton.m * max(skeleton.k, 1) * sum_d),
+        ACCURACY_FLOOR,
+    )
 
 
 def separation_cut(
@@ -140,9 +152,8 @@ def enforce_flow(
     if has_positive_cycle(skel, f_star):
         raise TargetCyclic("target flow routes flow around a directed cycle")
     const = skel.constants
-    m, k, delta = skel.m, skel.k, cfg.delta
-    sum_d = max(const.total_demand, 1e-30)
-    eps_acc = max(delta**2 / (const.K * m * max(k, 1) * sum_d), ACCURACY_FLOOR)
+    m, delta = skel.m, cfg.delta
+    eps_acc = required_accuracy(skel, delta)
     if oracle.eps_query > eps_acc * (1 + 1e-9):
         raise ValueError(
             f"oracle accuracy {oracle.eps_query} is coarser than the "

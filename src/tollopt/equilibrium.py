@@ -42,7 +42,7 @@ from .game import (
     _horner,
     is_feasible,
 )
-from .paths import Unreachable, decompose_paths, dijkstra, shortest_path
+from .paths import _trace, decompose_paths, dijkstra, shortest_path
 
 __all__ = [
     "EqConfig",
@@ -160,18 +160,13 @@ class _PathState:
         self.game = game
         self.paths: list[list[tuple[int, ...]]] = [[] for _ in game.commodities]
         self.flows: list[list[float]] = [[] for _ in game.commodities]
-        self.index: list[dict[tuple[int, ...], int]] = [{} for _ in game.commodities]
 
-    def add_path(self, i: int, path: tuple[int, ...], flow: float = 0.0) -> int:
-        pos = self.index[i].get(path)
-        if pos is None:
-            pos = len(self.paths[i])
+    def add_path(self, i: int, path: tuple[int, ...], flow: float = 0.0) -> None:
+        if path in self.paths[i]:
+            self.flows[i][self.paths[i].index(path)] += flow
+        else:
             self.paths[i].append(path)
             self.flows[i].append(flow)
-            self.index[i][path] = pos
-        else:
-            self.flows[i][pos] += flow
-        return pos
 
     def aggregate(self) -> np.ndarray:
         F = np.zeros(self.game.m)
@@ -203,7 +198,6 @@ class _PathState:
             dropped = self.game.commodities[i].demand - sum(h for _, h in keep)
             self.paths[i] = [p for p, _ in keep]
             self.flows[i] = [h for _, h in keep]
-            self.index[i] = {p: j for j, (p, _) in enumerate(keep)}
             if keep and dropped != 0.0:
                 # fold the pruned mass into the largest path to keep demand exact
                 jmax = max(range(len(keep)), key=lambda j: self.flows[i][j])
@@ -220,29 +214,23 @@ def _newton_round(
     """Equilibrate the working paths: equal cost per commodity, demands met.
 
     Runs at most 40 Newton iterations and returns (converged,
-    inner_iterations).  ``converged`` is False when the linearized system
-    cannot make progress (ties between constant-latency routes); the
-    caller then falls back to conditional-gradient steps.
+    inner_iterations).  A ratio test keeps path flows nonnegative.  From
+    the third iteration on, a step that cuts the residual by less than 10%
+    ends the round with ``converged`` False: the linearized system stalls
+    on ties between constant-latency routes, and the caller hands the flow
+    to conditional-gradient steps.
     """
     game = state.game
-    rows: list[tuple[int, tuple[int, ...]]] = []
-    for i, plist in enumerate(state.paths):
-        for p in plist:
-            rows.append((i, p))
-    P = len(rows)
-    if P == 0:
-        return True, 0
     k = game.k
+    rows = [(i, p) for i, plist in enumerate(state.paths) for p in plist]
+    P = len(rows)
     N = np.zeros((P, game.m))
-    for r_i, (_, p) in enumerate(rows):
+    E = np.zeros((P, k))
+    for r_i, (i, p) in enumerate(rows):
+        E[r_i, i] = 1.0
         for e in p:
             N[r_i, e] += 1.0
-    E = np.zeros((P, k))
-    for r_i, (i, _) in enumerate(rows):
-        E[r_i, i] = 1.0
-    h = np.array(
-        [state.flows[i][state.index[i][p]] for i, p in rows], dtype=float
-    )
+    h = np.array([hv for hlist in state.flows for hv in hlist], dtype=float)
     c = N @ (_eval_poly_rows(A, h @ N) + tau)
     lam = np.zeros(k)
     for i in range(k):
@@ -275,19 +263,10 @@ def _newton_round(
         for j in range(P):
             if dh[j] < 0 and h[j] + dh[j] < 0:
                 alpha = min(alpha, h[j] / -dh[j])
-        h_new = np.maximum(h + alpha * dh, 0.0)
-        lam_new = lam + alpha * dlam
-        r_new, c_new = residual(h_new, lam_new)
-        norm_new = float(np.max(np.abs(r_new)))
-        if norm_new > 0.9 * best_norm and alpha == 1.0:
-            # damped retry before declaring a stall
-            h_half = np.maximum(h + 0.5 * dh, 0.0)
-            lam_half = lam + 0.5 * dlam
-            r_half, c_half = residual(h_half, lam_half)
-            if float(np.max(np.abs(r_half))) < norm_new:
-                h_new, lam_new, r_new, c_new = h_half, lam_half, r_half, c_half
-                norm_new = float(np.max(np.abs(r_new)))
-        h, lam, r, c = h_new, lam_new, r_new, c_new
+        h = np.maximum(h + alpha * dh, 0.0)
+        lam = lam + alpha * dlam
+        r, c = residual(h, lam)
+        norm_new = float(np.max(np.abs(r)))
         if norm_new >= best_norm * 0.999999 and alpha < 1e-12:
             break
         progress = norm_new < best_norm * 0.9
@@ -307,8 +286,6 @@ def _newton_round(
             r, c = residual(h, lam)
             best_norm = float(np.max(np.abs(r)))
             P = len(rows)
-            if P == 0:
-                break
             continue
         if not progress and norm_new > tol and it >= 3:
             # three iterations without real progress: hand back to CG
@@ -319,12 +296,11 @@ def _newton_round(
 
 
 def _writeback(state: _PathState, rows, h: np.ndarray) -> None:
-    for i in range(len(state.paths)):
-        state.paths[i] = []
-        state.flows[i] = []
-        state.index[i] = {}
-    for (i, p), hv in zip(rows, h):
-        state.add_path(i, p, float(hv))
+    k = len(state.paths)
+    state.paths = [[p for j, p in rows if j == i] for i in range(k)]
+    state.flows = [
+        [float(hv) for (j, _), hv in zip(rows, h) if j == i] for i in range(k)
+    ]
 
 
 def _is_strict_parallel(game: RoutingGame) -> bool:
@@ -358,17 +334,12 @@ def _solve_parallel_strict(
     order = sorted(range(m), key=lambda e: (base[e], e))
     inv_sum = 0.0
     weighted = 0.0
-    lam = None
     for pos, e in enumerate(order):
         inv_sum += 1.0 / slopes[e]
         weighted += base[e] / slopes[e]
-        cand = (d + weighted) / inv_sum
-        nxt = base[order[pos + 1]] if pos + 1 < m else float("inf")
-        if cand >= base[e] and cand <= nxt:
-            lam = cand
-            break
-    if lam is None:
         lam = (d + weighted) / inv_sum
+        if pos + 1 == m or base[e] <= lam <= base[order[pos + 1]]:
+            break
     x = [max(0.0, (lam - base[e]) / slopes[e]) for e in range(m)]
 
     if table.max_degree > 1:
@@ -450,29 +421,18 @@ def solve_equilibrium(
     demands = np.array([c.demand for c in game.commodities])
     skel = game.skeleton()
     vi = skel.vertex_index
-    adj = skel.adjacency_out
-    tails = skel.tails
     state = _PathState(game)
 
     def sp_all(costs: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
         best: list[tuple[int, ...]] = []
         dist = np.zeros(k)
-        by_source: dict[str, tuple[list[float], list[int]]] = {}
+        by_source: dict[int, tuple[list[float], list[int]]] = {}
         for i, com in enumerate(game.commodities):
-            if com.source not in by_source:
-                by_source[com.source] = dijkstra(adj, costs, vi[com.source])
-            d, pred = by_source[com.source]
-            ti = vi[com.sink]
-            if d[ti] == float("inf"):
-                raise Unreachable(f"{com.sink!r} unreachable from {com.source!r}")
-            path: list[int] = []
-            v = ti
-            while v != vi[com.source]:
-                e = pred[v]
-                path.append(e)
-                v = tails[e]
-            path.reverse()
-            best.append(tuple(path))
+            si, ti = vi[com.source], vi[com.sink]
+            if si not in by_source:
+                by_source[si] = dijkstra(skel.adjacency_out, costs, si)
+            d, pred = by_source[si]
+            best.append(_trace(pred, skel.tails, si, ti))
             dist[i] = d[ti]
         return best, dist
 
@@ -546,7 +506,7 @@ def solve_equilibrium(
                 if h > 0
             ]
             lam_i = min(used_costs) if used_costs else float("inf")
-            if lam_i - dist[i] > add_tol and best[i] not in state.index[i]:
+            if lam_i - dist[i] > add_tol and best[i] not in state.paths[i]:
                 state.add_path(i, best[i], 0.0)
                 added = True
         if not added and gap <= cfg.accuracy:

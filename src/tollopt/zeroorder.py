@@ -35,7 +35,7 @@ from .enforcement import (
 )
 from .game import FlowVector, GameSkeleton, TollVector, acyclic_reduce, is_feasible
 from .oracle import EquilibriumOracle, OracleMode
-from .paths import dag_shortest_path, dijkstra, reachable
+from .paths import _trace, dag_shortest_path, dijkstra, reachable
 
 __all__ = [
     "OracleSampleFailed",
@@ -204,18 +204,12 @@ def affine_hull_basis(skel: GameSkeleton) -> np.ndarray:
     edges and satisfies flow conservation at every vertex, so adding a
     multiple of it to a feasible flow preserves all equalities.
     """
-    tails, heads = skel.tails, skel.heads
-    n = len(skel.vertices)
     dirs: list[np.ndarray] = []
     for i in range(skel.k):
         usable = np.flatnonzero(_usable_edges(skel, i))
         if usable.size == 0:
             continue
-        A = np.zeros((n, usable.size))
-        for col, e in enumerate(usable):
-            A[tails[e], col] += 1.0
-            A[heads[e], col] -= 1.0
-        Z = null_space(A)
+        Z = null_space(skel.incidence[:, usable])
         for col in range(Z.shape[1]):
             v = np.zeros((skel.k, skel.m))
             v[i, usable] = Z[:, col]
@@ -237,29 +231,18 @@ def reference_flow(skel: GameSkeleton) -> FlowVector:
     out = np.zeros((skel.k, skel.m))
     ones = np.ones(skel.m)
     for i, com in enumerate(skel.commodities):
-        usable = np.flatnonzero(_usable_edges(skel, i))
-        _, pred_s = dijkstra(skel.adjacency_out, ones, vi[com.source])
-        # reverse hop distances to the sink
-        _, pred_t = dijkstra(skel.adjacency_in, ones, vi[com.sink])
+        si, ti = vi[com.source], vi[com.sink]
+        _, pred_s = dijkstra(skel.adjacency_out, ones, si)
+        # reverse hop tree toward the sink: pred_t[v] is an edge leaving v
+        _, pred_t = dijkstra(skel.adjacency_in, ones, ti)
         witnesses: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for e in usable:
-            prefix: list[int] = []
-            v = tails[e]
-            while v != vi[com.source]:
-                pe = pred_s[v]
-                prefix.append(pe)
-                v = tails[pe]
-            prefix.reverse()
-            suffix: list[int] = []
-            v = heads[e]
-            while v != vi[com.sink]:
-                pe = pred_t[v]
-                suffix.append(pe)
-                v = heads[pe]
-            path = tuple(prefix) + (e,) + tuple(suffix)
-            if path not in seen:
-                seen.add(path)
+        for e in np.flatnonzero(_usable_edges(skel, i)):
+            path = (
+                _trace(pred_s, tails, si, tails[e])
+                + (e,)
+                + _trace(pred_t, heads, ti, heads[e])[::-1]
+            )
+            if path not in witnesses:
                 witnesses.append(path)
         share = com.demand / max(1, len(witnesses))
         for path in witnesses:
@@ -285,45 +268,34 @@ def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
         return candidate
     if skel.topological_order is None:
         raise ValueError("projection requires an acyclic graph")
-    out = np.zeros((skel.k, skel.m))
+    m = skel.m
+    out = np.zeros((skel.k, m))
     for i, com in enumerate(skel.commodities):
         target = pts[i]
         d_i = com.demand
-        path0, _ = dag_shortest_path(skel, np.ones(skel.m), com.source, com.sink)
+        path0, _ = dag_shortest_path(skel, np.ones(m), com.source, com.sink)
         weights: dict[tuple[int, ...], float] = {path0: 1.0}
-        f = np.zeros(skel.m)
-        for e in path0:
-            f[e] += d_i
+        f = _route(m, path0, d_i)
         for _ in range(2000):
             grad = 2.0 * (f - target)
             fw_path, _ = dag_shortest_path(skel, grad, com.source, com.sink)
-            v_fw = np.zeros(skel.m)
-            for e in fw_path:
-                v_fw[e] += d_i
+            v_fw = _route(m, fw_path, d_i)
             away_path = max(
                 weights, key=lambda p: (sum(grad[e] for e in p), p)
             )
-            v_away = np.zeros(skel.m)
-            for e in away_path:
-                v_away[e] += d_i
+            v_away = _route(m, away_path, d_i)
             gap_fw = float(np.dot(grad, f - v_fw))
             if gap_fw <= 1e-10:
                 break
             gap_away = float(np.dot(grad, v_away - f))
-            if gap_fw >= gap_away:
+            # an away step needs a path that does not carry all the weight
+            is_away = gap_fw < gap_away and weights[away_path] < 1.0
+            if is_away:
+                d_dir = f - v_away
+                gamma_max = weights[away_path] / (1.0 - weights[away_path])
+            else:
                 d_dir = v_fw - f
                 gamma_max = 1.0
-                is_away = False
-            else:
-                d_dir = f - v_away
-                alpha_away = weights[away_path]
-                if alpha_away >= 1.0:
-                    d_dir = v_fw - f
-                    gamma_max = 1.0
-                    is_away = False
-                else:
-                    gamma_max = alpha_away / (1.0 - alpha_away)
-                    is_away = True
             denom = float(np.dot(d_dir, d_dir))
             if denom <= 0:
                 break
@@ -340,12 +312,20 @@ def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
                 for p in weights:
                     weights[p] *= 1.0 - gamma
                 weights[fw_path] = weights.get(fw_path, 0.0) + gamma
-            f = np.zeros(skel.m)
+            f = np.zeros(m)
             for p, w in weights.items():
                 for e in p:
                     f[e] += w * d_i
         out[i] = f
     return FlowVector(out)
+
+
+def _route(m: int, path: tuple[int, ...], amount: float) -> np.ndarray:
+    """Edge vector of ``amount`` units routed along ``path``."""
+    v = np.zeros(m)
+    for e in path:
+        v[e] += amount
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -281,3 +281,63 @@ def test_run_pipeline_function():
     report = run_pipeline(InstanceSpec(topology="pigou"), epsilon=0.02)
     assert validate_report(report)
     assert report["results"]["gap"] <= 0.04
+
+
+def test_enforce_tight_delta_builds_oracle_at_required_accuracy(runner, tmp_path):
+    # delta = 1e-9 needs an oracle at 1e-11, finer than the default 1e-10
+    game_path = tmp_path / "game.json"
+    runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
+    target = tmp_path / "target.json"
+    target.write_text('{"e0": "0.5", "e1": "0.5"}')
+    result = runner.invoke(
+        main,
+        ["enforce", "--instance", str(game_path), "--target", str(target),
+         "--delta-enforce", "1e-9"],
+    )
+    assert result.exit_code == 0
+    assert "Traceback" not in result.output
+    assert json.loads(result.output)["results"]["status"] == "success"
+
+
+def test_bench_tight_delta_enforce(runner):
+    result = runner.invoke(
+        main,
+        ["bench", "--sizes", "2,4", "--delta-enforce", "1e-9",
+         "--opt-iterations", "1"],
+    )
+    assert result.exit_code == 0
+    assert "Traceback" not in result.output
+
+
+def test_bench_size_below_two_exits_3(runner):
+    result = runner.invoke(main, ["bench", "--sizes", "1"])
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
+
+
+def test_optimize_trace_writes_one_line_per_iteration(runner, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    result = runner.invoke(
+        main,
+        ["optimize", "--topology", "pigou", "--epsilon", "0.02",
+         "--trace", str(trace)],
+    )
+    assert result.exit_code == 0
+    lines = trace.read_text().splitlines()
+    assert lines
+    records = [json.loads(line) for line in lines]
+    assert [type(rec["iteration"]) for rec in records] == [int] * len(records)
+    assert [rec["iteration"] for rec in records] == list(range(1, len(records) + 1))
+
+
+def test_optimize_on_instance_file(runner, tmp_path):
+    game_path = tmp_path / "game.json"
+    runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
+    result = runner.invoke(
+        main, ["optimize", "--instance", str(game_path), "--epsilon", "0.02"]
+    )
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert validate_report(report)
+    assert report["instance"]["path"] == str(game_path)
+    assert report["results"]["gap_within_2eps"] is True

@@ -15,6 +15,7 @@ from tollopt.enforcement import (
     TargetCyclic,
     TargetInfeasible,
     enforce_flow,
+    required_accuracy,
     separation_cut,
 )
 from tollopt.equilibrium import NoConvergence
@@ -115,6 +116,8 @@ class TestEnforceFlow:
     def test_required_accuracy_raised_to_floor(self, pigou):
         # delta^2 / (K m k sum_d) = 2.5e-13 is below ACCURACY_FLOOR, so an
         # oracle at the floor is accepted
+        assert required_accuracy(pigou, 1e-3) == pytest.approx(2.5e-7)
+        assert required_accuracy(pigou.skeleton(), 1e-6) == ACCURACY_FLOOR
         oracle = EquilibriumOracle(
             pigou, OracleMode.FLOW_ONLY, eps_query=ACCURACY_FLOOR
         )
@@ -123,6 +126,22 @@ class TestEnforceFlow:
         )
         assert res.status is EnforcementStatus.SUCCESS
         assert res.achieved_deviation <= 2e-6
+
+    def test_start_outside_box_never_queries(self, pigou):
+        # the start center lies below the box, so the one allowed
+        # iteration spends a box cut and no query
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        res = enforce_flow(
+            oracle,
+            FlowVector.single([0.5, 0.5]),
+            EnforcementConfig(delta=1e-3, max_iterations=1),
+            initial=Ellipsoid.ball([-1.0, -1.0], 0.5),
+        )
+        assert res.status is EnforcementStatus.NOT_FOUND
+        assert res.queries_used == 0
+        assert oracle.query_count == 0
+        assert res.achieved_deviation == float("inf")
+        assert np.array_equal(res.tolls.values, [0.0, 0.0])
 
     def test_infeasible_target_rejected(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY)

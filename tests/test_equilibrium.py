@@ -110,6 +110,10 @@ class TestSolveEquilibrium:
             game = random_cubic_parallel(int(rng.integers(2, 6)), rng)
             tau = TollVector(rng.uniform(0.0, 2.0, game.m))
             cases.append((game, tau, solve_equilibrium(game, tau)))
+        for _ in range(10):  # the general solver's quadratic line search
+            game = random_parallel(int(rng.integers(2, 6)), rng, quadratic=True)
+            tau = TollVector(rng.uniform(0.0, 2.0, game.m))
+            cases.append((game, tau, solve_equilibrium(game, tau)))
         monkeypatch.setattr(equilibrium, "_is_strict_parallel", lambda game: False)
         for game, tau, fast in cases:
             general = solve_equilibrium(game, tau)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_parallel, random_dag_game, random_parallel
-from tollopt import FlowVector, solve_equilibrium, total_latency
+from tollopt import FlowVector, solve_equilibrium, total_latency, zeroorder
 from tollopt.game import has_positive_cycle, is_feasible
 from tollopt.oracle import EquilibriumOracle, OracleMode, reveal_hidden_game
 from tollopt.zeroorder import (
@@ -244,6 +244,24 @@ class TestMinimize:
         )
         assert rep.status == "BUDGET_EXHAUSTED"
         assert rep.best_cost < float("inf")
+
+    def test_stall_stops_descent(self, fig1_l1, monkeypatch):
+        # uphill gradients and no gap certificate: every iteration fails to
+        # improve, the step shrinks 4x each time, and the third stall stops
+        fd_gradient = zeroorder._fd_gradient
+        monkeypatch.setattr(
+            zeroorder, "_fd_gradient", lambda *args: -fd_gradient(*args)
+        )
+        monkeypatch.setattr(
+            zeroorder, "_estimated_fw_gap", lambda *args: float("inf")
+        )
+        oracle = EquilibriumOracle(fig1_l1, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        rep = minimize_total_latency(oracle, fig1_l1.skeleton(), OptConfig(epsilon=0.1))
+        assert rep.status == "CONVERGED"
+        assert [r["iteration"] for r in rep.iteration_trace] == [1, 2, 3]
+        steps = [r["step"] for r in rep.iteration_trace]
+        assert steps == [0.0625, 0.015625, 0.00390625]
+        assert rep.total_oracle_queries == 165
 
     def test_mismatched_skeleton_rejected(self, pigou, braess):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
