@@ -1,6 +1,7 @@
 """Optimal tolls for routing games whose latency functions sit behind a
-query oracle: equilibrium computation, toll enforcement by ellipsoid
-search, and zero-order minimization of total latency."""
+query oracle: equilibrium computation, toll enforcement by dual ascent
+with the paper's ellipsoid search as fallback, and zero-order
+minimization of total latency."""
 
 from .ellipsoid import Ellipsoid, NumericBreakdown
 from .enforcement import (

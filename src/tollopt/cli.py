@@ -239,7 +239,8 @@ def run_bench(
     game at delta_enforce, and run the end-to-end optimizer at a loose
     epsilon (optionally with a fixed descent-iteration budget so large
     sizes stay affordable).  Log-log slopes against m are reported as an
-    empirical trend, not a guarantee.
+    empirical trend, not a guarantee; with fewer than two sizes they are
+    None (JSON null).
     """
     opt_cfg = OptConfig(epsilon=epsilon, max_iterations=opt_iterations or 60)
     return _bench(sizes, EnforcementConfig(delta=delta_enforce), opt_cfg, seed)
@@ -264,6 +265,7 @@ def _bench(sizes: tuple[int, ...], enforce_cfg: EnforcementConfig,
         _, rep = compute_optimal_tolls(oracle2, game.skeleton(), opt_cfg)
         optimize_counts.append(rep.total_oracle_queries)
     logs = np.log(np.asarray(sizes, dtype=float))
+    slope_enf = slope_opt = None  # a slope needs two sizes
     if len(sizes) >= 2:
         slope_enf = float(
             np.polyfit(logs, np.log(np.maximum(enforce_counts, 1)), 1)[0]
@@ -271,8 +273,6 @@ def _bench(sizes: tuple[int, ...], enforce_cfg: EnforcementConfig,
         slope_opt = float(
             np.polyfit(logs, np.log(np.maximum(optimize_counts, 1)), 1)[0]
         )
-    else:
-        slope_enf = slope_opt = float("nan")
     results = {
         "sizes": list(sizes),
         "enforce_queries": enforce_counts,
@@ -297,7 +297,7 @@ def _bench(sizes: tuple[int, ...], enforce_cfg: EnforcementConfig,
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -1,31 +1,47 @@
 """Toll search: find tolls whose induced equilibrium matches a target flow.
 
-The search runs a central-cut ellipsoid method over toll space.  The cut
-comes from monotonicity of the latency functions: if the oracle answers a
-query tau with equilibrium flow f, then every toll vector tau' that induces
-the target f* exactly satisfies
+``enforce_flow`` first runs dual ascent and falls back to the paper's
+central-cut ellipsoid search (``ellipsoid_search``) when ascent does not
+succeed within ``DUAL_QUERIES_PER_EDGE * m`` queries.
+
+Dual ascent.  Let Phi be the Beckmann potential and
+V(tau) = min_f Phi(f) + tau . f over feasible flows.  V is a minimum of
+functions affine in tau, so it is concave, and by Danskin's theorem its
+gradient is the aggregate equilibrium flow F(tau).  Enforcing f* is
+therefore maximizing the concave dual V(tau) - tau . f*, whose gradient
+F(tau) - f* costs one oracle query.  Each step moves
+tau <- clip(tau + eta (F(tau) - f*), 0, T_max) with eta = 1/K first and
+the Barzilai-Borwein step s.s / (-s.y) afterwards (s, y: the last changes
+in tau and in the gradient; concavity makes s.y <= 0, and the old eta is
+kept when s.y >= 0).
+
+Ellipsoid search.  The cut comes from monotonicity of the latency
+functions: if the oracle answers a query tau with equilibrium flow f,
+then every toll vector tau' that induces the target f* exactly satisfies
 
     (f - f*) . tau'  >=  (f - f*) . tau.
 
 (The equilibrium variational inequality at tau gives (l(f)+tau).(f*-f) >= 0;
 the one at tau' gives (l(f*)+tau').(f-f*) >= 0; adding and using
-(l(f)-l(f*)).(f-f*) >= 0 cancels the latency terms.)  So g = f - f* is a
-valid separating normal and the half-space {tau': g.tau' >= g.tau} keeps
-every exactly-enforcing toll vector.  Centers that leave the toll box are
-pushed back by coordinate feasibility cuts before any query is spent.
+(l(f)-l(f*)).(f-f*) >= 0 cancels the latency terms.  This is the
+concavity of V above.)  So g = f - f* is a valid separating normal and
+the half-space {tau': g.tau' >= g.tau} keeps every exactly-enforcing toll
+vector.  Centers that leave the toll box are pushed back by coordinate
+feasibility cuts before any query is spent.
 
-Success is declared when the observed deviation is at most 2*delta minus
-the oracle's accuracy promise, so the true deviation is at most 2*delta.
-Without knowledge of the latencies there is no certified infeasibility
-test; the search reports NOT_FOUND once the ellipsoid volume falls below
-a floor or the iteration cap is reached.
+Both phases declare success when the observed deviation is at most
+2*delta minus the oracle's accuracy promise, so the true deviation is at
+most 2*delta.  Without knowledge of the latencies there is no certified
+infeasibility test; the ellipsoid reports NOT_FOUND once its volume falls
+below a floor or the iteration cap is reached.  The worst case of
+``enforce_flow`` is therefore 20m dual queries plus the paper's bound.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -44,8 +60,14 @@ __all__ = [
     "EnforcementTraceRecord",
     "required_accuracy",
     "separation_cut",
+    "ellipsoid_search",
     "enforce_flow",
+    "DUAL_QUERIES_PER_EDGE",
 ]
+
+#: Dual-ascent queries per edge before ``enforce_flow`` falls back to the
+#: ellipsoid search.
+DUAL_QUERIES_PER_EDGE = 20
 
 
 class DegenerateCut(ValueError):
@@ -69,11 +91,12 @@ class EnforcementStatus(enum.Enum):
 class EnforcementConfig:
     """Tolerance delta and an optional iteration cap.
 
-    ``enforce_flow`` derives the rest from delta and the game's constants:
-    the oracle accuracy it needs (``required_accuracy``); the iteration
-    cap, ceil(16 m^2 ln(T_max m K / delta)) and at least 64, unless
-    ``max_iterations`` is set; and the volume floor, the volume of an
-    m-ball of radius delta / (4 m K).
+    The searches derive the rest from delta and the game's constants:
+    the oracle accuracy they need (``required_accuracy``); the ellipsoid
+    iteration cap, ceil(16 m^2 ln(T_max m K / delta)) and at least 64,
+    unless ``max_iterations`` is set (in ``enforce_flow`` it then caps
+    dual steps and ellipsoid iterations together); and the volume floor,
+    the volume of an m-ball of radius delta / (4 m K).
     """
 
     delta: float
@@ -96,12 +119,12 @@ class EnforcementResult:
 @dataclass(frozen=True)
 class EnforcementTraceRecord:
     iteration: int
-    cut_type: str  # "box" or "separation"
+    cut_type: str  # "dual", "box" or "separation"
     center: np.ndarray
     tolls_queried: np.ndarray | None
     deviation: float | None
-    log_volume: float
-    ellipsoid: Ellipsoid
+    log_volume: float | None  # None on a dual step
+    ellipsoid: Ellipsoid | None  # None on a dual step
 
 
 def required_accuracy(skeleton, delta: float) -> float:
@@ -132,6 +155,22 @@ def separation_cut(
     return g
 
 
+def _check_inputs(oracle: EquilibriumOracle, f_star: FlowVector, delta: float) -> None:
+    """Reject an infeasible or cyclic target and an oracle coarser than
+    ``required_accuracy``."""
+    skel = oracle.skeleton
+    if not is_feasible(skel, f_star):
+        raise TargetInfeasible("target flow is not feasible for this game")
+    if has_positive_cycle(skel, f_star):
+        raise TargetCyclic("target flow routes flow around a directed cycle")
+    eps_acc = required_accuracy(skel, delta)
+    if oracle.eps_query > eps_acc * (1 + 1e-9):
+        raise ValueError(
+            f"oracle accuracy {oracle.eps_query} is coarser than the "
+            f"required {eps_acc}"
+        )
+
+
 def enforce_flow(
     oracle: EquilibriumOracle,
     f_star: FlowVector,
@@ -141,24 +180,112 @@ def enforce_flow(
 ) -> EnforcementResult:
     """Search for tolls inducing the target flow within 2*delta.
 
+    Runs dual ascent on V(tau) - tau . f* (concave; its gradient
+    F(tau) - f* is one query, by Danskin's theorem; see the module
+    docstring) from the center of ``initial`` clipped to the toll box, or
+    from zero tolls.  After ``DUAL_QUERIES_PER_EDGE * m`` queries without
+    success it runs ``ellipsoid_search`` from the same ``initial``, so the
+    worst case is 20m queries plus the paper's bound.  Success is always
+    verified against the oracle.  ``cfg.max_iterations`` caps dual steps
+    and ellipsoid iterations together; ``queries_used``, ``iterations``
+    and the returned tolls (the best seen) cover both phases.  Each dual
+    step that does not succeed is reported to ``on_iteration`` with
+    ``cut_type="dual"`` and no ellipsoid.
+
+    The target must be feasible and per-commodity acyclic.
+    """
+    _check_inputs(oracle, f_star, cfg.delta)
+    skel = oracle.skeleton
+    m, t_max = skel.m, skel.constants.T_max
+    threshold = 2.0 * cfg.delta - oracle.eps_query
+    target = f_star.aggregate
+    budget = DUAL_QUERIES_PER_EDGE * m
+    if cfg.max_iterations is not None:
+        budget = min(budget, cfg.max_iterations)
+    tau = np.zeros(m) if initial is None else np.clip(initial.center, 0.0, t_max)
+    eta = 1.0 / skel.constants.K
+    queries_before = oracle.query_count
+    best_tau, best_dev = tau, float("inf")
+    prev_tau = prev_g = None
+    steps = 0
+    while steps < budget:
+        steps += 1
+        g = oracle.query(TollVector(tau)).aggregate_flow - target
+        dev = float(np.abs(g).max())
+        if dev < best_dev:
+            best_tau, best_dev = tau, dev
+        if dev <= threshold:
+            return EnforcementResult(
+                tolls=TollVector(tau),
+                achieved_deviation=dev,
+                queries_used=oracle.query_count - queries_before,
+                status=EnforcementStatus.SUCCESS,
+                iterations=steps,
+            )
+        if on_iteration is not None:
+            on_iteration(
+                EnforcementTraceRecord(
+                    iteration=steps,
+                    cut_type="dual",
+                    center=tau,
+                    tolls_queried=tau,
+                    deviation=dev,
+                    log_volume=None,
+                    ellipsoid=None,
+                )
+            )
+        if prev_tau is not None:
+            s, y = tau - prev_tau, g - prev_g
+            sy = float(s @ y)
+            if sy < 0.0:
+                eta = float(s @ s) / -sy
+        prev_tau, prev_g = tau, g
+        tau = np.clip(tau + eta * g, 0.0, t_max)
+
+    result = None
+    if cfg.max_iterations is None or cfg.max_iterations > steps:
+        rest = None if cfg.max_iterations is None else cfg.max_iterations - steps
+
+        def shifted(rec: EnforcementTraceRecord) -> None:
+            on_iteration(replace(rec, iteration=rec.iteration + steps))
+
+        result = ellipsoid_search(
+            oracle,
+            f_star,
+            replace(cfg, max_iterations=rest),
+            None if on_iteration is None else shifted,
+            initial,
+        )
+        if result.achieved_deviation < best_dev:
+            best_tau, best_dev = result.tolls.values, result.achieved_deviation
+    return EnforcementResult(
+        tolls=TollVector(best_tau),
+        achieved_deviation=best_dev,
+        queries_used=oracle.query_count - queries_before,
+        status=EnforcementStatus.NOT_FOUND if result is None else result.status,
+        iterations=steps + (0 if result is None else result.iterations),
+    )
+
+
+def ellipsoid_search(
+    oracle: EquilibriumOracle,
+    f_star: FlowVector,
+    cfg: EnforcementConfig,
+    on_iteration: Callable[[EnforcementTraceRecord], None] | None = None,
+    initial: Ellipsoid | None = None,
+) -> EnforcementResult:
+    """The paper's central-cut ellipsoid search for tolls inducing the
+    target flow within 2*delta.
+
     The target must be feasible and per-commodity acyclic.  ``initial``
     overrides the starting ellipsoid (the default is the ball around the
     toll box); a smaller start is a pure accelerator, since success is
     always verified against the oracle.
     """
+    _check_inputs(oracle, f_star, cfg.delta)
     skel = oracle.skeleton
-    if not is_feasible(skel, f_star):
-        raise TargetInfeasible("target flow is not feasible for this game")
-    if has_positive_cycle(skel, f_star):
-        raise TargetCyclic("target flow routes flow around a directed cycle")
     const = skel.constants
     m, delta = skel.m, cfg.delta
-    eps_acc = required_accuracy(skel, delta)
-    if oracle.eps_query > eps_acc * (1 + 1e-9):
-        raise ValueError(
-            f"oracle accuracy {oracle.eps_query} is coarser than the "
-            f"required {eps_acc}"
-        )
     max_iterations = cfg.max_iterations
     if max_iterations is None:
         max_iterations = max(

@@ -112,10 +112,10 @@ class SampleEngine:
     proves too small.  Warm starts only save queries, never change what
     success means: every success is verified against the oracle.
 
-    The warm start pays end to end even though a single warm enforcement
-    costs about as much as a cold one: removing it raised the queries of
-    a whole optimize run from 28,564 to 42,504 (+49%) on 8 affine
-    parallel links and from 7,093 to 9,942 (+40%) on a 3x3 grid (the
+    The warm start pays because ``enforce_flow``'s dual ascent starts
+    from the center of the warm ball, the last enforcing tolls: removing
+    it raised the queries of a whole optimize run from 376 to 1,142 on 8
+    affine parallel links and from 118 to 211 on a 3x3 grid (the
     ``parallel-opt`` and ``grid-opt`` benchmark workloads).
     """
 

@@ -21,6 +21,7 @@ from tollopt.cli import run_bench, run_impossibility_demo, validate_report
 from tollopt.enforcement import (
     EnforcementConfig,
     EnforcementStatus,
+    ellipsoid_search,
     enforce_flow,
 )
 from tollopt.exact import marginal_cost_tolls, optimal_flow
@@ -122,7 +123,7 @@ def test_criterion_3_enforcement_contract():
             if not rec.ellipsoid.contains(cert, tol=1e-7):
                 hits.append(rec.iteration)
 
-        res = enforce_flow(
+        res = ellipsoid_search(
             oracle, target, EnforcementConfig(delta=delta), on_iteration=check
         )
         runs.append((game.m, game.k, res))
@@ -301,5 +302,63 @@ def test_criterion_6_numerical_properties():
         f"enforce={bench['results']['loglog_slope_enforce']:.2f} "
         f"optimize={bench['results']['loglog_slope_optimize']:.2f} "
         f"(informational)",
+    )
+    assert ok
+
+
+def test_criterion_7_enforcement_by_dual_ascent():
+    """Criterion 3's 50 instances through ``enforce_flow``: SUCCESS within
+    2*delta, and any ellipsoid fallback keeps the certificate."""
+    rng = np.random.default_rng(7)
+    delta = 1e-3
+    start = time.perf_counter()
+    successes = 0
+    certificate_violations = 0
+    fallbacks = 0
+    queries = 0
+    for idx in range(50):
+        target = None
+        while target is None:
+            if idx % 2 == 0:
+                game = random_parallel(int(rng.integers(2, 17)), rng)
+                target, _ = optimal_flow(game)
+                certificate = marginal_cost_tolls(game, target).values
+            else:
+                n = int(rng.integers(4, 8))
+                m_target = int(rng.integers(n, 17))
+                k = int(rng.integers(1, 3))
+                game = random_dag_game(n, m_target, k, rng)
+                certificate = rng.uniform(0.0, 1.0, game.m)
+                target = solve_equilibrium(game, TollVector(certificate)).flow
+            if has_positive_cycle(game, target):
+                target = None
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        cuts = []
+        hits = []
+
+        def check(rec, cert=certificate):
+            if rec.ellipsoid is not None:
+                cuts.append(rec.iteration)
+                if not rec.ellipsoid.contains(cert, tol=1e-7):
+                    hits.append(rec.iteration)
+
+        res = enforce_flow(
+            oracle, target, EnforcementConfig(delta=delta), on_iteration=check
+        )
+        induced = solve_equilibrium(game, res.tolls).flow.aggregate
+        dev = float(np.max(np.abs(induced - target.aggregate)))
+        fallbacks += bool(cuts)
+        certificate_violations += len(hits)
+        queries += res.queries_used
+        if res.status is EnforcementStatus.SUCCESS and max(res.achieved_deviation, dev) <= 2 * delta:
+            successes += 1
+    elapsed = time.perf_counter() - start
+    ok = successes == 50 and certificate_violations == 0 and elapsed < 60.0
+    _verdict(
+        7,
+        ok,
+        f"{successes}/50 dual-ascent enforcements succeeded at delta={delta}, "
+        f"{fallbacks} ellipsoid fallbacks, {certificate_violations} certificate "
+        f"violations, {queries} queries, {elapsed:.1f}s",
     )
     assert ok

@@ -309,6 +309,20 @@ def test_bench_tight_delta_enforce(runner):
     assert "Traceback" not in result.output
 
 
+def test_bench_one_size_writes_strict_json(runner):
+    result = runner.invoke(
+        main, ["bench", "--sizes", "2", "--epsilon", "0.2", "--opt-iterations", "1"]
+    )
+    assert result.exit_code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads(result.output, parse_constant=reject)
+    assert report["results"]["loglog_slope_enforce"] is None
+    assert report["results"]["loglog_slope_optimize"] is None
+
+
 def test_bench_size_below_two_exits_3(runner):
     result = runner.invoke(main, ["bench", "--sizes", "1"])
     assert result.exit_code == 3

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_dag_game, random_parallel
 from tollopt import FlowVector, TollVector, solve_equilibrium
+from tollopt import enforcement
 from tollopt.ellipsoid import Ellipsoid
 from tollopt.enforcement import (
     DegenerateCut,
@@ -14,13 +15,15 @@ from tollopt.enforcement import (
     EnforcementStatus,
     TargetCyclic,
     TargetInfeasible,
+    ellipsoid_search,
     enforce_flow,
     required_accuracy,
     separation_cut,
 )
 from tollopt.equilibrium import NoConvergence
 from tollopt.exact import marginal_cost_tolls, optimal_flow
-from tollopt.instances import InstanceSpec, generate
+from tollopt.game import has_positive_cycle
+from tollopt.instances import TOPOLOGIES, InstanceSpec, generate
 from tollopt.oracle import ACCURACY_FLOOR, EquilibriumOracle, OracleMode
 
 
@@ -89,7 +92,7 @@ class TestEnforceFlow:
 
     def test_budget_cap_gives_not_found(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
-        res = enforce_flow(
+        res = ellipsoid_search(
             oracle,
             FlowVector.single([0.5, 0.5]),
             EnforcementConfig(delta=1e-3, max_iterations=3),
@@ -102,7 +105,7 @@ class TestEnforceFlow:
         # a start ball of radius 1e-6 is below the floor radius
         # delta / (4 m K) = 6.25e-5 after the first cut
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
-        res = enforce_flow(
+        res = ellipsoid_search(
             oracle,
             FlowVector.single([0.5, 0.5]),
             EnforcementConfig(delta=1e-3),
@@ -131,7 +134,7 @@ class TestEnforceFlow:
         # the start center lies below the box, so the one allowed
         # iteration spends a box cut and no query
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
-        res = enforce_flow(
+        res = ellipsoid_search(
             oracle,
             FlowVector.single([0.5, 0.5]),
             EnforcementConfig(delta=1e-3, max_iterations=1),
@@ -177,6 +180,88 @@ class TestEnforceFlow:
             )
 
 
+class TestDualAscent:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_success_on_every_topology(self, topology):
+        game = generate(InstanceSpec(topology=topology, degree=3, seed=4))
+        target, _ = optimal_flow(game)
+        assert not has_positive_cycle(game, target)
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_ONLY, eps_query=1e-10)
+        res = enforce_flow(oracle, target, EnforcementConfig(delta=1e-3))
+        assert res.status is EnforcementStatus.SUCCESS
+        assert res.achieved_deviation <= 2e-3
+        induced = solve_equilibrium(game, res.tolls).flow.aggregate
+        assert np.max(np.abs(induced - target.aggregate)) <= 2e-3
+
+    @pytest.mark.parametrize("per_edge", [0, 1])
+    def test_fallback_to_ellipsoid(self, pigou, monkeypatch, per_edge):
+        monkeypatch.setattr(enforcement, "DUAL_QUERIES_PER_EDGE", per_edge)
+        searches = []
+
+        def spy(*args, **kwargs):
+            searches.append(ellipsoid_search(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(enforcement, "ellipsoid_search", spy)
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        records = []
+        res = enforce_flow(
+            oracle,
+            FlowVector.single([0.5, 0.5]),
+            EnforcementConfig(delta=1e-3),
+            on_iteration=records.append,
+        )
+        dual_steps = per_edge * pigou.m
+        assert res.status is EnforcementStatus.SUCCESS
+        assert res.achieved_deviation <= 2e-3
+        assert len(searches) == 1
+        assert res.queries_used == dual_steps + searches[0].queries_used
+        assert res.iterations == dual_steps + searches[0].iterations
+        assert [r.cut_type for r in records[:dual_steps]] == ["dual"] * dual_steps
+        assert all(r.ellipsoid is None and r.log_volume is None for r in records[:dual_steps])
+        assert all(r.ellipsoid is not None for r in records[dual_steps:])
+        assert [r.iteration for r in records] == list(range(1, len(records) + 1))
+
+    def test_max_iterations_caps_both_phases(self, pigou, monkeypatch):
+        monkeypatch.setattr(enforcement, "DUAL_QUERIES_PER_EDGE", 1)
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        res = enforce_flow(
+            oracle,
+            FlowVector.single([0.5, 0.5]),
+            EnforcementConfig(delta=1e-3, max_iterations=pigou.m + 2),
+        )
+        assert res.status is EnforcementStatus.NOT_FOUND
+        assert res.iterations == pigou.m + 2
+        assert res.queries_used <= pigou.m + 2
+
+    def test_max_iterations_below_dual_budget_skips_ellipsoid(self, pigou, monkeypatch):
+        searches = []
+        monkeypatch.setattr(enforcement, "ellipsoid_search", searches.append)
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        res = enforce_flow(
+            oracle,
+            FlowVector.single([0.5, 0.5]),
+            EnforcementConfig(delta=1e-3, max_iterations=2),
+        )
+        assert searches == []
+        assert res.status is EnforcementStatus.NOT_FOUND
+        assert res.iterations == res.queries_used == 2
+        assert math.isfinite(res.achieved_deviation)
+
+    def test_starts_from_initial_center(self, pigou):
+        # (0.5, 0) enforces (1/2, 1/2) exactly, so the first query succeeds
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        res = enforce_flow(
+            oracle,
+            FlowVector.single([0.5, 0.5]),
+            EnforcementConfig(delta=1e-3),
+            initial=Ellipsoid.ball([0.5, -1.0], 1.0),
+        )
+        assert res.status is EnforcementStatus.SUCCESS
+        assert res.queries_used == res.iterations == 1
+        assert np.array_equal(res.tolls.values, [0.5, 0.0])
+
+
 class TestCutValidity:
     def test_witness_tolls_stay_inside(self, rng):
         # targets drawn as equilibria of known random tolls: the witness
@@ -193,7 +278,7 @@ class TestCutValidity:
                 if not rec.ellipsoid.contains(witness, tol=1e-7):
                     violations.append(rec.iteration)
 
-            res = enforce_flow(
+            res = ellipsoid_search(
                 oracle, target, EnforcementConfig(delta=1e-3), on_iteration=check
             )
             assert res.status is EnforcementStatus.SUCCESS
@@ -212,7 +297,7 @@ class TestCutValidity:
                 if not rec.ellipsoid.contains(tau_mc, tol=1e-7):
                     violations.append(rec.iteration)
 
-            res = enforce_flow(
+            res = ellipsoid_search(
                 oracle, f_opt, EnforcementConfig(delta=1e-3), on_iteration=check
             )
             assert res.status is EnforcementStatus.SUCCESS
@@ -229,7 +314,7 @@ class TestVolumeDecay:
     def test_per_cut_ratio_bound(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
         volumes = []
-        enforce_flow(
+        ellipsoid_search(
             oracle,
             FlowVector.single([0.5, 0.5]),
             EnforcementConfig(delta=1e-3),
@@ -244,7 +329,7 @@ class TestVolumeDecay:
         target = solve_equilibrium(game, TollVector(rng.uniform(0, 1, 4))).flow
         oracle = EquilibriumOracle(game, OracleMode.FLOW_ONLY, eps_query=1e-9)
         volumes = []
-        enforce_flow(
+        ellipsoid_search(
             oracle,
             target,
             EnforcementConfig(delta=1e-3),
@@ -268,5 +353,5 @@ def test_random_dag_seed6_enforcement_reaches_solver_gap():
     tau = np.random.default_rng(1003).uniform(0.0, 1.0, game.m)
     target = solve_equilibrium(game, TollVector(tau)).flow
     oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, 1e-10)
-    res = enforce_flow(oracle, target, EnforcementConfig(delta=1e-3))
+    res = ellipsoid_search(oracle, target, EnforcementConfig(delta=1e-3))
     assert res.status is EnforcementStatus.SUCCESS

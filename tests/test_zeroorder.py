@@ -240,7 +240,7 @@ class TestMinimize:
     def test_query_budget_flags_report(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         rep = minimize_total_latency(
-            oracle, pigou.skeleton(), OptConfig(epsilon=0.02, max_queries=20)
+            oracle, pigou.skeleton(), OptConfig(epsilon=0.02, max_queries=5)
         )
         assert rep.status == "BUDGET_EXHAUSTED"
         assert rep.best_cost < float("inf")
@@ -261,7 +261,7 @@ class TestMinimize:
         assert [r["iteration"] for r in rep.iteration_trace] == [1, 2, 3]
         steps = [r["step"] for r in rep.iteration_trace]
         assert steps == [0.0625, 0.015625, 0.00390625]
-        assert rep.total_oracle_queries == 165
+        assert rep.total_oracle_queries == 34
 
     def test_mismatched_skeleton_rejected(self, pigou, braess):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
