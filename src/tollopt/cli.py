@@ -176,12 +176,13 @@ def _pipeline_on_game(
     game,
     instance_desc: dict,
     cfg: OptConfig,
+    max_queries: int | None = None,
     trace_path: str | None = None,
 ) -> dict:
     started = time.perf_counter()
     _, opt_cost = optimal_flow(game)
     oracle = EquilibriumOracle(
-        game, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=cfg.max_queries
+        game, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=max_queries
     )
     tolls, report = compute_optimal_tolls(oracle, game.skeleton(), cfg)
     induced = solve_equilibrium(game, tolls)
@@ -205,7 +206,7 @@ def _pipeline_on_game(
         "optimize",
         instance_desc,
         {"epsilon": cfg.epsilon, "delta": cfg.delta,
-         "max_queries": cfg.max_queries},
+         "max_queries": max_queries},
         results,
         oracle.query_count,
         started,
@@ -222,8 +223,8 @@ def run_pipeline(
     """Generate a game, hide it behind a cost-revealing oracle, compute
     near-optimal tolls, and score them against the full-knowledge optimum."""
     game = generate(spec)
-    cfg = OptConfig(epsilon=epsilon, delta=delta, max_queries=max_queries)
-    return _pipeline_on_game(game, asdict(spec), cfg, trace_path)
+    cfg = OptConfig(epsilon=epsilon, delta=delta)
+    return _pipeline_on_game(game, asdict(spec), cfg, max_queries, trace_path)
 
 
 def run_bench(
@@ -518,13 +519,13 @@ def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
             )
             game = generate(spec)
             desc = asdict(spec)
-        cfg = OptConfig(epsilon=epsilon, delta=delta, max_queries=max_queries)
+        cfg = OptConfig(epsilon=epsilon, delta=delta)
         cfg.resolved_delta(game.skeleton())  # rejects a delta above its bound
     except ValueError as exc:  # BadSpec, or an invalid epsilon or delta
         click.echo(f"invalid input: {exc}", err=True)
         sys.exit(EXIT_INVALID)
     with _solver_failures_exit():
-        report = _pipeline_on_game(game, desc, cfg, trace_path)
+        report = _pipeline_on_game(game, desc, cfg, max_queries, trace_path)
     _emit(report, out)
     if report["results"]["optimizer_status"] == "BUDGET_EXHAUSTED":
         sys.exit(EXIT_BUDGET)

@@ -1,8 +1,9 @@
 """Toll search: find tolls whose induced equilibrium matches a target flow.
 
-``enforce_flow`` first runs dual ascent and falls back to the paper's
-central-cut ellipsoid search (``ellipsoid_search``) when ascent does not
-succeed within ``DUAL_QUERIES_PER_EDGE * m`` queries.
+``enforce_flow`` first runs dual ascent from the caller's start tolls (or
+zero tolls) and falls back to the paper's central-cut ellipsoid search
+(``ellipsoid_search``) from the ball around the whole toll box when ascent
+does not succeed within ``DUAL_QUERIES_PER_EDGE * m`` queries.
 
 Dual ascent.  Let Phi be the Beckmann potential and
 V(tau) = min_f Phi(f) + tau . f over feasible flows.  V is a minimum of
@@ -176,16 +177,17 @@ def enforce_flow(
     f_star: FlowVector,
     cfg: EnforcementConfig,
     on_iteration: Callable[[EnforcementTraceRecord], None] | None = None,
-    initial: Ellipsoid | None = None,
+    initial: TollVector | None = None,
 ) -> EnforcementResult:
     """Search for tolls inducing the target flow within 2*delta.
 
     Runs dual ascent on V(tau) - tau . f* (concave; its gradient
     F(tau) - f* is one query, by Danskin's theorem; see the module
-    docstring) from the center of ``initial`` clipped to the toll box, or
-    from zero tolls.  After ``DUAL_QUERIES_PER_EDGE * m`` queries without
-    success it runs ``ellipsoid_search`` from the same ``initial``, so the
-    worst case is 20m queries plus the paper's bound.  Success is always
+    docstring) from the start tolls ``initial`` clipped to the toll box,
+    or from zero tolls.  After ``DUAL_QUERIES_PER_EDGE * m`` queries
+    without success it runs ``ellipsoid_search`` from the ball around the
+    whole toll box, whatever the start, so the worst case is 20m queries
+    plus the paper's bound.  Success is always
     verified against the oracle.  ``cfg.max_iterations`` caps dual steps
     and ellipsoid iterations together; ``queries_used``, ``iterations``
     and the returned tolls (the best seen) cover both phases.  Each dual
@@ -202,7 +204,7 @@ def enforce_flow(
     budget = DUAL_QUERIES_PER_EDGE * m
     if cfg.max_iterations is not None:
         budget = min(budget, cfg.max_iterations)
-    tau = np.zeros(m) if initial is None else np.clip(initial.center, 0.0, t_max)
+    tau = np.zeros(m) if initial is None else np.clip(initial.values, 0.0, t_max)
     eta = 1.0 / skel.constants.K
     queries_before = oracle.query_count
     best_tau, best_dev = tau, float("inf")
@@ -254,7 +256,6 @@ def enforce_flow(
             f_star,
             replace(cfg, max_iterations=rest),
             None if on_iteration is None else shifted,
-            initial,
         )
         if result.achieved_deviation < best_dev:
             best_tau, best_dev = result.tolls.values, result.achieved_deviation

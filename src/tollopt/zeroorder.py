@@ -27,14 +27,13 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import null_space
 
-from .ellipsoid import Ellipsoid
 from .enforcement import (
     EnforcementConfig,
     EnforcementStatus,
     enforce_flow,
 )
 from .game import FlowVector, GameSkeleton, TollVector, acyclic_reduce, is_feasible
-from .oracle import EquilibriumOracle, OracleMode
+from .oracle import EquilibriumOracle, OracleBudgetExceeded, OracleMode
 from .paths import _trace, dag_shortest_path, dijkstra, reachable
 
 __all__ = [
@@ -57,19 +56,19 @@ class OracleSampleFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Targets and budgets for the zero-order minimizer.
+    """Targets and the descent-iteration cap of the zero-order minimizer.
 
     ``delta``, the value-oracle error, defaults to epsilon / (8 N^2) where
     N = mk and may not exceed it, keeping that error a fixed polynomial
     factor below the optimality target.  The finite-difference step is
     sqrt(delta), balancing oracle error delta/h against curvature error
-    O(h); probes mix in the reference flow with weight 1e-3.
+    O(h); probes mix in the reference flow with weight 1e-3.  The query
+    budget is the oracle's ``max_queries``.
     """
 
     epsilon: float
     delta: float | None = None
     max_iterations: int = 60
-    max_queries: int | None = None
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -106,17 +105,18 @@ class OptimizationReport:
 class SampleEngine:
     """Caching zero-order value oracle built from toll enforcement.
 
-    Identical (rounded) flow requests reuse the previous sample; a small
-    ellipsoid around the previous enforcing tolls warm-starts the search,
-    with an automatic restart from the full toll box when the warm ball
-    proves too small.  Warm starts only save queries, never change what
-    success means: every success is verified against the oracle.
+    Identical (rounded) flow requests reuse the previous sample.  Every
+    other request makes one ``enforce_flow`` call whose dual ascent starts
+    at the previous sample's enforcing tolls.  It needs no warm ball around
+    them and no restart of its own: when ascent fails, ``enforce_flow``
+    falls back to the paper's ellipsoid search over the whole toll box.
+    The start tolls only save queries, never change what success means:
+    every success is verified against the oracle.
 
-    The warm start pays because ``enforce_flow``'s dual ascent starts
-    from the center of the warm ball, the last enforcing tolls: removing
-    it raised the queries of a whole optimize run from 376 to 1,142 on 8
-    affine parallel links and from 118 to 211 on a 3x3 grid (the
-    ``parallel-opt`` and ``grid-opt`` benchmark workloads).
+    The warm start pays: removing it raised the queries of a whole
+    optimize run from 376 to 1,142 on 8 affine parallel links and from 118
+    to 211 on a 3x3 grid (the ``parallel-opt`` and ``grid-opt`` benchmark
+    workloads).
     """
 
     def __init__(self, oracle: EquilibriumOracle, delta: float):
@@ -132,36 +132,18 @@ class SampleEngine:
         self._last: CostOracleSample | None = None
 
     def sample(self, f: FlowVector) -> CostOracleSample:
-        skel = self.skeleton
-        reduced = acyclic_reduce(skel, f)
+        reduced = acyclic_reduce(self.skeleton, f)
         key = tuple(np.round(reduced.per_commodity, 12).ravel())
         hit = self.cache.get(key)
         if hit is not None:
             return replace(hit, queries_spent=0)
         before = self.oracle.query_count
-        cfg = EnforcementConfig(delta=self.delta_enforce)
-        result = None
-        if self._last is not None:
-            d_flow = float(
-                np.max(
-                    np.abs(
-                        reduced.aggregate - self._last.requested_flow.aggregate
-                    )
-                )
-            )
-            const = skel.constants
-            radius = max(
-                4.0 * skel.m * const.K * d_flow,
-                200.0 * const.K * self.delta_enforce,
-                1e-4 * const.T_max,
-            )
-            if radius < const.T_max:
-                warm = Ellipsoid.ball(self._last.enforcing_tolls.values, radius)
-                attempt = enforce_flow(self.oracle, reduced, cfg, initial=warm)
-                if attempt.status is EnforcementStatus.SUCCESS:
-                    result = attempt
-        if result is None:
-            result = enforce_flow(self.oracle, reduced, cfg)
+        result = enforce_flow(
+            self.oracle,
+            reduced,
+            EnforcementConfig(delta=self.delta_enforce),
+            initial=None if self._last is None else self._last.enforcing_tolls,
+        )
         if result.status is not EnforcementStatus.SUCCESS:
             raise OracleSampleFailed(
                 f"no tolls found for the requested flow "
@@ -392,8 +374,9 @@ def minimize_total_latency(
 
     Projected descent on finite-difference gradients, with the globally
     best sample tracked across every probe.  Stops on an estimated-gap
-    certificate, a persistent stall, or the iteration/query budget; the
-    report carries the best flow either way, with ``status`` saying which.
+    certificate, a persistent stall, the iteration cap or the oracle's
+    ``max_queries`` (a sample that hits it ends the descent); the report
+    carries the best flow either way, with ``status`` saying which.
     """
     if tuple(skeleton.edge_ids) != tuple(oracle.skeleton.edge_ids):
         raise ValueError("skeleton does not match the oracle's game")
@@ -408,7 +391,8 @@ def minimize_total_latency(
         return oracle.query_count - queries_start
 
     def over_budget() -> bool:
-        return cfg.max_queries is not None and spent() >= cfg.max_queries
+        cap = oracle.max_queries
+        return cap is not None and oracle.query_count >= cap
 
     best = engine.sample(f_ref)
     current = best
@@ -430,7 +414,7 @@ def minimize_total_latency(
                 mixed,
                 math.sqrt(delta),
             )
-        except OracleSampleFailed:
+        except (OracleSampleFailed, OracleBudgetExceeded):
             break
         G = _lift(basis, g_hat)
         est_gap = _estimated_fw_gap(skeleton, G, f)
@@ -447,6 +431,8 @@ def minimize_total_latency(
                 cand = engine.sample(cand_pt)
             except OracleSampleFailed:
                 continue
+            except OracleBudgetExceeded:
+                break
             tried.append((a, cand))
             if cand.observed_cost < best.observed_cost:
                 best = cand

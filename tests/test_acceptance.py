@@ -362,3 +362,35 @@ def test_criterion_7_enforcement_by_dual_ascent():
         f"violations, {queries} queries, {elapsed:.1f}s",
     )
     assert ok
+
+
+def test_criterion_8_end_to_end_beyond_affine():
+    """compute_optimal_tolls reaches OPT + 2*eps on cubic parallel links, a
+    3x3 grid and a two-commodity cubic DAG."""
+    cases = [
+        (InstanceSpec(topology="parallel", links=8, degree=3, seed=1), 0.05),
+        (InstanceSpec(topology="grid", width=3, height=3, seed=5), 0.1),
+        (
+            InstanceSpec(
+                topology="random_dag", n_vertices=5, degree=3, commodities=2, seed=1
+            ),
+            0.05,
+        ),
+    ]
+    start = time.perf_counter()
+    ok = True
+    details = []
+    for spec, eps in cases:
+        game = generate(spec)
+        _, opt = optimal_flow(game)
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        tolls, _ = compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=eps))
+        gap = total_latency(game, solve_equilibrium(game, tolls).flow) - opt
+        ok = ok and gap <= 2 * eps + 1e-12
+        details.append(
+            f"{spec.topology} gap {gap:.4f}/{2 * eps} in {oracle.query_count} queries"
+        )
+    elapsed = time.perf_counter() - start
+    ok = ok and elapsed < 120.0
+    _verdict(8, ok, f"{'; '.join(details)}, {elapsed:.1f}s")
+    assert ok

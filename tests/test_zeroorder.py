@@ -66,6 +66,30 @@ class TestZeroOrderCostOracle:
         assert second.queries_spent == 0
         assert second.observed_cost == first.observed_cost
 
+    def test_misses_start_from_last_tolls(self):
+        # each cache miss after the first queries the previous sample's
+        # enforcing tolls first, however far apart the two flows lie: the
+        # last two jumps move a link by 0.65 and 0.7, so a warm ball of
+        # radius 4 m K |d_flow| would hold the whole box [0, 2 m K]^m
+        game = make_parallel([(0.2, 1.0), (0.5, 0.6), (0.1, 1.2)])
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        engine = SampleEngine(oracle, 0.01)
+        splits = [[0.2, 0.3, 0.5], [0.25, 0.3, 0.45], [0.2, 0.3, 0.5],
+                  [0.9, 0.05, 0.05], [0.1, 0.8, 0.1]]
+        last = None
+        misses = 0
+        for split in splits:
+            before = oracle.query_count
+            s = engine.sample(FlowVector.single(split))
+            if s.queries_spent == 0:
+                continue
+            if last is not None:
+                first_tolls, _ = oracle.query_log[before]
+                assert np.array_equal(first_tolls, last.enforcing_tolls.values)
+                misses += 1
+            last = s
+        assert misses == 3
+
     def test_requested_flow_is_cycle_free(self, rng):
         # a flow with a circulation gets reduced before enforcement
         from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
@@ -238,12 +262,13 @@ class TestMinimize:
         assert not has_positive_cycle(game, rep.best_flow)
 
     def test_query_budget_flags_report(self, pigou):
-        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        rep = minimize_total_latency(
-            oracle, pigou.skeleton(), OptConfig(epsilon=0.02, max_queries=5)
+        oracle = EquilibriumOracle(
+            pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=5
         )
+        rep = minimize_total_latency(oracle, pigou.skeleton(), OptConfig(epsilon=0.02))
         assert rep.status == "BUDGET_EXHAUSTED"
         assert rep.best_cost < float("inf")
+        assert rep.total_oracle_queries <= 5
 
     def test_stall_stops_descent(self, fig1_l1, monkeypatch):
         # uphill gradients and no gap certificate: every iteration fails to
