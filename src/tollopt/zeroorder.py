@@ -114,8 +114,8 @@ class SampleEngine:
     every success is verified against the oracle.
 
     The warm start pays: removing it raised the queries of a whole
-    optimize run from 376 to 1,142 on 8 affine parallel links and from 118
-    to 211 on a 3x3 grid (the ``parallel-opt`` and ``grid-opt`` benchmark
+    optimize run from 367 to 1,133 on 8 affine parallel links and from 109
+    to 202 on a 3x3 grid (the ``parallel-opt`` and ``grid-opt`` benchmark
     workloads).
     """
 
@@ -482,21 +482,32 @@ def compute_optimal_tolls(
 ) -> tuple[TollVector, OptimizationReport]:
     """Minimize total latency, then enforce the best flow tightly.
 
-    The final enforcement runs at tolerance epsilon / (4mK^2), so the
-    equilibrium induced by the returned tolls costs at most epsilon more
-    than the best sampled flow, i.e. at most OPT + 2 epsilon overall.
+    The final enforcement starts from the best sample's enforcing tolls
+    and runs at tolerance epsilon / (4mK^2), so the equilibrium induced by
+    the returned tolls costs at most epsilon more than the best sampled
+    flow, i.e. at most OPT + 2 epsilon overall.  When the oracle's
+    ``max_queries`` runs out during that enforcement, the best sample's
+    own tolls are returned instead, with ``status`` BUDGET_EXHAUSTED.
     """
     report = minimize_total_latency(oracle, skeleton, cfg)
     const = skeleton.constants
     delta_fin = cfg.epsilon / (4.0 * skeleton.m * const.K**2)
     before = oracle.query_count
-    final = enforce_flow(oracle, report.best_flow, EnforcementConfig(delta=delta_fin))
-    if final.status is not EnforcementStatus.SUCCESS:
-        raise OracleSampleFailed("final enforcement of the best flow failed")
+    try:
+        final = enforce_flow(
+            oracle,
+            report.best_flow,
+            EnforcementConfig(delta=delta_fin),
+            initial=report.final_tolls,
+        )
+    except OracleBudgetExceeded:
+        report = replace(report, status="BUDGET_EXHAUSTED")
+    else:
+        if final.status is not EnforcementStatus.SUCCESS:
+            raise OracleSampleFailed("final enforcement of the best flow failed")
+        report = replace(report, final_tolls=final.tolls)
     extra = oracle.query_count - before
     report = replace(
-        report,
-        final_tolls=final.tolls,
-        total_oracle_queries=report.total_oracle_queries + extra,
+        report, total_oracle_queries=report.total_oracle_queries + extra
     )
-    return final.tolls, report
+    return report.final_tolls, report

@@ -3,6 +3,8 @@ independent closed forms, Wardrop violation, shortest paths."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closedforms import parallel_equilibrium
 from conftest import (
@@ -24,6 +26,7 @@ from tollopt import (
     total_latency,
     wardrop_violation,
 )
+from tollopt.instances import InstanceSpec, generate
 from tollopt.paths import Unreachable, shortest_path
 
 
@@ -168,6 +171,60 @@ class TestSolveEquilibrium:
         res = solve_equilibrium(game)
         assert res.flow.per_commodity.shape == (0, 1)
         assert res.beckmann_gap == 0.0
+
+    def test_grid_warmup_hands_off_before_its_cap(self, monkeypatch):
+        # once shortest paths stop bringing new routes, Newton takes over:
+        # the warm-up ends well before its 25-step cap, and the answer
+        # still matches a much tighter solve
+        game = generate(InstanceSpec(topology="grid", width=3, height=3, seed=5))
+        tight = solve_equilibrium(game, cfg=EqConfig(accuracy=1e-12))
+        steps = []
+        line_search = equilibrium._line_search
+
+        def counted(*args):
+            steps.append(1)
+            return line_search(*args)
+
+        monkeypatch.setattr(equilibrium, "_line_search", counted)
+        res = solve_equilibrium(game)
+        assert 1 <= len(steps) < 10  # the gap exit alone takes 14 steps here
+        diff = res.flow.per_commodity - tight.flow.per_commodity
+        assert np.max(np.abs(diff)) <= 1e-9
+
+
+def _reference_step(A, F, D, tau) -> float:
+    """Root on [0, 1] of phi'(g) = sum_e D_e (l_e(F_e + g D_e) + tau_e),
+    by numpy polynomial composition and numpy.roots."""
+    P = np.polynomial.Polynomial
+    dphi = P([float(np.dot(D, tau))])
+    for a, f, d in zip(A, F, D):
+        dphi = dphi + d * P(a)(P([f, d]))
+    if dphi(0.0) >= 0.0:
+        return 0.0
+    if dphi(1.0) <= 0.0:
+        return 1.0
+    roots = np.roots(dphi.coef[::-1])
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    return float(min(real[(real >= 0.0) & (real <= 1.0)], key=lambda g: abs(dphi(g))))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 4),
+    degree=st.integers(1, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_line_search_matches_reference_root(seed, m, degree):
+    # latencies with slope at least 0.5 and steps of at least 0.3 per edge
+    # keep phi'' >= 0.045 on [0, 1], so the root is well conditioned
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.0, 2.0, (m, degree + 1))
+    A[:, 1] = rng.uniform(0.5, 2.0, m)
+    D = rng.uniform(0.3, 1.0, m) * rng.choice([-1.0, 1.0], m)
+    F = np.maximum(rng.uniform(0.0, 1.0, m), -D)  # F + D stays a flow
+    tau = rng.uniform(0.0, 2.0, m)
+    got = equilibrium._line_search(A, F, D, tau)
+    assert abs(got - _reference_step(A, F, D, tau)) <= 1e-12
 
 
 class TestWardropViolation:

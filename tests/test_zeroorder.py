@@ -332,3 +332,37 @@ class TestComputeOptimalTolls:
         )
         induced = solve_equilibrium(braess, tolls).flow
         assert total_latency(braess, induced) <= 1.52
+
+    def test_final_enforcement_starts_from_best_sample_tolls(self, braess):
+        cfg = OptConfig(epsilon=0.02)
+        probe = EquilibriumOracle(braess, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        descent = minimize_total_latency(probe, braess.skeleton(), cfg)
+        oracle = EquilibriumOracle(braess, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        _, rep = compute_optimal_tolls(oracle, braess.skeleton(), cfg)
+        first_final, _ = oracle.query_log[descent.total_oracle_queries]
+        assert np.array_equal(first_final, descent.final_tolls.values)
+        assert rep.total_oracle_queries == oracle.query_count
+
+    def test_budget_spent_in_final_enforcement_keeps_best_sample(
+        self, pigou, monkeypatch
+    ):
+        # the descent converges, then the budget runs out on the final
+        # enforcement's first query: the best sample's tolls come back
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        descents = []
+
+        def minimize(*args):
+            rep = minimize_total_latency(*args)
+            oracle.max_queries = oracle.query_count
+            descents.append(rep)
+            return rep
+
+        monkeypatch.setattr(zeroorder, "minimize_total_latency", minimize)
+        tolls, rep = compute_optimal_tolls(
+            oracle, pigou.skeleton(), OptConfig(epsilon=0.02)
+        )
+        (descent,) = descents
+        assert descent.status == "CONVERGED"
+        assert rep.status == "BUDGET_EXHAUSTED"
+        assert tolls is rep.final_tolls is descent.final_tolls
+        assert rep.total_oracle_queries == oracle.query_count == oracle.max_queries
