@@ -49,7 +49,7 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid, NumericBreakdown, unit_ball_log_volume
 from .game import FlowVector, TollVector, has_positive_cycle, is_feasible
-from .oracle import ACCURACY_FLOOR, EquilibriumOracle
+from .oracle import ACCURACY_FLOOR, EquilibriumOracle, OracleResponse
 
 __all__ = [
     "DegenerateCut",
@@ -115,6 +115,7 @@ class EnforcementResult:
     queries_used: int
     status: EnforcementStatus
     iterations: int
+    response: OracleResponse | None  # answer accepted at tolls (SUCCESS only)
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,8 @@ def enforce_flow(
     steps = 0
     while steps < budget:
         steps += 1
-        g = oracle.query(TollVector(tau)).aggregate_flow - target
+        resp = oracle.query(TollVector(tau))
+        g = resp.aggregate_flow - target
         dev = float(np.abs(g).max())
         if dev < best_dev:
             best_tau, best_dev = tau, dev
@@ -223,6 +225,7 @@ def enforce_flow(
                 queries_used=oracle.query_count - queries_before,
                 status=EnforcementStatus.SUCCESS,
                 iterations=steps,
+                response=resp,
             )
         if on_iteration is not None:
             on_iteration(
@@ -265,6 +268,7 @@ def enforce_flow(
         queries_used=oracle.query_count - queries_before,
         status=EnforcementStatus.NOT_FOUND if result is None else result.status,
         iterations=steps + (0 if result is None else result.iterations),
+        response=None if result is None else result.response,
     )
 
 
@@ -378,4 +382,5 @@ def ellipsoid_search(
         queries_used=queries_used,
         status=status,
         iterations=it,
+        response=resp if status is EnforcementStatus.SUCCESS else None,
     )

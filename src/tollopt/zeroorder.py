@@ -2,10 +2,10 @@
 
 The only access to the hidden cost function is a value oracle assembled
 from toll enforcement: to price a flow, cancel its cycles, search for
-tolls enforcing it to within delta/(2mK^2), and read the total latency of
-one final query.  The Lipschitz constant 2mK^2 of the cost in the
-aggregate infinity norm turns that flow accuracy into a cost error of at
-most delta.
+tolls enforcing it to within delta/(2mK^2), and read the total latency
+from the answer the search accepted.  The Lipschitz constant 2mK^2 of
+the cost in the aggregate infinity norm turns that flow accuracy into a
+cost error of at most delta.
 
 On top of that delta-accurate value oracle the minimizer runs projected
 descent in the affine hull of the polytope: central finite differences
@@ -13,9 +13,10 @@ along an orthonormal basis of the per-commodity conservation null spaces
 estimate the gradient, iterates are pulled toward a strictly positive
 reference flow before probing so both probe arms stay feasible, and an
 away-step conditional-gradient routine performs Euclidean projections.
-Descent stops on a small estimated gap, a persistent stall or the budget.
-The best sampled flow is tracked globally, so the reported cost never
-regresses.
+Descent stops on a small estimated gap, a persistent stall, the
+iteration cap or the budget.  The best sampled flow is tracked globally,
+so the reported cost never regresses, and its enforcing tolls are the
+returned tolls.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ class OptimizationReport:
     final_tolls: TollVector
     total_oracle_queries: int
     iteration_trace: tuple[dict, ...]
-    status: str  # CONVERGED or BUDGET_EXHAUSTED
+    # CONVERGED; ITERATION_LIMIT when cfg.max_iterations ends the descent;
+    # BUDGET_EXHAUSTED when the oracle's max_queries (or a failed sample) does
+    status: str
 
 
 class SampleEngine:
@@ -107,15 +110,16 @@ class SampleEngine:
 
     Identical (rounded) flow requests reuse the previous sample.  Every
     other request makes one ``enforce_flow`` call whose dual ascent starts
-    at the previous sample's enforcing tolls.  It needs no warm ball around
-    them and no restart of its own: when ascent fails, ``enforce_flow``
-    falls back to the paper's ellipsoid search over the whole toll box.
-    The start tolls only save queries, never change what success means:
-    every success is verified against the oracle.
+    at the previous sample's enforcing tolls, and no other query: the cost
+    is read from the answer that call accepted.  It needs no warm ball
+    around the start tolls and no restart of its own: when ascent fails,
+    ``enforce_flow`` falls back to the paper's ellipsoid search over the
+    whole toll box.  The start tolls only save queries, never change what
+    success means: every success is verified against the oracle.
 
     The warm start pays: removing it raised the queries of a whole
-    optimize run from 367 to 1,133 on 8 affine parallel links and from 109
-    to 202 on a 3x3 grid (the ``parallel-opt`` and ``grid-opt`` benchmark
+    optimize run from 331 to 1,097 on 8 affine parallel links and from 96
+    to 189 on a 3x3 grid (the ``parallel-opt`` and ``grid-opt`` benchmark
     workloads).
     """
 
@@ -137,7 +141,6 @@ class SampleEngine:
         hit = self.cache.get(key)
         if hit is not None:
             return replace(hit, queries_spent=0)
-        before = self.oracle.query_count
         result = enforce_flow(
             self.oracle,
             reduced,
@@ -149,13 +152,11 @@ class SampleEngine:
                 f"no tolls found for the requested flow "
                 f"(best deviation {result.achieved_deviation:.3e})"
             )
-        final = self.oracle.query(result.tolls)
-        spent = self.oracle.query_count - before
         sample = CostOracleSample(
             requested_flow=reduced,
             enforcing_tolls=result.tolls,
-            observed_cost=float(final.total_cost),
-            queries_spent=spent,
+            observed_cost=float(result.response.total_cost),
+            queries_spent=result.queries_used,
         )
         self.cache[key] = sample
         self._last = sample
@@ -396,11 +397,12 @@ def minimize_total_latency(
 
     best = engine.sample(f_ref)
     current = best
-    status = "BUDGET_EXHAUSTED"
+    status = "ITERATION_LIMIT"
     alpha = 0.25
     stall = 0
     for it in range(1, cfg.max_iterations + 1):
         if over_budget():
+            status = "BUDGET_EXHAUSTED"
             break
         f = current.requested_flow
         mixed = FlowVector(  # interior mix toward the reference flow
@@ -415,6 +417,7 @@ def minimize_total_latency(
                 math.sqrt(delta),
             )
         except (OracleSampleFailed, OracleBudgetExceeded):
+            status = "BUDGET_EXHAUSTED"
             break
         G = _lift(basis, g_hat)
         est_gap = _estimated_fw_gap(skeleton, G, f)
@@ -462,8 +465,8 @@ def minimize_total_latency(
             status = "CONVERGED"
             break
         if stall >= 3:
-            if est_gap <= cfg.epsilon or not over_budget():
-                status = "CONVERGED"
+            converged = est_gap <= cfg.epsilon or not over_budget()
+            status = "CONVERGED" if converged else "BUDGET_EXHAUSTED"
             break
     return OptimizationReport(
         best_flow=best.requested_flow,
@@ -480,34 +483,15 @@ def compute_optimal_tolls(
     skeleton: GameSkeleton,
     cfg: OptConfig,
 ) -> tuple[TollVector, OptimizationReport]:
-    """Minimize total latency, then enforce the best flow tightly.
+    """Minimize total latency and return the best sample's enforcing tolls.
 
-    The final enforcement starts from the best sample's enforcing tolls
-    and runs at tolerance epsilon / (4mK^2), so the equilibrium induced by
-    the returned tolls costs at most epsilon more than the best sampled
-    flow, i.e. at most OPT + 2 epsilon overall.  When the oracle's
-    ``max_queries`` runs out during that enforcement, the best sample's
-    own tolls are returned instead, with ``status`` BUDGET_EXHAUSTED.
+    Those tolls need no further enforcement.  The best sample was enforced
+    at tolerance delta / (4mK^2), tighter than epsilon / (4mK^2) because
+    delta <= epsilon / (8 N^2), and its ``observed_cost`` is the total
+    latency of the equilibrium those very tolls induce, read from the
+    answer enforcement accepted.  So the returned tolls induce an
+    equilibrium costing at most OPT + 2 epsilon whenever the best sampled
+    flow is epsilon-optimal.
     """
     report = minimize_total_latency(oracle, skeleton, cfg)
-    const = skeleton.constants
-    delta_fin = cfg.epsilon / (4.0 * skeleton.m * const.K**2)
-    before = oracle.query_count
-    try:
-        final = enforce_flow(
-            oracle,
-            report.best_flow,
-            EnforcementConfig(delta=delta_fin),
-            initial=report.final_tolls,
-        )
-    except OracleBudgetExceeded:
-        report = replace(report, status="BUDGET_EXHAUSTED")
-    else:
-        if final.status is not EnforcementStatus.SUCCESS:
-            raise OracleSampleFailed("final enforcement of the best flow failed")
-        report = replace(report, final_tolls=final.tolls)
-    extra = oracle.query_count - before
-    report = replace(
-        report, total_oracle_queries=report.total_oracle_queries + extra
-    )
     return report.final_tolls, report

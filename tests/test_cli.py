@@ -147,8 +147,8 @@ def test_optimize_pigou(runner):
 
 
 def test_optimize_spent_budget_emits_report_and_exits_4(runner, tmp_path):
-    # the descent spends the budget, so the final enforcement cannot run:
-    # the best sample's tolls are reported, not lost
+    # the descent spends the budget: the best sample's tolls are
+    # reported, not lost
     out = tmp_path / "report.json"
     result = runner.invoke(
         main,

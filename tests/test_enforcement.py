@@ -195,15 +195,24 @@ class TestDualAscent:
         assert np.max(np.abs(induced - target.aggregate)) <= 2e-3
 
     @pytest.mark.parametrize(
-        "per_edge, start",
+        "per_edge, start, cap, status",
         [
-            pytest.param(0, None, id="0"),
-            pytest.param(1, None, id="1"),
+            pytest.param(0, None, None, EnforcementStatus.SUCCESS, id="0"),
+            pytest.param(1, None, None, EnforcementStatus.SUCCESS, id="1"),
             # from (3, 0) every flow takes link 2, so both dual steps fail
-            pytest.param(1, TollVector([3.0, 0.0]), id="1-start"),
+            pytest.param(
+                1, TollVector([3.0, 0.0]), None, EnforcementStatus.SUCCESS, id="1-start"
+            ),
+            # the cap leaves the fallback two iterations, too few to succeed
+            pytest.param(1, None, 4, EnforcementStatus.NOT_FOUND, id="1-capped"),
+            # (1/2, 0) enforces (1/2, 1/2) exactly: the first dual step
+            # succeeds and nothing falls back
+            pytest.param(
+                1, TollVector([0.5, 0.0]), None, EnforcementStatus.SUCCESS, id="1-dual"
+            ),
         ],
     )
-    def test_fallback_to_ellipsoid(self, pigou, monkeypatch, per_edge, start):
+    def test_fallback_to_ellipsoid(self, pigou, monkeypatch, per_edge, start, cap, status):
         monkeypatch.setattr(enforcement, "DUAL_QUERIES_PER_EDGE", per_edge)
         searches = []
         starts = []
@@ -214,18 +223,29 @@ class TestDualAscent:
             return searches[-1]
 
         monkeypatch.setattr(enforcement, "ellipsoid_search", spy)
-        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-9)
         records = []
         res = enforce_flow(
             oracle,
             FlowVector.single([0.5, 0.5]),
-            EnforcementConfig(delta=1e-3),
+            EnforcementConfig(delta=1e-3, max_iterations=cap),
             on_iteration=records.append,
             initial=start,
         )
+        assert res.status is status
+        if status is EnforcementStatus.SUCCESS:
+            # the accepted answer is the oracle's answer at the returned tolls
+            assert res.achieved_deviation <= 2e-3
+            fresh = oracle.query(res.tolls)
+            assert np.array_equal(res.response.aggregate_flow, fresh.aggregate_flow)
+            assert res.response.total_cost == fresh.total_cost
+        else:
+            assert res.response is None
+        if not searches:
+            assert res.queries_used == res.iterations == 1
+            assert records == []
+            return
         dual_steps = per_edge * pigou.m
-        assert res.status is EnforcementStatus.SUCCESS
-        assert res.achieved_deviation <= 2e-3
         assert len(searches) == 1
         assert starts == [None]  # the fallback starts from the full box
         assert res.queries_used == dual_steps + searches[0].queries_used

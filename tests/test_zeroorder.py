@@ -6,6 +6,7 @@ import pytest
 from conftest import make_parallel, random_dag_game, random_parallel
 from tollopt import FlowVector, solve_equilibrium, total_latency, zeroorder
 from tollopt.game import has_positive_cycle, is_feasible
+from tollopt.instances import InstanceSpec, generate
 from tollopt.oracle import EquilibriumOracle, OracleMode, reveal_hidden_game
 from tollopt.zeroorder import (
     OptConfig,
@@ -89,6 +90,29 @@ class TestZeroOrderCostOracle:
                 misses += 1
             last = s
         assert misses == 3
+
+    def test_misses_spend_only_enforcement_queries(self, monkeypatch):
+        # the cost comes from the answer enforcement accepted, not from a
+        # query of its own
+        enforce = zeroorder.enforce_flow
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(enforce(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(zeroorder, "enforce_flow", spy)
+        game = make_parallel([(0.2, 1.0), (0.5, 0.6), (0.1, 1.2)])
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        engine = SampleEngine(oracle, 0.01)
+        misses = []
+        for split in ([0.2, 0.3, 0.5], [0.25, 0.3, 0.45], [0.9, 0.05, 0.05]):
+            before = oracle.query_count
+            misses.append(engine.sample(FlowVector.single(split)))
+            assert misses[-1].queries_spent == oracle.query_count - before
+        assert len(results) == len(misses) == 3
+        for sample, result in zip(misses, results):
+            assert sample.queries_spent == result.queries_used
 
     def test_requested_flow_is_cycle_free(self, rng):
         # a flow with a circulation gets reduced before enforcement
@@ -270,6 +294,16 @@ class TestMinimize:
         assert rep.best_cost < float("inf")
         assert rep.total_oracle_queries <= 5
 
+    def test_iteration_cap_is_not_a_spent_budget(self):
+        # no query budget is set, so the cap, not a budget, ends the run
+        game = generate(InstanceSpec(topology="grid", width=3, height=3, seed=5))
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        rep = minimize_total_latency(
+            oracle, game.skeleton(), OptConfig(epsilon=0.1, max_iterations=1)
+        )
+        assert [r["iteration"] for r in rep.iteration_trace] == [1]
+        assert rep.status == "ITERATION_LIMIT"
+
     def test_stall_stops_descent(self, fig1_l1, monkeypatch):
         # uphill gradients and no gap certificate: every iteration fails to
         # improve, the step shrinks 4x each time, and the third stall stops
@@ -286,7 +320,7 @@ class TestMinimize:
         assert [r["iteration"] for r in rep.iteration_trace] == [1, 2, 3]
         steps = [r["step"] for r in rep.iteration_trace]
         assert steps == [0.0625, 0.015625, 0.00390625]
-        assert rep.total_oracle_queries == 34
+        assert rep.total_oracle_queries == 24
 
     def test_mismatched_skeleton_rejected(self, pigou, braess):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
@@ -333,36 +367,31 @@ class TestComputeOptimalTolls:
         induced = solve_equilibrium(braess, tolls).flow
         assert total_latency(braess, induced) <= 1.52
 
-    def test_final_enforcement_starts_from_best_sample_tolls(self, braess):
+    def test_returns_best_sample_tolls_without_extra_query(self, braess):
         cfg = OptConfig(epsilon=0.02)
         probe = EquilibriumOracle(braess, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         descent = minimize_total_latency(probe, braess.skeleton(), cfg)
         oracle = EquilibriumOracle(braess, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        _, rep = compute_optimal_tolls(oracle, braess.skeleton(), cfg)
-        first_final, _ = oracle.query_log[descent.total_oracle_queries]
-        assert np.array_equal(first_final, descent.final_tolls.values)
+        tolls, rep = compute_optimal_tolls(oracle, braess.skeleton(), cfg)
+        assert tolls is rep.final_tolls
         assert rep.total_oracle_queries == oracle.query_count
+        assert oracle.query_count == descent.total_oracle_queries
+        # the best cost is the total latency of the equilibrium these
+        # very tolls induce
+        assert oracle.query(tolls).total_cost == rep.best_cost
 
-    def test_budget_spent_in_final_enforcement_keeps_best_sample(
-        self, pigou, monkeypatch
-    ):
-        # the descent converges, then the budget runs out on the final
-        # enforcement's first query: the best sample's tolls come back
-        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        descents = []
-
-        def minimize(*args):
-            rep = minimize_total_latency(*args)
-            oracle.max_queries = oracle.query_count
-            descents.append(rep)
-            return rep
-
-        monkeypatch.setattr(zeroorder, "minimize_total_latency", minimize)
-        tolls, rep = compute_optimal_tolls(
-            oracle, pigou.skeleton(), OptConfig(epsilon=0.02)
-        )
-        (descent,) = descents
+    def test_budget_equal_to_descent_spend_keeps_best_sample(self, fig1_l1):
+        # a budget of exactly what the descent spends is enough: returning
+        # the best sample's tolls takes no further query
+        cfg = OptConfig(epsilon=0.02)
+        probe = EquilibriumOracle(fig1_l1, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        descent = minimize_total_latency(probe, fig1_l1.skeleton(), cfg)
         assert descent.status == "CONVERGED"
-        assert rep.status == "BUDGET_EXHAUSTED"
-        assert tolls is rep.final_tolls is descent.final_tolls
+        oracle = EquilibriumOracle(
+            fig1_l1, OracleMode.FLOW_AND_COST, eps_query=1e-11,
+            max_queries=descent.total_oracle_queries,
+        )
+        tolls, rep = compute_optimal_tolls(oracle, fig1_l1.skeleton(), cfg)
+        assert rep.status == "CONVERGED"
+        assert np.array_equal(tolls.values, descent.final_tolls.values)
         assert rep.total_oracle_queries == oracle.query_count == oracle.max_queries
