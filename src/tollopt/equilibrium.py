@@ -7,18 +7,21 @@ The equilibrium of a tolled game is the minimizer of
 over feasible multicommodity flows, where F is the aggregate.  The solver
 works in path space with column generation:
 
-1. a conditional-gradient warmup (per-commodity shortest paths as the
-   linear oracle, exact line search on the one-dimensional polynomial
-   potential) discovers the relevant paths.  It hands off as soon as a
-   step's shortest paths are all in the working set already, once the
-   gap is small, or after 25 steps, whichever comes first;
+1. every solve starts from the game's seed: the paths that its untolled
+   equilibrium uses, with their flows, plus each commodity's
+   all-or-nothing path at zero load where the seed does not span it
+   already.  One cold solve per game computes the seed, on the game's
+   first general-graph solve (``zero_toll_paths``); it is a function of
+   the game alone, so every answer stays a function of (game, tolls).
+   The cold solve is the same solver started from the all-or-nothing
+   assignment at zero load;
 2. Newton iterations on the working paths then solve the equilibrium
    conditions (all used paths of a commodity equally cheap, demands met)
    to near machine precision, with ratio tests keeping path flows
    nonnegative and stalled systems handed back to conditional-gradient
    steps (this happens when constant-latency edges tie).  Between rounds,
    any shortest path cheaper than the used ones joins the working set,
-   so paths the warmup did not find are still generated.
+   so paths the seed lacks are still generated.
 
 Parallel links with strictly increasing latencies skip the path machinery:
 one level solve (a threshold sweep on chord models, then bracketed Newton
@@ -65,6 +68,12 @@ class NoConvergence(RuntimeError):
 
 #: Cap on the total conditional-gradient and Newton steps of one solve.
 MAX_ITERATIONS = 6000
+
+#: Duality-gap target of the untolled solve that seeds a game's path set.
+SEED_ACCURACY = 1e-10
+
+#: Per commodity, (path, flow) pairs: where every general-graph solve starts.
+SeedPaths = tuple[tuple[tuple[tuple[int, ...], float], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -167,6 +176,17 @@ def _line_search(A: np.ndarray, F: np.ndarray, D: np.ndarray, tau: np.ndarray) -
     return float(g)
 
 
+def _path_rows(rows: list[tuple[int, tuple[int, ...]]], m: int, k: int) -> np.ndarray:
+    """One row per (commodity, path): its edge incidence, then a commodity
+    indicator.  Paths are linearly dependent exactly when these rows are."""
+    M = np.zeros((len(rows), m + k))
+    for r_i, (i, p) in enumerate(rows):
+        M[r_i, m + i] = 1.0
+        for e in p:
+            M[r_i, e] += 1.0
+    return M
+
+
 class _PathState:
     """Working per-commodity path sets with flows, shared aggregate views."""
 
@@ -200,7 +220,9 @@ class _PathState:
                         X[i, e] += h
         return X
 
-    def prune(self, cut: float = 0.0) -> None:
+    def prune(self, cut: float = 0.0) -> bool:
+        """Drop paths with flow at most ``cut``; True if any was dropped."""
+        changed = False
         for i in range(len(self.paths)):
             keep = [
                 (p, h)
@@ -209,6 +231,7 @@ class _PathState:
             ]
             if len(keep) == len(self.paths[i]):
                 continue
+            changed = True
             dropped = self.game.commodities[i].demand - sum(h for _, h in keep)
             self.paths[i] = [p for p, _ in keep]
             self.flows[i] = [h for _, h in keep]
@@ -216,6 +239,7 @@ class _PathState:
                 # fold the pruned mass into the largest path to keep demand exact
                 jmax = max(range(len(keep)), key=lambda j: self.flows[i][j])
                 self.flows[i][jmax] += dropped
+        return changed
 
 
 def _newton_round(
@@ -228,22 +252,20 @@ def _newton_round(
     """Equilibrate the working paths: equal cost per commodity, demands met.
 
     Runs at most 40 Newton iterations and returns (converged,
-    inner_iterations).  A ratio test keeps path flows nonnegative.  From
-    the third iteration on, a step that cuts the residual by less than 10%
-    ends the round with ``converged`` False: the linearized system stalls
-    on ties between constant-latency routes, and the caller hands the flow
-    to conditional-gradient steps.
+    inner_iterations).  A ratio test keeps path flows nonnegative, and a
+    path at zero flow that is strictly dearer than its commodity's level
+    leaves the set, on entry and after every step.  From the third
+    iteration on, a step that cuts the residual by less than 10% ends the
+    round with ``converged`` False: the linearized system stalls on ties
+    between constant-latency routes, and the caller hands the flow to
+    conditional-gradient steps.
     """
     game = state.game
     k = game.k
     rows = [(i, p) for i, plist in enumerate(state.paths) for p in plist]
     P = len(rows)
-    N = np.zeros((P, game.m))
-    E = np.zeros((P, k))
-    for r_i, (i, p) in enumerate(rows):
-        E[r_i, i] = 1.0
-        for e in p:
-            N[r_i, e] += 1.0
+    M = _path_rows(rows, game.m, k)
+    N, E = M[:, : game.m], M[:, game.m :]
     h = np.array([hv for hlist in state.flows for hv in hlist], dtype=float)
     c = N @ (_eval_poly_rows(A, h @ N) + tau)
     lam = np.zeros(k)
@@ -260,12 +282,33 @@ def _newton_round(
     r, c = residual(h, lam)
     best_norm = float(np.max(np.abs(r)))
     it = 0
-    while best_norm > tol and it < 40:
+    progress = True
+    pinned = np.zeros(P, dtype=bool)
+    while True:
+        # paths at zero flow that are strictly too expensive (r[:P] is
+        # c - lam per path), or that the last step would have pushed
+        # negative, leave the set
+        drop = pinned if pinned.any() else (h == 0.0) & (r[:P] > 10 * tol)
+        if drop.any():
+            keep = ~drop
+            rows = [row for row, kept in zip(rows, keep) if kept]
+            N, E, h = N[keep], E[keep], h[keep]
+            P = len(rows)
+            r, c = residual(h, lam)
+            best_norm = float(np.max(np.abs(r)))
+            pinned = np.zeros(P, dtype=bool)
+            progress = True
+        elif not progress and best_norm > tol and it >= 3:
+            # three iterations without real progress: hand back to CG
+            _writeback(state, rows, h)
+            return False, it
+        if best_norm <= tol or it >= 40:
+            break
         it += 1
-        F = h @ N
-        W = _eval_slope_rows(A, F)
-        J_hh = (N * W) @ N.T
-        J = np.block([[J_hh, -E], [E.T, np.zeros((k, k))]])
+        J = np.zeros((P + k, P + k))
+        J[:P, :P] = (N * _eval_slope_rows(A, h @ N)) @ N.T
+        J[:P, P:] = -E
+        J[P:, :P] = E.T
         try:
             step = np.linalg.solve(J, -r)
             if not np.all(np.isfinite(step)):
@@ -273,11 +316,20 @@ def _newton_round(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         dh, dlam = step[:P], step[P:]
+        pinned = (h == 0.0) & (dh < 0.0)
+        if pinned.any():
+            continue
+        # ratio test: the first path to empty bounds the step, and is
+        # emptied exactly
+        shrink = np.flatnonzero((dh < 0.0) & (h + dh < 0.0))
         alpha = 1.0
-        for j in range(P):
-            if dh[j] < 0 and h[j] + dh[j] < 0:
-                alpha = min(alpha, h[j] / -dh[j])
+        if shrink.size:
+            ratios = h[shrink] / -dh[shrink]
+            block = shrink[np.argmin(ratios)]
+            alpha = float(ratios.min())
         h = np.maximum(h + alpha * dh, 0.0)
+        if shrink.size:
+            h[block] = 0.0
         lam = lam + alpha * dlam
         r, c = residual(h, lam)
         norm_new = float(np.max(np.abs(r)))
@@ -285,26 +337,6 @@ def _newton_round(
             break
         progress = norm_new < best_norm * 0.9
         best_norm = min(best_norm, norm_new)
-        # paths pinned at zero that are strictly too expensive leave the set
-        drop = [
-            j
-            for j in range(P)
-            if h[j] == 0.0 and c[j] - lam[rows[j][0]] > 10 * tol
-        ]
-        if drop:
-            keep = [j for j in range(P) if j not in set(drop)]
-            rows = [rows[j] for j in keep]
-            N = N[keep]
-            E = E[keep]
-            h = h[keep]
-            r, c = residual(h, lam)
-            best_norm = float(np.max(np.abs(r)))
-            P = len(rows)
-            continue
-        if not progress and norm_new > tol and it >= 3:
-            # three iterations without real progress: hand back to CG
-            _writeback(state, rows, h)
-            return False, it
     _writeback(state, rows, h)
     return best_norm <= tol, it
 
@@ -412,6 +444,148 @@ def _solve_parallel_strict(
     )
 
 
+def _shortest_paths(
+    game: RoutingGame, costs: np.ndarray
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Per commodity, the shortest path under ``costs`` and its length:
+    one Dijkstra run per distinct source."""
+    skel = game.skeleton()
+    vi = skel.vertex_index
+    best: list[tuple[int, ...]] = []
+    dist = np.zeros(game.k)
+    by_source: dict[int, tuple[list[float], list[int]]] = {}
+    for i, com in enumerate(game.commodities):
+        si, ti = vi[com.source], vi[com.sink]
+        if si not in by_source:
+            by_source[si] = dijkstra(skel.adjacency_out, costs, si)
+        d, pred = by_source[si]
+        best.append(_trace(pred, skel.tails, si, ti))
+        dist[i] = d[ti]
+    return best, dist
+
+
+def _solve_paths(
+    game: RoutingGame, tau: np.ndarray, accuracy: float, start: SeedPaths | None
+) -> tuple[_PathState, np.ndarray, np.ndarray, float, int]:
+    """The general path solver; returns (state, costs, dist, gap, iterations).
+
+    With ``start`` None the working set starts as the all-or-nothing
+    assignment at zero load.  Otherwise it starts as the ``start`` paths
+    with their flows, plus each commodity's all-or-nothing path at zero
+    flow where the working paths do not span it.  It does not raise when
+    the gap stays above ``accuracy``.
+    """
+    A = game.latency_table.coeffs
+    k = game.k
+    demands = np.array([c.demand for c in game.commodities])
+    state = _PathState(game)
+
+    def measure() -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]], np.ndarray, float]:
+        F = state.aggregate()
+        costs = _eval_poly_rows(A, F) + tau
+        best, dist = _shortest_paths(game, costs)
+        gap = max(0.0, float(np.dot(costs, F)) - float(np.dot(demands, dist)))
+        return F, costs, best, dist, gap
+
+    def spanned(i: int, path: tuple[int, ...]) -> bool:
+        """Whether the working paths span commodity i's ``path``.  Adding
+        it would make the Newton system singular, and at an equilibrium of
+        the working paths it costs exactly its commodity's level; two paths
+        that each pass this test alone can fail it together.  One LU solve
+        of a small Gram matrix, as in the Newton rounds: an SVD would add
+        about 1 MB of LAPACK to the process."""
+        rows = [(j, p) for j, plist in enumerate(state.paths) for p in plist]
+        M = _path_rows(rows + [(i, path)], game.m, k)
+        B, row = M[:-1], M[-1]
+        try:
+            y = np.linalg.solve(B @ B.T, B @ row)
+        except np.linalg.LinAlgError:  # a tie step brought in a spanned path
+            return False
+        return float(np.max(np.abs(row - y @ B))) <= 1e-9
+
+    def cg_step(F: np.ndarray, best: list[tuple[int, ...]]) -> bool:
+        """Conditional-gradient step toward the all-or-nothing assignment
+        on ``best``; False, changing nothing, when the line search gives 0."""
+        S = np.zeros(game.m)
+        for i, p in enumerate(best):
+            for e in p:
+                S[e] += demands[i]
+        gamma = _line_search(A, F, S - F, tau)
+        if gamma <= 0.0:
+            return False
+        for i in range(k):
+            state.flows[i] = [h * (1.0 - gamma) for h in state.flows[i]]
+            state.add_path(i, best[i], gamma * float(demands[i]))
+        state.prune(1e-16 * float(demands.max()))
+        return True
+
+    init_paths, _ = _shortest_paths(game, _eval_poly_rows(A, np.zeros(game.m)) + tau)
+    if start is None:
+        for i, p in enumerate(init_paths):
+            state.add_path(i, p, float(demands[i]))
+    else:
+        for i, pairs in enumerate(start):
+            for q, h in pairs:
+                state.add_path(i, q, h)
+        for i, p in enumerate(init_paths):
+            if p not in state.paths[i] and not spanned(i, p):
+                state.add_path(i, p, 0.0)
+    F = state.aggregate()
+    scale = max(1.0, abs(float(np.dot(_eval_poly_rows(A, F) + tau, F))))
+    newton_tol = max(1e-13 * scale, 1e-15)
+    add_tol = 20 * newton_tol
+    iterations = 0
+    rounds = 0
+    settled = False  # the loop ended on a measured state
+    while rounds < 60 and iterations < MAX_ITERATIONS:
+        rounds += 1
+        ok, inner = _newton_round(state, A, tau, demands, newton_tol)
+        iterations += max(inner, 1)
+        F, costs, best, dist, gap = measure()
+        if not ok and gap > accuracy and cg_step(F, best):
+            # constant-latency ties: shift flow by conditional gradient
+            iterations += 1
+            continue
+        added = False
+        for i in range(k):
+            used_costs = [
+                float(sum(costs[e] for e in p))
+                for p, h in zip(state.paths[i], state.flows[i])
+                if h > 0
+            ]
+            lam_i = min(used_costs) if used_costs else float("inf")
+            if (
+                lam_i - dist[i] > add_tol
+                and best[i] not in state.paths[i]
+                and not spanned(i, best[i])
+            ):
+                state.add_path(i, best[i], 0.0)
+                added = True
+        if not added and (gap <= accuracy or ok):
+            # at the target, or equilibrated with no better path left
+            # (the gap is then numerical noise)
+            settled = True
+            break
+    if state.prune(0.0) or not settled:
+        F, costs, _, dist, gap = measure()
+    return state, costs, dist, gap, iterations
+
+
+def zero_toll_paths(game: RoutingGame) -> SeedPaths:
+    """Per commodity, the paths the untolled equilibrium uses, with flows.
+
+    One cold solve at the fixed ``SEED_ACCURACY`` computes them, so they
+    are a function of the game alone; ``RoutingGame.zero_toll_paths``
+    holds them.  Path generation admits only paths that the working set
+    does not span, so they are linearly independent unless a
+    conditional-gradient step (a tie) brought in a spanned one.
+    """
+    state, _, _, _, _ = _solve_paths(game, np.zeros(game.m), SEED_ACCURACY, None)
+    return tuple(
+        tuple(zip(plist, hlist)) for plist, hlist in zip(state.paths, state.flows)
+    )
+
+
 def solve_equilibrium(
     game: RoutingGame,
     tolls: TollVector | None = None,
@@ -431,108 +605,9 @@ def solve_equilibrium(
         return EquilibriumResult(FlowVector.zeros(0, game.m), 0.0, 0.0, 0)
     if _is_strict_parallel(game):
         return _solve_parallel_strict(game, tau)
-    A = game.latency_table.coeffs
-    demands = np.array([c.demand for c in game.commodities])
-    skel = game.skeleton()
-    vi = skel.vertex_index
-    state = _PathState(game)
-
-    def sp_all(costs: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        best: list[tuple[int, ...]] = []
-        dist = np.zeros(k)
-        by_source: dict[int, tuple[list[float], list[int]]] = {}
-        for i, com in enumerate(game.commodities):
-            si, ti = vi[com.source], vi[com.sink]
-            if si not in by_source:
-                by_source[si] = dijkstra(skel.adjacency_out, costs, si)
-            d, pred = by_source[si]
-            best.append(_trace(pred, skel.tails, si, ti))
-            dist[i] = d[ti]
-        return best, dist
-
-    # all-or-nothing start at zero load
-    zero_costs = _eval_poly_rows(A, np.zeros(game.m)) + tau
-    init_paths, _ = sp_all(zero_costs)
-    for i, p in enumerate(init_paths):
-        state.add_path(i, p, float(demands[i]))
-
-    iterations = 0
-    gap = float("inf")
-    dist = np.zeros(k)
-    scale = 1.0
-
-    def measure() -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
-        nonlocal gap, dist, scale
-        F = state.aggregate()
-        costs = _eval_poly_rows(A, F) + tau
-        best, dist = sp_all(costs)
-        total = float(np.dot(costs, F))
-        scale = max(1.0, abs(total))
-        gap = max(0.0, total - float(np.dot(demands, dist)))
-        return F, costs, best
-
-    def cg_step(F: np.ndarray, best: list[tuple[int, ...]]) -> bool:
-        """Conditional-gradient step toward the all-or-nothing assignment
-        on ``best``; False, changing nothing, when the line search gives 0."""
-        S = np.zeros(game.m)
-        for i, p in enumerate(best):
-            for e in p:
-                S[e] += demands[i]
-        gamma = _line_search(A, F, S - F, tau)
-        if gamma <= 0.0:
-            return False
-        for i in range(k):
-            state.flows[i] = [h * (1.0 - gamma) for h in state.flows[i]]
-            state.add_path(i, best[i], gamma * float(demands[i]))
-        state.prune(1e-16 * float(demands.max()))
-        return True
-
-    newton_tol_floor = 1e-13
-    warmup = 0
-    while iterations < MAX_ITERATIONS:
-        F, costs, best = measure()
-        if gap <= max(cfg.accuracy * 0.5, 1e-3 * scale) or warmup >= 25:
-            break
-        if warmup and all(p in plist for p, plist in zip(best, state.paths)):
-            break  # path discovery stalled: Newton takes over
-        iterations += 1
-        warmup += 1
-        if not cg_step(F, best):
-            break
-
-    newton_tol = max(newton_tol_floor * scale, 1e-15)
-    add_tol = 20 * newton_tol
-    rounds = 0
-    while rounds < 60 and iterations < MAX_ITERATIONS:
-        rounds += 1
-        ok, inner = _newton_round(state, A, tau, demands, newton_tol)
-        iterations += max(inner, 1)
-        F, costs, best = measure()
-        if not ok and gap > cfg.accuracy and cg_step(F, best):
-            # constant-latency ties: shift flow by conditional gradient
-            iterations += 1
-            continue
-        added = False
-        for i in range(k):
-            plist = state.paths[i]
-            harr = state.flows[i]
-            used_costs = [
-                float(sum(costs[e] for e in p))
-                for p, h in zip(plist, harr)
-                if h > 0
-            ]
-            lam_i = min(used_costs) if used_costs else float("inf")
-            if lam_i - dist[i] > add_tol and best[i] not in state.paths[i]:
-                state.add_path(i, best[i], 0.0)
-                added = True
-        if not added and gap <= cfg.accuracy:
-            break
-        if not added and ok:
-            # equilibrated and no better path exists; gap is numerical noise
-            break
-    state.prune(0.0)
-    F, costs, _ = measure()
-    X = state.per_commodity()
+    state, costs, dist, gap, iterations = _solve_paths(
+        game, tau, cfg.accuracy, game.zero_toll_paths
+    )
     violation = 0.0
     for i in range(k):
         for p, h in zip(state.paths[i], state.flows[i]):
@@ -546,7 +621,7 @@ def solve_equilibrium(
             f"after {iterations} iterations"
         )
     return EquilibriumResult(
-        flow=FlowVector(X),
+        flow=FlowVector(state.per_commodity()),
         beckmann_gap=gap,
         wardrop_violation=max(0.0, violation),
         iterations=iterations,

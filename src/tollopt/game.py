@@ -14,10 +14,14 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .paths import reachable
+
+if TYPE_CHECKING:
+    from .equilibrium import SeedPaths
 
 __all__ = [
     "InvalidGame",
@@ -201,6 +205,14 @@ class RoutingGame:
     def latency_table(self) -> "LatencyTable":
         """The latency functions in the forms the solvers evaluate."""
         return LatencyTable.of(self)
+
+    @cached_property
+    def zero_toll_paths(self) -> "SeedPaths":
+        """The paths of the untolled equilibrium with their flows, where
+        every general-graph solve starts; built on the first such solve."""
+        from .equilibrium import zero_toll_paths  # equilibrium imports game
+
+        return zero_toll_paths(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -376,7 +376,8 @@ def minimize_total_latency(
     Projected descent on finite-difference gradients, with the globally
     best sample tracked across every probe.  Stops on an estimated-gap
     certificate, a persistent stall, the iteration cap or the oracle's
-    ``max_queries`` (a sample that hits it ends the descent); the report
+    ``max_queries`` (a sample that needs a query past it ends the descent;
+    reaching it with every later sample cached does not); the report
     carries the best flow either way, with ``status`` saying which.
     """
     if tuple(skeleton.edge_ids) != tuple(oracle.skeleton.edge_ids):
@@ -391,17 +392,14 @@ def minimize_total_latency(
     def spent() -> int:
         return oracle.query_count - queries_start
 
-    def over_budget() -> bool:
-        cap = oracle.max_queries
-        return cap is not None and oracle.query_count >= cap
-
     best = engine.sample(f_ref)
     current = best
     status = "ITERATION_LIMIT"
     alpha = 0.25
     stall = 0
+    capped = False  # a sample needed a query past max_queries
     for it in range(1, cfg.max_iterations + 1):
-        if over_budget():
+        if capped:
             status = "BUDGET_EXHAUSTED"
             break
         f = current.requested_flow
@@ -425,8 +423,6 @@ def minimize_total_latency(
         improved = False
         tried: list[tuple[float, CostOracleSample]] = []
         for a in (2.0 * alpha, alpha, 0.25 * alpha):
-            if over_budget():
-                break
             cand_pt = project_to_polytope(
                 skeleton, f.per_commodity - a * G
             )
@@ -435,6 +431,7 @@ def minimize_total_latency(
             except OracleSampleFailed:
                 continue
             except OracleBudgetExceeded:
+                capped = True
                 break
             tried.append((a, cand))
             if cand.observed_cost < best.observed_cost:
@@ -465,7 +462,7 @@ def minimize_total_latency(
             status = "CONVERGED"
             break
         if stall >= 3:
-            converged = est_gap <= cfg.epsilon or not over_budget()
+            converged = est_gap <= cfg.epsilon or not capped
             status = "CONVERGED" if converged else "BUDGET_EXHAUSTED"
             break
     return OptimizationReport(

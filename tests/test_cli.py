@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from tollopt import cli, oracle
+from tollopt import cli, equilibrium, oracle
 from tollopt.cli import (
     main,
     run_impossibility_demo,
@@ -69,17 +69,20 @@ def test_solve_eq_missing_instance(runner, tmp_path):
     assert result.exit_code == 3
 
 
-def test_solve_eq_no_convergence_exits_2(runner, tmp_path):
+def test_solve_eq_no_convergence_exits_2(runner, tmp_path, monkeypatch):
+    # with no iteration allowed the solver returns its start, the
+    # all-or-nothing assignment, whose gap is far above any target: the
+    # exit does not hinge on the last bits of a converged solve
     game_path = tmp_path / "game.json"
     runner.invoke(
         main,
         ["gen", "--topology", "random_dag", "--n-vertices", "7", "--degree", "3",
          "--commodities", "2", "--seed", "6", "--out", str(game_path)],
     )
-    result = runner.invoke(
-        main, ["solve-eq", "--instance", str(game_path), "--accuracy", "1e-30"]
-    )
+    monkeypatch.setattr(equilibrium, "MAX_ITERATIONS", 0)
+    result = runner.invoke(main, ["solve-eq", "--instance", str(game_path)])
     assert result.exit_code == 2
+    assert "solver did not converge" in result.output
 
 
 def test_solve_eq_bad_accuracy_exits_3(runner, tmp_path):

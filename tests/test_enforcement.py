@@ -386,8 +386,9 @@ class TestVolumeDecay:
 @pytest.mark.xfail(
     strict=True,
     raises=NoConvergence,
-    reason="known solver defect: at tolls near T_max/2 the duality gap stalls "
-    "at 1.7e-10 to 2.4e-10, above its 1.65e-10 target, on some edge orders",
+    reason="known solver defect: at tolls near T_max/2 Newton stops at its "
+    "1e-13 * |c.F| tolerance, about 1.4e-10, and the duality gap ends near "
+    "1.9e-10, above its 1.65e-10 target, on some edge orders",
 )
 def test_random_dag_seed6_enforcement_reaches_solver_gap():
     # the outcome depends on edge order, and which orders fail moves with

@@ -27,6 +27,7 @@ from tollopt import (
     wardrop_violation,
 )
 from tollopt.instances import InstanceSpec, generate
+from tollopt.oracle import EquilibriumOracle, OracleMode
 from tollopt.paths import Unreachable, shortest_path
 
 
@@ -172,24 +173,120 @@ class TestSolveEquilibrium:
         assert res.flow.per_commodity.shape == (0, 1)
         assert res.beckmann_gap == 0.0
 
-    def test_grid_warmup_hands_off_before_its_cap(self, monkeypatch):
-        # once shortest paths stop bringing new routes, Newton takes over:
-        # the warm-up ends well before its 25-step cap, and the answer
-        # still matches a much tighter solve
+    def test_grid_seeded_solve_skips_conditional_gradient(self, monkeypatch):
+        # every solve starts from the game's untolled equilibrium paths and
+        # goes straight to Newton: no conditional-gradient line search, and
+        # at most three Dijkstra runs (the parent's cold start took 7 to 9
+        # and 3 to 4 line searches on these tolls), and the answer still
+        # matches a much tighter solve
         game = generate(InstanceSpec(topology="grid", width=3, height=3, seed=5))
         tight = solve_equilibrium(game, cfg=EqConfig(accuracy=1e-12))
-        steps = []
-        line_search = equilibrium._line_search
+        steps, runs = [], []
+        line_search, dijkstra = equilibrium._line_search, equilibrium.dijkstra
 
-        def counted(*args):
+        def counted_step(*args):
             steps.append(1)
             return line_search(*args)
 
-        monkeypatch.setattr(equilibrium, "_line_search", counted)
+        def counted_run(*args):
+            runs.append(1)
+            return dijkstra(*args)
+
+        monkeypatch.setattr(equilibrium, "_line_search", counted_step)
+        monkeypatch.setattr(equilibrium, "dijkstra", counted_run)
         res = solve_equilibrium(game)
-        assert 1 <= len(steps) < 10  # the gap exit alone takes 14 steps here
+        assert steps == [] and len(runs) <= 3
         diff = res.flow.per_commodity - tight.flow.per_commodity
         assert np.max(np.abs(diff)) <= 1e-9
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            runs.clear()
+            solve_equilibrium(game, TollVector(rng.uniform(0.0, 0.5, game.m)))
+            assert steps == [] and len(runs) <= 3
+
+
+class TestSeededStart:
+    SPECS = {
+        "grid": InstanceSpec(topology="grid", width=3, height=3, seed=5),
+        "dag": InstanceSpec(
+            topology="random_dag", n_vertices=6, degree=3, commodities=2, seed=2
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_answer_independent_of_call_history(self, name):
+        # the seed is a function of the game alone: a (game, tolls) pair
+        # gives the same bits as a first solve on a fresh copy and after
+        # solves at other tolls on another copy
+        spec = self.SPECS[name]
+        rng = np.random.default_rng(11)
+        first = generate(spec)
+        tau = TollVector(rng.uniform(0.0, 1.0, first.m))
+        a = solve_equilibrium(first, tau)
+        second = generate(spec)
+        for _ in range(3):
+            solve_equilibrium(second, TollVector(rng.uniform(0.0, 2.0, second.m)))
+        b = solve_equilibrium(second, tau)
+        assert np.array_equal(a.flow.per_commodity, b.flow.per_commodity)
+        assert a.beckmann_gap == b.beckmann_gap
+
+    def test_cold_solve_runs_once_per_game(self, monkeypatch):
+        cold = []
+        solve_paths = equilibrium._solve_paths
+
+        def counted(game, tau, accuracy, start):
+            if start is None:
+                cold.append(game)
+            return solve_paths(game, tau, accuracy, start)
+
+        monkeypatch.setattr(equilibrium, "_solve_paths", counted)
+        spec = self.SPECS["dag"]
+        game = generate(spec)
+        assert cold == []  # nothing runs before the first solve
+        rng = np.random.default_rng(3)
+        for _ in range(2):  # two oracles on one game
+            oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST)
+            for _ in range(4):
+                oracle.query(TollVector(rng.uniform(0.0, 1.0, game.m)))
+        assert cold == [game]
+        solve_equilibrium(generate(spec))  # a second copy seeds itself
+        assert len(cold) == 2
+
+    def test_jointly_spanned_paths_are_not_generated(self):
+        # here one round finds a cheaper path for each commodity, (0, 4, 8)
+        # and (0, 4, 7), that together with (1, 8) and (1, 7) are linearly
+        # dependent; admitting both made the Newton system singular, and
+        # the solve ended with gap 9.2e-4 (an optimize run on this game,
+        # epsilon = 0.05, asked for these tolls)
+        game = generate(self.SPECS["dag"])
+        tau = TollVector(np.array([
+            0.2028778476755233, 0.4201271603995949, 1.0400126159407017,
+            1.754595588860984, 0.24616855282568292, 1.564374252594861,
+            0.36204702712419085, 0.530198528020998, 0.9538696531245505,
+            0.18202526438849218, 0.2964588072454727,
+        ]))
+        res = solve_equilibrium(game, tau, EqConfig(accuracy=1.5454770559971273e-10))
+        assert res.beckmann_gap <= 1.5454770559971273e-10
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_seed_paths_are_independent_and_carry_the_demand(self, name):
+        # path generation admits no path the working set spans, so the
+        # seed never makes a Newton system singular
+        game = generate(self.SPECS[name])
+        seed = game.zero_toll_paths
+        assert game.zero_toll_paths is seed
+        rows = [(i, p) for i, pairs in enumerate(seed) for p, _ in pairs]
+        M = equilibrium._path_rows(rows, game.m, game.k)
+        assert np.linalg.matrix_rank(M) == len(rows)
+        for com, pairs in zip(game.commodities, seed):
+            assert all(h > 0.0 for _, h in pairs)
+            assert sum(h for _, h in pairs) == pytest.approx(com.demand, abs=1e-12)
+        untolled = solve_equilibrium(game).flow.aggregate
+        agg = np.zeros(game.m)
+        for pairs in seed:
+            for p, h in pairs:
+                agg[list(p)] += h
+        assert np.max(np.abs(agg - untolled)) <= 1e-9
 
 
 def _reference_step(A, F, D, tau) -> float:

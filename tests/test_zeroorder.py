@@ -380,18 +380,23 @@ class TestComputeOptimalTolls:
         # very tolls induce
         assert oracle.query(tolls).total_cost == rep.best_cost
 
-    def test_budget_equal_to_descent_spend_keeps_best_sample(self, fig1_l1):
+    def test_budget_equal_to_descent_spend_keeps_best_sample(
+        self, pigou, fig1_l1, fig1_l2, braess
+    ):
         # a budget of exactly what the descent spends is enough: returning
-        # the best sample's tolls takes no further query
+        # the best sample's tolls takes no further query, and a budget
+        # reached but never refused is not a spent one (on pigou and
+        # fig1_l2 the last iteration is served from the cache alone)
         cfg = OptConfig(epsilon=0.02)
-        probe = EquilibriumOracle(fig1_l1, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        descent = minimize_total_latency(probe, fig1_l1.skeleton(), cfg)
-        assert descent.status == "CONVERGED"
-        oracle = EquilibriumOracle(
-            fig1_l1, OracleMode.FLOW_AND_COST, eps_query=1e-11,
-            max_queries=descent.total_oracle_queries,
-        )
-        tolls, rep = compute_optimal_tolls(oracle, fig1_l1.skeleton(), cfg)
-        assert rep.status == "CONVERGED"
-        assert np.array_equal(tolls.values, descent.final_tolls.values)
-        assert rep.total_oracle_queries == oracle.query_count == oracle.max_queries
+        for game in (pigou, fig1_l1, fig1_l2, braess):
+            probe = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+            descent = minimize_total_latency(probe, game.skeleton(), cfg)
+            assert descent.status == "CONVERGED"
+            oracle = EquilibriumOracle(
+                game, OracleMode.FLOW_AND_COST, eps_query=1e-11,
+                max_queries=descent.total_oracle_queries,
+            )
+            tolls, rep = compute_optimal_tolls(oracle, game.skeleton(), cfg)
+            assert rep.status == "CONVERGED"
+            assert np.array_equal(tolls.values, descent.final_tolls.values)
+            assert rep.total_oracle_queries == oracle.query_count == oracle.max_queries
