@@ -173,6 +173,29 @@ class TestSolveEquilibrium:
         assert res.flow.per_commodity.shape == (0, 1)
         assert res.beckmann_gap == 0.0
 
+    def test_constant_latency_tie_hands_back_to_conditional_gradient(
+        self, monkeypatch
+    ):
+        # the untolled seed splits the demand over links 0, 2 and 3; at
+        # these tolls the constant link 1 is cheapest (1.2 against 1.5, 2.3
+        # and 2.0), Newton stalls on the constant routes, and one
+        # conditional-gradient step moves all the demand there.  Without
+        # that step the solve raises NoConvergence
+        game = make_parallel([(0.0, 1.0), (1.0,), (0.5,), (0.2, 0.5, 0.3)])
+        steps = []
+        line_search = equilibrium._line_search
+
+        def counted_step(*args):
+            steps.append(1)
+            return line_search(*args)
+
+        monkeypatch.setattr(equilibrium, "_line_search", counted_step)
+        cfg = EqConfig(accuracy=1e-11)
+        res = solve_equilibrium(game, TollVector(np.array([1.5, 0.2, 1.8, 1.8])), cfg)
+        assert np.allclose(res.flow.aggregate, [0.0, 1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+        assert res.beckmann_gap <= cfg.accuracy
+        assert len(steps) >= 1
+
     def test_grid_seeded_solve_skips_conditional_gradient(self, monkeypatch):
         # every solve starts from the game's untolled equilibrium paths and
         # goes straight to Newton: no conditional-gradient line search, and
