@@ -18,10 +18,15 @@ works in path space with column generation:
 2. Newton iterations on the working paths then solve the equilibrium
    conditions (all used paths of a commodity equally cheap, demands met)
    to near machine precision, with ratio tests keeping path flows
-   nonnegative and stalled systems handed back to conditional-gradient
-   steps (this happens when constant-latency edges tie).  Between rounds,
+   nonnegative.  A stalled Newton round hands the flow to
+   conditional-gradient steps.  Newton stalls where its linearized system
+   is singular, on ties between constant-latency routes, and, more often,
+   where its residual stops falling at its rounding floor, just above its
+   tolerance, on games with no constant-latency edge.  Between rounds,
    any shortest path cheaper than the used ones joins the working set,
-   so paths the seed lacks are still generated.
+   so paths the seed lacks are still generated.  The working set is one
+   table, built once per solve and changed in place: a row per path, its
+   edge and commodity incidence, and the path flows.
 
 Parallel links with strictly increasing latencies skip the path machinery:
 one level solve (a threshold sweep on chord models, then bracketed Newton
@@ -37,6 +42,7 @@ found, so the solver output is a well-defined function of (game, tolls).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +78,11 @@ MAX_ITERATIONS = 6000
 #: Duality-gap target of the untolled solve that seeds a game's path set.
 SEED_ACCURACY = 1e-10
 
-#: Per commodity, (path, flow) pairs: where every general-graph solve starts.
-SeedPaths = tuple[tuple[tuple[tuple[int, ...], float], ...], ...]
+#: One working path: (commodity, edge ids).
+_Row = tuple[int, tuple[int, ...]]
+
+#: Rows and their flows: where every general-graph solve starts.
+SeedPaths = tuple[tuple[_Row, ...], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -176,7 +185,7 @@ def _line_search(A: np.ndarray, F: np.ndarray, D: np.ndarray, tau: np.ndarray) -
     return float(g)
 
 
-def _path_rows(rows: list[tuple[int, tuple[int, ...]]], m: int, k: int) -> np.ndarray:
+def _path_rows(rows: list[_Row], m: int, k: int) -> np.ndarray:
     """One row per (commodity, path): its edge incidence, then a commodity
     indicator.  Paths are linearly dependent exactly when these rows are."""
     M = np.zeros((len(rows), m + k))
@@ -188,58 +197,71 @@ def _path_rows(rows: list[tuple[int, tuple[int, ...]]], m: int, k: int) -> np.nd
 
 
 class _PathState:
-    """Working per-commodity path sets with flows, shared aggregate views."""
+    """The working set of one solve: one row per (commodity, path), their
+    ``_path_rows`` matrix ``M`` with halves ``N`` (edges) and ``E``
+    (commodities), and the path flows ``h``.  Built once per solve, then
+    changed in place."""
 
-    def __init__(self, game: RoutingGame):
-        self.game = game
-        self.paths: list[list[tuple[int, ...]]] = [[] for _ in game.commodities]
-        self.flows: list[list[float]] = [[] for _ in game.commodities]
+    def __init__(self, game: RoutingGame, rows: Iterable[_Row], h) -> None:
+        self.m, self.k = game.m, game.k
+        self.rows = list(rows)
+        self.M = _path_rows(self.rows, self.m, self.k)
+        self.h = np.array(h, dtype=float)
 
-    def add_path(self, i: int, path: tuple[int, ...], flow: float = 0.0) -> None:
-        if path in self.paths[i]:
-            self.flows[i][self.paths[i].index(path)] += flow
-        else:
-            self.paths[i].append(path)
-            self.flows[i].append(flow)
+    @property
+    def N(self) -> np.ndarray:
+        return self.M[:, : self.m]
 
-    def aggregate(self) -> np.ndarray:
-        F = np.zeros(self.game.m)
-        for plist, hlist in zip(self.paths, self.flows):
-            for path, h in zip(plist, hlist):
-                if h != 0.0:
-                    for e in path:
-                        F[e] += h
-        return F
+    @property
+    def E(self) -> np.ndarray:
+        return self.M[:, self.m :]
 
-    def per_commodity(self) -> np.ndarray:
-        X = np.zeros((self.game.k, self.game.m))
-        for i, (plist, hlist) in enumerate(zip(self.paths, self.flows)):
-            for path, h in zip(plist, hlist):
-                if h != 0.0:
-                    for e in path:
-                        X[i, e] += h
-        return X
+    def narrow(self, keep: np.ndarray) -> None:
+        self.rows = [row for row, kept in zip(self.rows, keep) if kept]
+        self.M, self.h = self.M[keep], self.h[keep]
 
-    def prune(self, cut: float = 0.0) -> bool:
-        """Drop paths with flow at most ``cut``; True if any was dropped."""
-        changed = False
-        for i in range(len(self.paths)):
-            keep = [
-                (p, h)
-                for p, h in zip(self.paths[i], self.flows[i])
-                if h > cut
-            ]
-            if len(keep) == len(self.paths[i]):
-                continue
-            changed = True
-            dropped = self.game.commodities[i].demand - sum(h for _, h in keep)
-            self.paths[i] = [p for p, _ in keep]
-            self.flows[i] = [h for _, h in keep]
-            if keep and dropped != 0.0:
-                # fold the pruned mass into the largest path to keep demand exact
-                jmax = max(range(len(keep)), key=lambda j: self.flows[i][j])
-                self.flows[i][jmax] += dropped
-        return changed
+    def append(self, rows: list[_Row], h: np.ndarray) -> None:
+        self.rows += rows
+        self.M = np.vstack([self.M, _path_rows(rows, self.m, self.k)])
+        self.h = np.concatenate([self.h, h])
+
+    def spans(self, r: int, basis: np.ndarray) -> bool:
+        """Whether the rows in the mask ``basis`` span row ``r``.  Adding a
+        spanned path would make the Newton system singular, and at an
+        equilibrium of the working paths it costs exactly its commodity's
+        level; two paths that each pass this test alone can fail it
+        together.  One LU solve of a small Gram matrix, as in the Newton
+        rounds: an SVD would add about 1 MB of LAPACK to the process."""
+        B, row = self.M[basis], self.M[r]
+        try:
+            y = np.linalg.solve(B @ B.T, B @ row)
+        except np.linalg.LinAlgError:  # a tie step brought in a spanned path
+            return False
+        return float(np.max(np.abs(row - y @ B))) <= 1e-9
+
+    def admit(self, first: int) -> bool:
+        """Keep each row from ``first`` on only if the rows kept before it
+        neither hold nor span it; True if any of them is kept."""
+        keep = np.arange(len(self.rows)) < first
+        for r in range(first, len(self.rows)):
+            keep[r] = self.rows[r] not in self.rows[:r] and not self.spans(r, keep)
+        self.narrow(keep)
+        return len(self.rows) > first
+
+    def prune(self, cut: float, demands: np.ndarray) -> bool:
+        """Drop paths with flow at most ``cut``; True if any was dropped.
+        A commodity that loses a path gets the dropped mass back on its
+        largest path, so its demand stays exact."""
+        keep = self.h > cut
+        if keep.all():
+            return False
+        lost = self.E[~keep].any(axis=0)
+        self.narrow(keep)
+        for i in np.flatnonzero(lost):
+            mine = np.flatnonzero(self.E[:, i])
+            if mine.size:
+                self.h[mine[np.argmax(self.h[mine])]] += demands[i] - self.h[mine].sum()
+        return True
 
 
 def _newton_round(
@@ -251,22 +273,20 @@ def _newton_round(
 ) -> tuple[bool, int]:
     """Equilibrate the working paths: equal cost per commodity, demands met.
 
-    Runs at most 40 Newton iterations and returns (converged,
-    inner_iterations).  A ratio test keeps path flows nonnegative, and a
-    path at zero flow that is strictly dearer than its commodity's level
-    leaves the set, on entry and after every step.  From the third
-    iteration on, a step that cuts the residual by less than 10% ends the
-    round with ``converged`` False: the linearized system stalls on ties
-    between constant-latency routes, and the caller hands the flow to
-    conditional-gradient steps.
+    Runs at most 40 Newton iterations on ``state`` in place and returns
+    (converged, inner_iterations).  A ratio test keeps path flows
+    nonnegative, and a path at zero flow that is strictly dearer than its
+    commodity's level leaves the set, on entry and after every step.  From
+    the third iteration on, a step that cuts the residual by less than 10%
+    ends the round with ``converged`` False, and the caller hands the flow
+    to conditional-gradient steps.  The residual stalls in two ways: the
+    linearized system is singular on ties between constant-latency routes,
+    and on games without such routes the residual can stall at its
+    rounding floor, just above ``tol``.
     """
-    game = state.game
-    k = game.k
-    rows = [(i, p) for i, plist in enumerate(state.paths) for p in plist]
-    P = len(rows)
-    M = _path_rows(rows, game.m, k)
-    N, E = M[:, : game.m], M[:, game.m :]
-    h = np.array([hv for hlist in state.flows for hv in hlist], dtype=float)
+    k = len(demands)
+    N, E, h = state.N, state.E, state.h
+    P = len(h)
     c = N @ (_eval_poly_rows(A, h @ N) + tau)
     lam = np.zeros(k)
     for i in range(k):
@@ -290,17 +310,15 @@ def _newton_round(
         # negative, leave the set
         drop = pinned if pinned.any() else (h == 0.0) & (r[:P] > 10 * tol)
         if drop.any():
-            keep = ~drop
-            rows = [row for row, kept in zip(rows, keep) if kept]
-            N, E, h = N[keep], E[keep], h[keep]
-            P = len(rows)
+            state.narrow(~drop)
+            N, E, h = state.N, state.E, state.h
+            P = len(h)
             r, c = residual(h, lam)
             best_norm = float(np.max(np.abs(r)))
             pinned = np.zeros(P, dtype=bool)
             progress = True
         elif not progress and best_norm > tol and it >= 3:
             # three iterations without real progress: hand back to CG
-            _writeback(state, rows, h)
             return False, it
         if best_norm <= tol or it >= 40:
             break
@@ -327,7 +345,7 @@ def _newton_round(
             ratios = h[shrink] / -dh[shrink]
             block = shrink[np.argmin(ratios)]
             alpha = float(ratios.min())
-        h = np.maximum(h + alpha * dh, 0.0)
+        state.h = h = np.maximum(h + alpha * dh, 0.0)
         if shrink.size:
             h[block] = 0.0
         lam = lam + alpha * dlam
@@ -337,16 +355,7 @@ def _newton_round(
             break
         progress = norm_new < best_norm * 0.9
         best_norm = min(best_norm, norm_new)
-    _writeback(state, rows, h)
     return best_norm <= tol, it
-
-
-def _writeback(state: _PathState, rows, h: np.ndarray) -> None:
-    k = len(state.paths)
-    state.paths = [[p for j, p in rows if j == i] for i in range(k)]
-    state.flows = [
-        [float(hv) for (j, _), hv in zip(rows, h) if j == i] for i in range(k)
-    ]
 
 
 def _is_strict_parallel(game: RoutingGame) -> bool:
@@ -478,59 +487,44 @@ def _solve_paths(
     A = game.latency_table.coeffs
     k = game.k
     demands = np.array([c.demand for c in game.commodities])
-    state = _PathState(game)
+    init_paths, _ = _shortest_paths(game, _eval_poly_rows(A, np.zeros(game.m)) + tau)
+    if start is None:
+        state = _PathState(game, enumerate(init_paths), demands)
+    else:
+        rows, h = start
+        state = _PathState(
+            game, [*rows, *enumerate(init_paths)], np.concatenate([h, np.zeros(k)])
+        )
+        state.admit(len(rows))
 
     def measure() -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]], np.ndarray, float]:
-        F = state.aggregate()
+        F = state.h @ state.N
         costs = _eval_poly_rows(A, F) + tau
         best, dist = _shortest_paths(game, costs)
         gap = max(0.0, float(np.dot(costs, F)) - float(np.dot(demands, dist)))
         return F, costs, best, dist, gap
-
-    def spanned(i: int, path: tuple[int, ...]) -> bool:
-        """Whether the working paths span commodity i's ``path``.  Adding
-        it would make the Newton system singular, and at an equilibrium of
-        the working paths it costs exactly its commodity's level; two paths
-        that each pass this test alone can fail it together.  One LU solve
-        of a small Gram matrix, as in the Newton rounds: an SVD would add
-        about 1 MB of LAPACK to the process."""
-        rows = [(j, p) for j, plist in enumerate(state.paths) for p in plist]
-        M = _path_rows(rows + [(i, path)], game.m, k)
-        B, row = M[:-1], M[-1]
-        try:
-            y = np.linalg.solve(B @ B.T, B @ row)
-        except np.linalg.LinAlgError:  # a tie step brought in a spanned path
-            return False
-        return float(np.max(np.abs(row - y @ B))) <= 1e-9
 
     def cg_step(F: np.ndarray, best: list[tuple[int, ...]]) -> bool:
         """Conditional-gradient step toward the all-or-nothing assignment
         on ``best``; False, changing nothing, when the line search gives 0."""
         S = np.zeros(game.m)
         for i, p in enumerate(best):
-            for e in p:
-                S[e] += demands[i]
+            S[list(p)] += demands[i]
         gamma = _line_search(A, F, S - F, tau)
         if gamma <= 0.0:
             return False
-        for i in range(k):
-            state.flows[i] = [h * (1.0 - gamma) for h in state.flows[i]]
-            state.add_path(i, best[i], gamma * float(demands[i]))
-        state.prune(1e-16 * float(demands.max()))
+        state.h *= 1.0 - gamma
+        new = []
+        for row in enumerate(best):
+            if row in state.rows:
+                state.h[state.rows.index(row)] += gamma * demands[row[0]]
+            else:
+                new.append(row)
+        state.append(new, gamma * demands[[i for i, _ in new]])
+        state.prune(1e-16 * float(demands.max()), demands)
         return True
 
-    init_paths, _ = _shortest_paths(game, _eval_poly_rows(A, np.zeros(game.m)) + tau)
-    if start is None:
-        for i, p in enumerate(init_paths):
-            state.add_path(i, p, float(demands[i]))
-    else:
-        for i, pairs in enumerate(start):
-            for q, h in pairs:
-                state.add_path(i, q, h)
-        for i, p in enumerate(init_paths):
-            if p not in state.paths[i] and not spanned(i, p):
-                state.add_path(i, p, 0.0)
-    F = state.aggregate()
+    F = state.h @ state.N
     scale = max(1.0, abs(float(np.dot(_eval_poly_rows(A, F) + tau, F))))
     newton_tol = max(1e-13 * scale, 1e-15)
     add_tol = 20 * newton_tol
@@ -543,36 +537,30 @@ def _solve_paths(
         iterations += max(inner, 1)
         F, costs, best, dist, gap = measure()
         if not ok and gap > accuracy and cg_step(F, best):
-            # constant-latency ties: shift flow by conditional gradient
+            # Newton stalled: shift flow by conditional gradient
             iterations += 1
             continue
+        # each commodity's cheapest used path against its shortest one
+        used = (state.E.T > 0) & (state.h > 0)
+        lam = np.min(np.where(used, state.N @ costs, np.inf), axis=1)
+        fresh = [(i, best[i]) for i in range(k) if lam[i] - dist[i] > add_tol]
         added = False
-        for i in range(k):
-            used_costs = [
-                float(sum(costs[e] for e in p))
-                for p, h in zip(state.paths[i], state.flows[i])
-                if h > 0
-            ]
-            lam_i = min(used_costs) if used_costs else float("inf")
-            if (
-                lam_i - dist[i] > add_tol
-                and best[i] not in state.paths[i]
-                and not spanned(i, best[i])
-            ):
-                state.add_path(i, best[i], 0.0)
-                added = True
+        if fresh:
+            state.append(fresh, np.zeros(len(fresh)))
+            added = state.admit(len(state.rows) - len(fresh))
         if not added and (gap <= accuracy or ok):
             # at the target, or equilibrated with no better path left
             # (the gap is then numerical noise)
             settled = True
             break
-    if state.prune(0.0) or not settled:
+    if state.prune(0.0, demands) or not settled:
         F, costs, _, dist, gap = measure()
     return state, costs, dist, gap, iterations
 
 
 def zero_toll_paths(game: RoutingGame) -> SeedPaths:
-    """Per commodity, the paths the untolled equilibrium uses, with flows.
+    """The paths the untolled equilibrium uses, as (commodity, path) rows,
+    with their flows.
 
     One cold solve at the fixed ``SEED_ACCURACY`` computes them, so they
     are a function of the game alone; ``RoutingGame.zero_toll_paths``
@@ -581,9 +569,8 @@ def zero_toll_paths(game: RoutingGame) -> SeedPaths:
     conditional-gradient step (a tie) brought in a spanned one.
     """
     state, _, _, _, _ = _solve_paths(game, np.zeros(game.m), SEED_ACCURACY, None)
-    return tuple(
-        tuple(zip(plist, hlist)) for plist, hlist in zip(state.paths, state.flows)
-    )
+    state.h.setflags(write=False)
+    return tuple(state.rows), state.h
 
 
 def solve_equilibrium(
@@ -608,22 +595,17 @@ def solve_equilibrium(
     state, costs, dist, gap, iterations = _solve_paths(
         game, tau, cfg.accuracy, game.zero_toll_paths
     )
-    violation = 0.0
-    for i in range(k):
-        for p, h in zip(state.paths[i], state.flows[i]):
-            if h > 0:
-                violation = max(
-                    violation, float(sum(costs[e] for e in p)) - float(dist[i])
-                )
+    excess = state.N @ costs - state.E @ dist
+    violation = float(np.max(excess[state.h > 0], initial=0.0))
     if gap > cfg.accuracy:
         raise NoConvergence(
             f"duality gap {gap:.3e} above target {cfg.accuracy:.3e} "
             f"after {iterations} iterations"
         )
     return EquilibriumResult(
-        flow=FlowVector(state.per_commodity()),
+        flow=FlowVector((state.E.T * state.h) @ state.N),
         beckmann_gap=gap,
-        wardrop_violation=max(0.0, violation),
+        wardrop_violation=violation,
         iterations=iterations,
     )
 

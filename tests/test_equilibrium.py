@@ -298,17 +298,17 @@ class TestSeededStart:
         game = generate(self.SPECS[name])
         seed = game.zero_toll_paths
         assert game.zero_toll_paths is seed
-        rows = [(i, p) for i, pairs in enumerate(seed) for p, _ in pairs]
+        rows, h = seed
         M = equilibrium._path_rows(rows, game.m, game.k)
-        assert np.linalg.matrix_rank(M) == len(rows)
-        for com, pairs in zip(game.commodities, seed):
-            assert all(h > 0.0 for _, h in pairs)
-            assert sum(h for _, h in pairs) == pytest.approx(com.demand, abs=1e-12)
+        assert np.linalg.matrix_rank(M) == len(rows) == len(h)
+        assert np.all(h > 0.0)
+        for i, com in enumerate(game.commodities):
+            mine = [hv for (j, _), hv in zip(rows, h) if j == i]
+            assert sum(mine) == pytest.approx(com.demand, abs=1e-12)
         untolled = solve_equilibrium(game).flow.aggregate
         agg = np.zeros(game.m)
-        for pairs in seed:
-            for p, h in pairs:
-                agg[list(p)] += h
+        for (_, p), hv in zip(rows, h):
+            agg[list(p)] += hv
         assert np.max(np.abs(agg - untolled)) <= 1e-9
 
 
