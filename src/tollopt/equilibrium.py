@@ -541,8 +541,11 @@ def _solve_paths(
             iterations += 1
             continue
         # each commodity's cheapest used path against its shortest one
-        used = (state.E.T > 0) & (state.h > 0)
-        lam = np.min(np.where(used, state.N @ costs, np.inf), axis=1)
+        lam = [math.inf] * k
+        path_costs = (state.N @ costs).tolist()
+        for (i, _), c, hv in zip(state.rows, path_costs, state.h.tolist()):
+            if hv > 0.0:
+                lam[i] = min(lam[i], c)
         fresh = [(i, best[i]) for i in range(k) if lam[i] - dist[i] > add_tol]
         added = False
         if fresh:
@@ -595,8 +598,8 @@ def solve_equilibrium(
     state, costs, dist, gap, iterations = _solve_paths(
         game, tau, cfg.accuracy, game.zero_toll_paths
     )
-    excess = state.N @ costs - state.E @ dist
-    violation = float(np.max(excess[state.h > 0], initial=0.0))
+    excess = (state.N @ costs - state.E @ dist).tolist()
+    violation = max([0.0] + [x for x, hv in zip(excess, state.h.tolist()) if hv > 0.0])
     if gap > cfg.accuracy:
         raise NoConvergence(
             f"duality gap {gap:.3e} above target {cfg.accuracy:.3e} "
