@@ -202,7 +202,7 @@ class _PathState:
     (commodities), and the path flows ``h``.  Built once per solve, then
     changed in place."""
 
-    def __init__(self, game: RoutingGame, rows: Iterable[_Row], h) -> None:
+    def __init__(self, game: RoutingGame, rows: Iterable[_Row], h: np.ndarray) -> None:
         self.m, self.k = game.m, game.k
         self.rows = list(rows)
         self.M = _path_rows(self.rows, self.m, self.k)
