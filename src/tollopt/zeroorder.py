@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .enforcement import (
     EnforcementConfig,
@@ -192,7 +191,11 @@ def affine_hull_basis(skel: GameSkeleton) -> np.ndarray:
         usable = np.flatnonzero(_usable_edges(skel, i))
         if usable.size == 0:
             continue
-        Z = null_space(skel.incidence[:, usable])
+        A = skel.incidence[:, usable]
+        # null space by SVD; singular values up to eps * max(A.shape) * max(s) are zero
+        _, s, vh = np.linalg.svd(A, full_matrices=True)
+        tol = np.amax(s, initial=0.0) * (np.finfo(float).eps * max(A.shape))
+        Z = vh[int(np.sum(s > tol)):].T
         for col in range(Z.shape[1]):
             v = np.zeros((skel.k, skel.m))
             v[i, usable] = Z[:, col]
