@@ -123,7 +123,6 @@ class EnforcementTraceRecord:
     iteration: int
     cut_type: str  # "dual", "box" or "separation"
     center: np.ndarray
-    tolls_queried: np.ndarray | None
     deviation: float | None
     log_volume: float | None  # None on a dual step
     ellipsoid: Ellipsoid | None  # None on a dual step
@@ -233,7 +232,6 @@ def enforce_flow(
                     iteration=steps,
                     cut_type="dual",
                     center=tau,
-                    tolls_queried=tau,
                     deviation=dev,
                     log_volume=None,
                     ellipsoid=None,
@@ -330,7 +328,6 @@ def ellipsoid_search(
             g = np.zeros(m)
             g[j] = 1.0 if low[j] else -1.0
             cut_type = "box"
-            tau_q = None
             dev = None
         else:
             tau_q = np.clip(c, 0.0, t_max)
@@ -364,7 +361,6 @@ def ellipsoid_search(
                     iteration=it,
                     cut_type=cut_type,
                     center=c,
-                    tolls_queried=tau_q,
                     deviation=dev,
                     log_volume=log_vol,
                     ellipsoid=E,
