@@ -48,7 +48,12 @@ from .serialize import (
     tolls_from_json,
     tolls_to_json,
 )
-from .zeroorder import OptConfig, OracleSampleFailed, compute_optimal_tolls
+from .zeroorder import (
+    OptConfig,
+    OracleSampleFailed,
+    compute_optimal_tolls,
+    require_acyclic,
+)
 
 __all__ = [
     "main",
@@ -521,7 +526,8 @@ def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
             desc = asdict(spec)
         cfg = OptConfig(epsilon=epsilon, delta=delta)
         cfg.resolved_delta(game.skeleton())  # rejects a delta above its bound
-    except ValueError as exc:  # BadSpec, or an invalid epsilon or delta
+        require_acyclic(game.skeleton())
+    except ValueError as exc:  # BadSpec, an invalid epsilon or delta, a cycle
         click.echo(f"invalid input: {exc}", err=True)
         sys.exit(EXIT_INVALID)
     with _solver_failures_exit():

@@ -41,6 +41,7 @@ __all__ = [
     "OptConfig",
     "CostOracleSample",
     "OptimizationReport",
+    "require_acyclic",
     "project_to_polytope",
     "affine_hull_basis",
     "reference_flow",
@@ -168,6 +169,17 @@ class SampleEngine:
 # ---------------------------------------------------------------------------
 
 
+def require_acyclic(skel: GameSkeleton) -> None:
+    """Raise ``ValueError`` if the graph has a directed cycle.
+
+    The projection and the gap estimate take shortest paths by dynamic
+    programming over a topological order, so the minimizer cannot run on
+    a cyclic graph; checking first spends no query on one.
+    """
+    if skel.topological_order is None:
+        raise ValueError("the zero-order minimizer needs an acyclic graph")
+
+
 def _usable_edges(skel: GameSkeleton, i: int) -> np.ndarray:
     """Edges lying on some source-sink path of commodity i."""
     vi = skel.vertex_index
@@ -252,8 +264,7 @@ def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
     candidate = FlowVector(pts)
     if pts.shape == (skel.k, skel.m) and is_feasible(skel, candidate, tol=1e-12):
         return candidate
-    if skel.topological_order is None:
-        raise ValueError("projection requires an acyclic graph")
+    require_acyclic(skel)
     m = skel.m
     out = np.zeros((skel.k, m))
     for i, com in enumerate(skel.commodities):
@@ -385,6 +396,7 @@ def minimize_total_latency(
     """
     if tuple(skeleton.edge_ids) != tuple(oracle.skeleton.edge_ids):
         raise ValueError("skeleton does not match the oracle's game")
+    require_acyclic(skeleton)
     delta = cfg.resolved_delta(skeleton)
     engine = SampleEngine(oracle, delta)
     basis = affine_hull_basis(skeleton)
