@@ -2,7 +2,10 @@
 
 Numeric values are written as decimal strings (repr of the float) so files
 round-trip without drift.  Flows are edge-id-keyed maps; multicommodity
-flows wrap one map per commodity under "commodities".
+flows wrap one map per commodity under "commodities".  Readers raise
+``ValueError`` on a payload of the wrong JSON type, an unknown edge id or
+a value that is neither a number nor a decimal string; an edge missing
+from a flow or toll map reads as 0.
 """
 
 from __future__ import annotations
@@ -35,6 +38,29 @@ def _num(x) -> str:
     return repr(float(x))
 
 
+def _value(x) -> float:
+    """A JSON number or decimal string as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def _expect(x, kind: type, what: str):
+    """``x``, if it is a JSON object (dict) or list as ``kind`` says."""
+    if not isinstance(x, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return x
+
+
+def _edge_values(ids, payload, what: str) -> list[float]:
+    """Values of an edge-id-keyed map in edge order; missing ids read as 0."""
+    _expect(payload, dict, what)
+    unknown = sorted(set(payload) - set(ids))
+    if unknown:
+        raise ValueError(f"{what} names unknown edge ids {unknown}")
+    return [_value(payload.get(eid, 0.0)) for eid in ids]
+
+
 def game_to_json(game: RoutingGame) -> str:
     payload = {
         "vertices": list(game.vertices),
@@ -56,10 +82,11 @@ def game_to_json(game: RoutingGame) -> str:
 
 
 def game_from_json(text: str) -> RoutingGame:
-    payload = json.loads(text)
+    payload = _expect(json.loads(text), dict, "an instance")
     edges = []
-    for e in payload["edges"]:
-        coeffs = tuple(float(a) for a in e["coeffs"])
+    for e in _expect(payload["edges"], list, "edges"):
+        _expect(e, dict, "an edge")
+        coeffs = tuple(_value(a) for a in _expect(e["coeffs"], list, "coeffs"))
         constant = not any(a > 0 for a in coeffs[1:])
         edges.append(
             Edge(
@@ -69,12 +96,15 @@ def game_from_json(text: str) -> RoutingGame:
                 PolyLatency(coeffs, constant=constant),
             )
         )
-    commodities = tuple(
-        Commodity(str(c["source"]), str(c["sink"]), float(c["demand"]))
-        for c in payload["commodities"]
-    )
+    commodities = []
+    for c in _expect(payload["commodities"], list, "commodities"):
+        _expect(c, dict, "a commodity")
+        commodities.append(
+            Commodity(str(c["source"]), str(c["sink"]), _value(c["demand"]))
+        )
+    vertices = _expect(payload["vertices"], list, "vertices")
     game = RoutingGame(
-        tuple(str(v) for v in payload["vertices"]), tuple(edges), commodities
+        tuple(str(v) for v in vertices), tuple(edges), tuple(commodities)
     )
     return validate_game(game)
 
@@ -97,12 +127,9 @@ def flow_from_json(game, text: str) -> FlowVector:
     ids = game.skeleton().edge_ids
     payload = json.loads(text)
     if isinstance(payload, dict) and "commodities" in payload:
-        rows = [
-            [float(row.get(eid, 0.0)) for eid in ids]
-            for row in payload["commodities"]
-        ]
-        return FlowVector(np.array(rows))
-    return FlowVector(np.array([[float(payload.get(eid, 0.0)) for eid in ids]]))
+        rows = _expect(payload["commodities"], list, "commodities")
+        return FlowVector(np.array([_edge_values(ids, row, "a flow") for row in rows]))
+    return FlowVector(np.array([_edge_values(ids, payload, "a flow")]))
 
 
 def tolls_to_json(game, tolls: TollVector) -> str:
@@ -114,5 +141,4 @@ def tolls_to_json(game, tolls: TollVector) -> str:
 
 def tolls_from_json(game, text: str) -> TollVector:
     ids = game.skeleton().edge_ids
-    payload = json.loads(text)
-    return TollVector(np.array([float(payload.get(eid, 0.0)) for eid in ids]))
+    return TollVector(np.array(_edge_values(ids, json.loads(text), "a toll map")))
