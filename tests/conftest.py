@@ -38,6 +38,19 @@ def make_braess(demand=1.0):
     )
 
 
+def make_cyclic(demand=1.0):
+    """Diamond with both a->b and b->a: a directed cycle on the s-t paths."""
+    edges = tuple(
+        Edge(f"e{i}", tail, head, PolyLatency((0.1 * i, 1.0)))
+        for i, (tail, head) in enumerate(
+            [("s", "a"), ("a", "b"), ("b", "a"), ("b", "t"), ("s", "b"), ("a", "t")]
+        )
+    )
+    return validate_game(
+        RoutingGame(("s", "a", "b", "t"), edges, (Commodity("s", "t", demand),))
+    )
+
+
 def random_parallel(m, rng, bound=1.5, quadratic=False):
     lats = []
     for _ in range(m):

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from conftest import make_cyclic
 from tollopt import cli, equilibrium, oracle
 from tollopt.cli import (
     main,
@@ -16,6 +17,7 @@ from tollopt.ellipsoid import NumericBreakdown
 from tollopt.equilibrium import NoConvergence
 from tollopt.instances import InstanceSpec
 from tollopt.oracle import OracleBudgetExceeded
+from tollopt.serialize import game_to_json
 from tollopt.zeroorder import OracleSampleFailed
 
 
@@ -180,6 +182,42 @@ def test_optimize_spent_budget_emits_report_and_exits_4(runner, tmp_path):
 def test_optimize_bad_config_exits_3(runner, args):
     result = runner.invoke(main, ["optimize", "--topology", "pigou", *args])
     assert result.exit_code == 3
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command, option, text",
+    [
+        ("solve-eq", "--tolls", '{"e7": "0.5"}'),  # pigou has no edge e7
+        ("solve-eq", "--tolls", '["0.5", "0.5"]'),
+        ("solve-eq", "--tolls", '{"e0": [1]}'),
+        ("enforce", "--target", '["0.5", "0.5"]'),
+        ("enforce", "--target", '{"e0": "0.5", "e1": "0.5", "e9": "0"}'),
+        ("solve-eq", "--instance", "[1]"),
+    ],
+)
+def test_malformed_input_file_exits_3(runner, tmp_path, command, option, text):
+    game_path = tmp_path / "game.json"
+    runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
+    target = tmp_path / "target.json"
+    target.write_text('{"e0": "0.5", "e1": "0.5"}')
+    files = {"--instance": str(game_path)}
+    if command == "enforce":
+        files["--target"] = str(target)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files[option] = str(bad)
+    result = runner.invoke(main, [command, *(x for kv in files.items() for x in kv)])
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
+
+
+def test_optimize_cyclic_instance_exits_3(runner, tmp_path):
+    game_path = tmp_path / "cyc.json"
+    game_path.write_text(game_to_json(make_cyclic()))
+    result = runner.invoke(main, ["optimize", "--instance", str(game_path)])
+    assert result.exit_code == 3
+    assert "acyclic" in result.output
     assert "Traceback" not in result.output
 
 

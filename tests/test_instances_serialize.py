@@ -120,6 +120,12 @@ class TestSerialize:
         tau2 = tolls_from_json(g, tolls_to_json(g, tau))
         assert np.array_equal(tau2.values, tau.values)
 
+    def test_missing_edge_ids_read_as_zero(self):
+        g = generate(InstanceSpec(topology="pigou"))
+        assert np.array_equal(tolls_from_json(g, '{"e1": 0.5}').values, [0.0, 0.5])
+        f = flow_from_json(g, '{"commodities": [{"e0": "1.0"}]}')
+        assert np.array_equal(f.per_commodity, [[1.0, 0.0]])
+
     def test_flow_json_keys_are_edge_ids(self):
         g = generate(InstanceSpec(topology="pigou"))
         payload = json.loads(flow_to_json(g, FlowVector.single([1.0, 0.0])))

@@ -1,9 +1,20 @@
 """Zero-order value oracle, projection, gradients, and the minimizer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import make_parallel, random_dag_game, random_parallel
+from conftest import (
+    make_cyclic,
+    make_parallel,
+    random_dag_game,
+    random_parallel,
+)
+from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
 from tollopt import FlowVector, solve_equilibrium, total_latency, zeroorder
 from tollopt.game import has_positive_cycle, is_feasible
 from tollopt.instances import InstanceSpec, generate
@@ -132,6 +143,81 @@ class TestZeroOrderCostOracle:
         s = SampleEngine(oracle, 0.02).sample(f)
         assert not has_positive_cycle(game, s.requested_flow)
         assert np.allclose(s.requested_flow.per_commodity[0], [1, 1, 0, 0])
+
+
+def _usable(skel, i):
+    """Mask of the edges on some source-sink path of commodity i."""
+    com = skel.commodities[i]
+
+    def closure(start, step):
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for a, b in zip(*step):
+                if a == v and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return seen
+
+    vi = skel.vertex_index
+    fwd = closure(vi[com.source], (skel.tails, skel.heads))
+    bwd = closure(vi[com.sink], (skel.heads, skel.tails))
+    return np.array([t in fwd and h in bwd for t, h in zip(skel.tails, skel.heads)])
+
+
+def _chain():
+    edges = (
+        Edge("e0", "s", "a", PolyLatency((0.0, 1.0))),
+        Edge("e1", "a", "t", PolyLatency((0.5, 1.0))),
+    )
+    return validate_game(
+        RoutingGame(("s", "a", "t"), edges, (Commodity("s", "t", 1.0),))
+    )
+
+
+class TestHullBasis:
+    @pytest.fixture(
+        params=["pigou", "braess", "grid3x3", "dag2", "chain"]
+    )
+    def skel(self, request, pigou, braess):
+        games = {
+            "pigou": lambda: pigou,
+            "braess": lambda: braess,
+            "grid3x3": lambda: generate(
+                InstanceSpec(topology="grid", width=3, height=3, seed=5)
+            ),
+            "dag2": lambda: random_dag_game(
+                6, 10, 2, np.random.default_rng(20240817)
+            ),
+            "chain": _chain,
+        }
+        return games[request.param]().skeleton()
+
+    def test_orthonormal(self, skel):
+        B = affine_hull_basis(skel)
+        flat = B.reshape(B.shape[0], skel.k * skel.m)
+        assert np.allclose(flat @ flat.T, np.eye(B.shape[0]), atol=1e-12)
+
+    def test_conserves_flow_at_every_vertex(self, skel):
+        for v in affine_hull_basis(skel):
+            assert np.allclose(skel.incidence @ v.T, 0.0, atol=1e-12)
+
+    def test_each_direction_lives_on_its_commodity_usable_edges(self, skel):
+        B = affine_hull_basis(skel)
+        usable = np.array([_usable(skel, i) for i in range(skel.k)])
+        counts = [0] * skel.k
+        for v in B:
+            owners = [i for i in range(skel.k) if np.any(v[i] != 0.0)]
+            assert len(owners) == 1
+            i = owners[0]
+            assert np.all(v[i, ~usable[i]] == 0.0)
+            counts[i] += 1
+        for i in range(skel.k):
+            A = skel.incidence[:, usable[i]]
+            assert counts[i] == usable[i].sum() - np.linalg.matrix_rank(A)
+
+    def test_chain_has_no_direction(self):
+        assert affine_hull_basis(_chain().skeleton()).shape == (0, 1, 2)
 
 
 class TestProjection:
@@ -322,6 +408,14 @@ class TestMinimize:
         assert steps == [0.0625, 0.015625, 0.00390625]
         assert rep.total_oracle_queries == 24
 
+    def test_cyclic_graph_rejected_before_any_query(self):
+        # the projection's DAG shortest paths could never run on it
+        game = make_cyclic()
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        with pytest.raises(ValueError, match="acyclic"):
+            minimize_total_latency(oracle, game.skeleton(), OptConfig(epsilon=0.02))
+        assert oracle.query_count == 0
+
     def test_mismatched_skeleton_rejected(self, pigou, braess):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         with pytest.raises(ValueError):
@@ -400,3 +494,29 @@ class TestComputeOptimalTolls:
             assert rep.status == "CONVERGED"
             assert np.array_equal(tolls.values, descent.final_tolls.values)
             assert rep.total_oracle_queries == oracle.query_count == oracle.max_queries
+
+
+_NO_SCIPY = """
+import sys
+from tollopt import (
+    EquilibriumOracle, InstanceSpec, OptConfig, OracleMode,
+    compute_optimal_tolls, generate,
+)
+game = generate(InstanceSpec(topology="pigou"))
+oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=0.02))
+assert "scipy" not in sys.modules
+"""
+
+
+def test_optimize_runs_on_numpy_alone():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
