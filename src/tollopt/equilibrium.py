@@ -231,7 +231,8 @@ class _PathState:
         equilibrium of the working paths it costs exactly its commodity's
         level; two paths that each pass this test alone can fail it
         together.  One LU solve of a small Gram matrix, as in the Newton
-        rounds: an SVD would add about 1 MB of LAPACK to the process."""
+        rounds: the first SVD in a process pages in about 1 MB more of
+        LAPACK, and a process that only enforces runs no SVD."""
         B, row = self.M[basis], self.M[r]
         try:
             y = np.linalg.solve(B @ B.T, B @ row)
