@@ -79,8 +79,10 @@ class PolyLatency:
             object.__setattr__(self, "coeffs", (0.0,))
         coeffs = tuple(float(a) for a in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        if any(a < 0 for a in coeffs):
-            raise InvalidGame(f"negative latency coefficient in {coeffs}")
+        if not all(0.0 <= a < math.inf for a in coeffs):  # False for NaN
+            raise InvalidGame(
+                f"latency coefficients must be finite and nonnegative: {coeffs}"
+            )
         growing = any(a > 0 for a in coeffs[1:])
         if self.constant and growing:
             raise InvalidGame("constant-flagged latency has a growing term")

@@ -48,7 +48,8 @@ def _value(x) -> float:
 def _expect(x, kind: type, what: str):
     """``x``, if it is a JSON object (dict) or list as ``kind`` says."""
     if not isinstance(x, kind):
-        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+        name = "object" if kind is dict else "list"
+        raise ValueError(f"{what} must be a JSON {name}")
     return x
 
 

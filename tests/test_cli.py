@@ -194,6 +194,13 @@ def test_optimize_bad_config_exits_3(runner, args):
         ("enforce", "--target", '["0.5", "0.5"]'),
         ("enforce", "--target", '{"e0": "0.5", "e1": "0.5", "e9": "0"}'),
         ("solve-eq", "--instance", "[1]"),
+        (
+            "solve-eq",
+            "--instance",
+            '{"vertices": ["s", "t"], "edges": [{"id": "e0", "tail": "s", '
+            '"head": "t", "coeffs": ["nan", "1.0"]}], "commodities": '
+            '[{"source": "s", "sink": "t", "demand": "1.0"}]}',
+        ),
     ],
 )
 def test_malformed_input_file_exits_3(runner, tmp_path, command, option, text):
