@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    make_braess,
     make_cyclic,
     make_parallel,
     random_dag_game,
@@ -147,22 +148,19 @@ class TestZeroOrderCostOracle:
 
 def _usable(skel, i):
     """Mask of the edges on some source-sink path of commodity i."""
-    com = skel.commodities[i]
+    vi, com = skel.vertex_index, skel.commodities[i]
+    edges = list(zip(skel.tails, skel.heads))
 
-    def closure(start, step):
-        seen, stack = {start}, [start]
-        while stack:
-            v = stack.pop()
-            for a, b in zip(*step):
-                if a == v and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
+    def closure(start, arcs):
+        seen, new = set(), {start}
+        while new:
+            seen |= new
+            new = {b for a, b in arcs if a in seen} - seen
         return seen
 
-    vi = skel.vertex_index
-    fwd = closure(vi[com.source], (skel.tails, skel.heads))
-    bwd = closure(vi[com.sink], (skel.heads, skel.tails))
-    return np.array([t in fwd and h in bwd for t, h in zip(skel.tails, skel.heads)])
+    fwd = closure(vi[com.source], edges)
+    bwd = closure(vi[com.sink], [(h, t) for t, h in edges])
+    return np.array([t in fwd and h in bwd for t, h in edges])
 
 
 def _chain():
@@ -177,21 +175,17 @@ def _chain():
 
 class TestHullBasis:
     @pytest.fixture(
-        params=["pigou", "braess", "grid3x3", "dag2", "chain"]
+        params=[
+            lambda: make_parallel([(0.0, 1.0), (1.0,)]),
+            make_braess,
+            lambda: generate(InstanceSpec(topology="grid", width=3, height=3, seed=5)),
+            lambda: random_dag_game(6, 10, 2, np.random.default_rng(20240817)),
+            _chain,
+        ],
+        ids=["pigou", "braess", "grid3x3", "dag2", "chain"],
     )
-    def skel(self, request, pigou, braess):
-        games = {
-            "pigou": lambda: pigou,
-            "braess": lambda: braess,
-            "grid3x3": lambda: generate(
-                InstanceSpec(topology="grid", width=3, height=3, seed=5)
-            ),
-            "dag2": lambda: random_dag_game(
-                6, 10, 2, np.random.default_rng(20240817)
-            ),
-            "chain": _chain,
-        }
-        return games[request.param]().skeleton()
+    def skel(self, request):
+        return request.param().skeleton()
 
     def test_orthonormal(self, skel):
         B = affine_hull_basis(skel)
