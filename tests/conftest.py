@@ -38,7 +38,7 @@ def make_braess(demand=1.0):
     )
 
 
-def make_cyclic(demand=1.0):
+def make_cyclic():
     """Diamond with both a->b and b->a: a directed cycle on the s-t paths."""
     edges = tuple(
         Edge(f"e{i}", tail, head, PolyLatency((0.1 * i, 1.0)))
@@ -47,7 +47,7 @@ def make_cyclic(demand=1.0):
         )
     )
     return validate_game(
-        RoutingGame(("s", "a", "b", "t"), edges, (Commodity("s", "t", demand),))
+        RoutingGame(("s", "a", "b", "t"), edges, (Commodity("s", "t", 1.0),))
     )
 
 
