@@ -2,13 +2,29 @@
 enforcement, end-to-end toll optimization, the flow-only impossibility
 demo, and query-count benchmarking.
 
-Exit codes: 0 success, 2 a checked tolerance failed (including an
-equilibrium solve or ellipsoid update that could not reach its accuracy),
-3 invalid input, 4 query budget exhausted (including a cost sample whose
-enforcement failed).  Every command that queries an oracle (``enforce``,
-``optimize``, ``demo-impossibility``, ``bench``) maps these failures the
-same way.  Every command is deterministic given --seed and emits a
-machine-readable report with a stable field order.
+Exit codes are one map, by exception class, that every command runs in:
+
+- 0 success;
+- 2 a checked tolerance failed: an equilibrium solve that could not reach
+  its accuracy (``NoConvergence``), an ellipsoid update that broke down
+  (``NumericBreakdown``), an enforcement that found no tolls, or an
+  optimize or demo result that fails its own check;
+- 3 invalid input: any ``ValueError`` (a malformed instance, tolls or
+  target file, a bad spec or configuration value, a negative query
+  budget, a toll out of range, an infeasible or cyclic target, a graph
+  with a directed cycle for ``optimize``), a missing field (``KeyError``),
+  or an input or output path that cannot be read or written (``OSError``);
+- 4 query budget exhausted (``OracleBudgetExceeded``, or
+  ``OracleSampleFailed`` when a cost sample's enforcement failed), and an
+  ``optimize`` run whose descent spent the budget, after its report;
+- 1 only when standard output closes early (a broken pipe), as click
+  handles it.
+
+``enforce --trace`` writes one JSON line per enforcement step (a dual
+step or an ellipsoid cut), ``optimize --trace`` one per descent
+iteration; both open the file before the first query.  Every command is
+deterministic given --seed and emits a machine-readable report with a
+stable field order.
 """
 
 from __future__ import annotations
@@ -18,6 +34,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
+from pathlib import Path
 
 import click
 import numpy as np
@@ -25,16 +42,14 @@ import numpy as np
 from .enforcement import (
     EnforcementConfig,
     EnforcementStatus,
-    TargetCyclic,
-    TargetInfeasible,
     enforce_flow,
     required_accuracy,
 )
 from .ellipsoid import NumericBreakdown
 from .equilibrium import EqConfig, NoConvergence, solve_equilibrium
 from .exact import optimal_flow
-from .game import InvalidGame, TollOutOfRange, TollVector, total_latency
-from .instances import TOPOLOGIES, BadSpec, InstanceSpec, generate
+from .game import TollOutOfRange, TollVector, total_latency
+from .instances import TOPOLOGIES, InstanceSpec, generate
 from .oracle import (
     EquilibriumOracle,
     OracleBudgetExceeded,
@@ -52,7 +67,6 @@ from .zeroorder import (
     OptConfig,
     OracleSampleFailed,
     compute_optimal_tolls,
-    require_acyclic,
 )
 
 __all__ = [
@@ -90,24 +104,19 @@ REPORT_SCHEMA = {
     },
 }
 
+_JSON_TYPES = {"string": str, "object": dict, "number": (int, float)}
 
-def validate_report(report: dict, schema: dict = REPORT_SCHEMA) -> bool:
-    """Structural check of a report against the published schema."""
-    kind = schema.get("type")
-    if kind == "object":
-        if not isinstance(report, dict):
+
+def validate_report(report) -> bool:
+    """Whether ``report`` is a dict holding every field ``REPORT_SCHEMA``
+    requires, each of the JSON type it names (a bool is not a number)."""
+    if not isinstance(report, dict):
+        return False
+    for key in REPORT_SCHEMA["required"]:
+        value = report.get(key)
+        kind = _JSON_TYPES[REPORT_SCHEMA["properties"][key]["type"]]
+        if not isinstance(value, kind) or isinstance(value, bool):
             return False
-        for key in schema.get("required", []):
-            if key not in report:
-                return False
-        for key, sub in schema.get("properties", {}).items():
-            if key in report and not validate_report(report[key], sub):
-                return False
-        return True
-    if kind == "string":
-        return isinstance(report, str)
-    if kind == "number":
-        return isinstance(report, (int, float)) and not isinstance(report, bool)
     return True
 
 
@@ -123,15 +132,32 @@ def _report(command: str, instance: dict, config: dict, results: dict,
     }
 
 
+@contextmanager
+def _jsonl(path: str | None):
+    """Yield a function that writes one record per JSON line to ``path``.
+
+    The file opens on entry, so a path that cannot be written fails before
+    any work; with no path the records are dropped.
+    """
+    if not path:
+        yield lambda rec: None
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield lambda rec: fh.write(json.dumps(rec) + "\n")
+
+
 def run_impossibility_demo(grid_resolution: int = 21, toll_max: float = 2.0) -> dict:
     """Probe the fig1 pair with a toll grid through flow-only oracles.
 
     The two games answer identically (within 1e-6) on every grid point
     even though their optimal flows (and costs) differ, so no flow-only
-    strategy can tell which tolls are optimal.  Raises ``TollOutOfRange``
-    before any query when ``toll_max`` is not in [0, T_max].
+    strategy can tell which tolls are optimal.  Raises ``ValueError``
+    before any query when ``grid_resolution`` is below 2, and
+    ``TollOutOfRange`` when ``toll_max`` is not in [0, T_max].
     """
     started = time.perf_counter()
+    if grid_resolution < 2:
+        raise ValueError("grid resolution must be at least 2")
     flow_tol = 1e-6
     g1 = generate(InstanceSpec(topology="fig1_l1"))
     g2 = generate(InstanceSpec(topology="fig1_l2"))
@@ -185,18 +211,19 @@ def _pipeline_on_game(
     trace_path: str | None = None,
 ) -> dict:
     started = time.perf_counter()
-    _, opt_cost = optimal_flow(game)
     oracle = EquilibriumOracle(
         game, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=max_queries
     )
-    tolls, report = compute_optimal_tolls(oracle, game.skeleton(), cfg)
+    with _jsonl(trace_path) as write:
+        # the minimizer checks cfg and the graph before its first query, so
+        # a refused input costs no solve, the full-knowledge one included
+        tolls, report = compute_optimal_tolls(oracle, game.skeleton(), cfg)
+        for rec in report.iteration_trace:
+            write(rec)
+    _, opt_cost = optimal_flow(game)
     induced = solve_equilibrium(game, tolls)
     induced_cost = total_latency(game, induced.flow)
     gap = induced_cost - opt_cost
-    if trace_path:
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            for rec in report.iteration_trace:
-                fh.write(json.dumps(rec) + "\n")
     results = {
         "optimal_cost": opt_cost,
         "best_sampled_cost": report.best_cost,
@@ -246,15 +273,14 @@ def run_bench(
     epsilon (optionally with a fixed descent-iteration budget so large
     sizes stay affordable).  Log-log slopes against m are reported as an
     empirical trend, not a guarantee; with fewer than two sizes they are
-    None (JSON null).
+    None (JSON null).  Raises ``ValueError`` before any query on a size
+    below 2 or an invalid epsilon or delta_enforce.
     """
-    opt_cfg = OptConfig(epsilon=epsilon, max_iterations=opt_iterations or 60)
-    return _bench(sizes, EnforcementConfig(delta=delta_enforce), opt_cfg, seed)
-
-
-def _bench(sizes: tuple[int, ...], enforce_cfg: EnforcementConfig,
-           opt_cfg: OptConfig, seed: int) -> dict:
     started = time.perf_counter()
+    if any(m < 2 for m in sizes):
+        raise ValueError("sizes must be at least 2")
+    enforce_cfg = EnforcementConfig(delta=delta_enforce)
+    opt_cfg = OptConfig(epsilon=epsilon, max_iterations=opt_iterations or 60)
     enforce_counts: list[int] = []
     optimize_counts: list[int] = []
     for idx, m in enumerate(sizes):
@@ -302,39 +328,54 @@ def _bench(sizes: tuple[int, ...], enforce_cfg: EnforcementConfig,
 # ---------------------------------------------------------------------------
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, allow_nan=False)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
-
-
 @contextmanager
-def _solver_failures_exit():
-    """Exit 4 on a spent budget or failed cost sample, 2 on a solver or
-    ellipsoid that could not reach its accuracy."""
+def _exit_codes():
+    """Map a command's failures to the documented exit codes, by class.
+
+    Every ``ValueError`` the package raises refuses its caller's input.
+    """
     try:
         yield
     except (OracleBudgetExceeded, OracleSampleFailed) as exc:
         click.echo(f"budget exhausted: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
-    except (NoConvergence, NumericBreakdown) as exc:
+    except NoConvergence as exc:
+        click.echo(f"solver did not converge: {exc}", err=True)
+        sys.exit(EXIT_TOLERANCE)
+    except NumericBreakdown as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_TOLERANCE)
-
-
-def _load_game(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return game_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, InvalidGame, ValueError) as exc:
-        click.echo(f"invalid instance: {exc}", err=True)
+    except BrokenPipeError:
+        raise  # a closed stdout is no invalid input: click exits 1 quietly
+    except (OSError, KeyError, ValueError) as exc:
+        click.echo(f"invalid input: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INVALID)
 
 
-@click.group()
+class _Commands(click.Group):
+    """A command group that runs each command inside ``_exit_codes``."""
+
+    def invoke(self, ctx: click.Context):
+        with _exit_codes():
+            return super().invoke(ctx)
+
+
+def _write(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    else:
+        click.echo(text)
+
+
+def _emit(report: dict, out: str | None) -> None:
+    _write(json.dumps(report, indent=2, allow_nan=False), out)
+
+
+def _load_game(path: str):
+    return game_from_json(Path(path).read_text(encoding="utf-8"))
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Toll computation for routing games behind equilibrium oracles."""
 
@@ -356,24 +397,13 @@ def main() -> None:
 def gen_cmd(topology, links, width, height, n_vertices, density, degree,
             coeff_bound, demand, commodities, seed, out) -> None:
     """Generate a routing-game instance as JSON."""
-    try:
-        spec = InstanceSpec(
-            topology=topology, links=links, width=width, height=height,
-            n_vertices=n_vertices, density=density, degree=degree,
-            coeff_bound=coeff_bound, demand=demand, commodities=commodities,
-            seed=seed,
-        )
-        game = generate(spec)
-    except (BadSpec, InvalidGame) as exc:
-        click.echo(f"invalid spec: {exc}", err=True)
-        sys.exit(EXIT_INVALID)
-    text = game_to_json(game)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
-    sys.exit(EXIT_OK)
+    spec = InstanceSpec(
+        topology=topology, links=links, width=width, height=height,
+        n_vertices=n_vertices, density=density, degree=degree,
+        coeff_bound=coeff_bound, demand=demand, commodities=commodities,
+        seed=seed,
+    )
+    _write(game_to_json(generate(spec)), out)
 
 
 @main.command("solve-eq")
@@ -387,22 +417,8 @@ def solve_eq_cmd(instance, tolls_path, accuracy, out) -> None:
     game = _load_game(instance)
     tolls = TollVector.zeros(game.m)
     if tolls_path:
-        try:
-            with open(tolls_path, encoding="utf-8") as fh:
-                tolls = tolls_from_json(game, fh.read())
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            click.echo(f"invalid tolls: {exc}", err=True)
-            sys.exit(EXIT_INVALID)
-    try:
-        cfg = EqConfig(accuracy=accuracy)
-    except ValueError as exc:
-        click.echo(f"invalid accuracy: {exc}", err=True)
-        sys.exit(EXIT_INVALID)
-    try:
-        result = solve_equilibrium(game, tolls, cfg)
-    except NoConvergence as exc:
-        click.echo(f"solver did not converge: {exc}", err=True)
-        sys.exit(EXIT_TOLERANCE)
+        tolls = tolls_from_json(game, Path(tolls_path).read_text(encoding="utf-8"))
+    result = solve_equilibrium(game, tolls, EqConfig(accuracy=accuracy))
     report = _report(
         "solve-eq",
         {"path": instance, "m": game.m, "k": game.k},
@@ -418,7 +434,6 @@ def solve_eq_cmd(instance, tolls_path, accuracy, out) -> None:
         started,
     )
     _emit(report, out)
-    sys.exit(EXIT_OK)
 
 
 @main.command("enforce")
@@ -432,45 +447,28 @@ def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
     """Find tolls enforcing a target flow on a (locally known) instance."""
     started = time.perf_counter()
     game = _load_game(instance)
-    try:
-        cfg = EnforcementConfig(delta=delta)
-        with open(target, encoding="utf-8") as fh:
-            f_star = flow_from_json(game, fh.read())
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        click.echo(f"invalid input: {exc}", err=True)
-        sys.exit(EXIT_INVALID)
+    cfg = EnforcementConfig(delta=delta)
+    f_star = flow_from_json(game, Path(target).read_text(encoding="utf-8"))
     oracle = EquilibriumOracle(
         game,
         OracleMode.FLOW_ONLY,
         eps_query=min(1e-10, required_accuracy(game, delta)),
         max_queries=max_queries,
     )
-    trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
+    with _jsonl(trace_path) as write:
 
-    def sink(rec) -> None:
-        if trace_fh is not None:
-            trace_fh.write(
-                json.dumps(
-                    {
-                        "iteration": rec.iteration,
-                        "cut_type": rec.cut_type,
-                        "center": list(rec.center),
-                        "deviation": rec.deviation,
-                        "log_volume": rec.log_volume,
-                    }
-                )
-                + "\n"
+        def sink(rec) -> None:
+            write(
+                {
+                    "iteration": rec.iteration,
+                    "cut_type": rec.cut_type,
+                    "center": list(rec.center),
+                    "deviation": rec.deviation,
+                    "log_volume": rec.log_volume,
+                }
             )
 
-    try:
-        with _solver_failures_exit():
-            result = enforce_flow(oracle, f_star, cfg, on_iteration=sink)
-    except (TargetInfeasible, TargetCyclic) as exc:
-        click.echo(f"invalid target: {exc}", err=True)
-        sys.exit(EXIT_INVALID)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+        result = enforce_flow(oracle, f_star, cfg, on_iteration=sink)
     report = _report(
         "enforce",
         {"path": instance, "m": game.m, "k": game.k},
@@ -488,7 +486,6 @@ def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
     _emit(report, out)
     if result.status is not EnforcementStatus.SUCCESS:
         sys.exit(EXIT_TOLERANCE)
-    sys.exit(EXIT_OK)
 
 
 @main.command("optimize")
@@ -512,26 +509,19 @@ def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
                  degree, demand, seed, epsilon, delta, max_queries, trace_path,
                  out) -> None:
     """End-to-end: hide a game behind the oracle, compute near-optimal tolls."""
-    try:
-        if instance is not None:
-            game = _load_game(instance)
-            desc = {"path": instance, "m": game.m, "k": game.k}
-        else:
-            spec = InstanceSpec(
-                topology=topology, links=links, width=width, height=height,
-                n_vertices=n_vertices, density=density, degree=degree,
-                demand=demand, seed=seed,
-            )
-            game = generate(spec)
-            desc = asdict(spec)
-        cfg = OptConfig(epsilon=epsilon, delta=delta)
-        cfg.resolved_delta(game.skeleton())  # rejects a delta above its bound
-        require_acyclic(game.skeleton())
-    except ValueError as exc:  # BadSpec, an invalid epsilon or delta, a cycle
-        click.echo(f"invalid input: {exc}", err=True)
-        sys.exit(EXIT_INVALID)
-    with _solver_failures_exit():
-        report = _pipeline_on_game(game, desc, cfg, max_queries, trace_path)
+    if instance is not None:
+        game = _load_game(instance)
+        desc = {"path": instance, "m": game.m, "k": game.k}
+    else:
+        spec = InstanceSpec(
+            topology=topology, links=links, width=width, height=height,
+            n_vertices=n_vertices, density=density, degree=degree,
+            demand=demand, seed=seed,
+        )
+        game = generate(spec)
+        desc = asdict(spec)
+    cfg = OptConfig(epsilon=epsilon, delta=delta)
+    report = _pipeline_on_game(game, desc, cfg, max_queries, trace_path)
     _emit(report, out)
     if report["results"]["optimizer_status"] == "BUDGET_EXHAUSTED":
         sys.exit(EXIT_BUDGET)
@@ -544,15 +534,7 @@ def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
 @click.option("--out", type=click.Path(), default=None)
 def demo_cmd(grid_resolution, toll_max, out) -> None:
     """Show that flow-only oracles cannot separate the fig1 game pair."""
-    if grid_resolution < 2:
-        click.echo("grid resolution must be at least 2", err=True)
-        sys.exit(EXIT_INVALID)
-    with _solver_failures_exit():
-        try:
-            report = run_impossibility_demo(grid_resolution, toll_max)
-        except TollOutOfRange as exc:
-            click.echo(f"invalid toll range: {exc}", err=True)
-            sys.exit(EXIT_INVALID)
+    report = run_impossibility_demo(grid_resolution, toll_max)
     _emit(report, out)
     ok = report["results"]["indistinguishable"] and report["results"]["optima_differ"]
     sys.exit(EXIT_OK if ok else EXIT_TOLERANCE)
@@ -568,19 +550,8 @@ def demo_cmd(grid_resolution, toll_max, out) -> None:
 @click.option("--out", type=click.Path(), default=None)
 def bench_cmd(sizes, epsilon, delta, opt_iterations, seed, out) -> None:
     """Query-count trend across instance sizes (informational)."""
-    try:
-        size_tuple = tuple(int(s) for s in sizes.split(","))
-        if any(s < 2 for s in size_tuple):
-            raise ValueError("sizes must be at least 2")
-        enforce_cfg = EnforcementConfig(delta=delta)
-        opt_cfg = OptConfig(epsilon=epsilon, max_iterations=opt_iterations or 60)
-    except ValueError as exc:
-        click.echo(f"invalid input: {exc}", err=True)
-        sys.exit(EXIT_INVALID)
-    with _solver_failures_exit():
-        report = _bench(size_tuple, enforce_cfg, opt_cfg, seed)
-    _emit(report, out)
-    sys.exit(EXIT_OK)
+    sizes = tuple(int(s) for s in sizes.split(","))
+    _emit(run_bench(sizes, epsilon, delta, seed, opt_iterations), out)
 
 
 if __name__ == "__main__":

@@ -62,7 +62,8 @@ class EquilibriumOracle:
     ``eps_query`` is the accuracy promise on the returned aggregate flow
     (infinity norm against the exact deterministic equilibrium).  Queries
     mutate only the counter and log; responses are a pure function of the
-    toll vector.
+    toll vector.  ``max_queries``, when given, is a nonnegative cap on the
+    queries answered.
     """
 
     def __init__(
@@ -78,6 +79,8 @@ class EquilibriumOracle:
             raise ValueError(
                 f"eps_query below the double-precision floor {ACCURACY_FLOOR}"
             )
+        if max_queries is not None and max_queries < 0:
+            raise ValueError(f"max_queries must be nonnegative, got {max_queries}")
         self.__game = game
         self.mode = mode
         self.eps_query = float(eps_query)

@@ -3,9 +3,10 @@
 Numeric values are written as decimal strings (repr of the float) so files
 round-trip without drift.  Flows are edge-id-keyed maps; multicommodity
 flows wrap one map per commodity under "commodities".  Readers raise
-``ValueError`` on a payload of the wrong JSON type, an unknown edge id or
-a value that is neither a number nor a decimal string; an edge missing
-from a flow or toll map reads as 0.
+``ValueError`` on a payload of the wrong JSON type, a vertex, edge id or
+commodity endpoint that is not a JSON string, an unknown edge id or a
+value that is neither a number nor a decimal string; an edge missing from
+a flow or toll map reads as 0.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def _value(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise ValueError(f"expected a number, got {x!r}")
     return float(x)
+
+
+def _name(x) -> str:
+    """A vertex or edge name, which must be a JSON string."""
+    if not isinstance(x, str):
+        raise ValueError(f"names must be JSON strings, got {x!r}")
+    return x
 
 
 def _expect(x, kind: type, what: str):
@@ -91,9 +99,9 @@ def game_from_json(text: str) -> RoutingGame:
         constant = not any(a > 0 for a in coeffs[1:])
         edges.append(
             Edge(
-                str(e["id"]),
-                str(e["tail"]),
-                str(e["head"]),
+                _name(e["id"]),
+                _name(e["tail"]),
+                _name(e["head"]),
                 PolyLatency(coeffs, constant=constant),
             )
         )
@@ -101,11 +109,11 @@ def game_from_json(text: str) -> RoutingGame:
     for c in _expect(payload["commodities"], list, "commodities"):
         _expect(c, dict, "a commodity")
         commodities.append(
-            Commodity(str(c["source"]), str(c["sink"]), _value(c["demand"]))
+            Commodity(_name(c["source"]), _name(c["sink"]), _value(c["demand"]))
         )
     vertices = _expect(payload["vertices"], list, "vertices")
     game = RoutingGame(
-        tuple(str(v) for v in vertices), tuple(edges), tuple(commodities)
+        tuple(_name(v) for v in vertices), tuple(edges), tuple(commodities)
     )
     return validate_game(game)
 

@@ -332,7 +332,6 @@ def _route(m: int, path: tuple[int, ...], amount: float) -> np.ndarray:
 
 def _fd_gradient(
     value_fn: Callable[[FlowVector], float],
-    skel: GameSkeleton,
     basis: np.ndarray,
     f: FlowVector,
     h: float,
@@ -424,7 +423,6 @@ def minimize_total_latency(
         try:
             g_hat = _fd_gradient(
                 lambda x: engine.sample(x).observed_cost,
-                skeleton,
                 basis,
                 mixed,
                 math.sqrt(delta),

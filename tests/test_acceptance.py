@@ -273,7 +273,7 @@ def test_criterion_6_numerical_properties():
         split = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
         f = FlowVector.single(split / split.sum())
         h = 1e-5
-        g_est = _fd_gradient(lambda x: total_latency(game, x), skel, basis, f, h)
+        g_est = _fd_gradient(lambda x: total_latency(game, x), basis, f, h)
         marginal = np.array(
             [
                 e.latency.value(x) + x * e.latency.slope(x)

@@ -1,7 +1,10 @@
 """CLI commands: outputs, exit codes, report schema."""
 
+import errno
 import json
 
+import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -14,7 +17,9 @@ from tollopt.cli import (
     validate_report,
 )
 from tollopt.ellipsoid import NumericBreakdown
+from tollopt.enforcement import EnforcementResult, EnforcementStatus
 from tollopt.equilibrium import NoConvergence
+from tollopt.game import TollVector
 from tollopt.instances import InstanceSpec
 from tollopt.oracle import OracleBudgetExceeded
 from tollopt.serialize import game_to_json
@@ -24,6 +29,16 @@ from tollopt.zeroorder import OracleSampleFailed
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def pigou_files(runner, tmp_path):
+    """Paths of a pigou instance file and of a feasible target flow file."""
+    game_path = tmp_path / "game.json"
+    runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
+    target = tmp_path / "target.json"
+    target.write_text('{"e0": "0.5", "e1": "0.5"}')
+    return str(game_path), str(target)
 
 
 def test_gen_writes_game(runner, tmp_path):
@@ -46,6 +61,12 @@ def test_gen_deterministic(runner, tmp_path):
         )
         assert res.exit_code == 0
     assert a.read_text() == b.read_text()
+
+
+def test_gen_prints_instance_without_out(runner):
+    result = runner.invoke(main, ["gen", "--topology", "pigou"])
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["edges"]) == 2
 
 
 def test_gen_bad_topology(runner):
@@ -177,6 +198,7 @@ def test_optimize_spent_budget_emits_report_and_exits_4(runner, tmp_path):
         ["--delta", "0"],
         ["--delta", "-1"],
         ["--delta", "nan"],
+        ["--max-queries", "-3"],
     ],
 )
 def test_optimize_bad_config_exits_3(runner, args):
@@ -201,6 +223,13 @@ def test_optimize_bad_config_exits_3(runner, args):
             '"head": "t", "coeffs": ["nan", "1.0"]}], "commodities": '
             '[{"source": "s", "sink": "t", "demand": "1.0"}]}',
         ),
+        (
+            "solve-eq",
+            "--instance",
+            '{"vertices": ["s", "t"], "edges": [{"id": ["x"], "tail": "s", '
+            '"head": "t", "coeffs": ["0.0", "1.0"]}], "commodities": '
+            '[{"source": "s", "sink": "t", "demand": "1.0"}]}',
+        ),
     ],
 )
 def test_malformed_input_file_exits_3(runner, tmp_path, command, option, text):
@@ -217,6 +246,61 @@ def test_malformed_input_file_exits_3(runner, tmp_path, command, option, text):
     result = runner.invoke(main, [command, *(x for kv in files.items() for x in kv)])
     assert result.exit_code == 3
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--topology", "pigou", "--out"],
+        ["solve-eq", "--instance", "GAME", "--out"],
+        ["enforce", "--instance", "GAME", "--target", "TARGET", "--trace"],
+        ["optimize", "--topology", "pigou", "--trace"],
+    ],
+)
+def test_unwritable_output_path_exits_3(runner, tmp_path, monkeypatch, pigou_files,
+                                        args):
+    def never(*args, **kwargs):
+        pytest.fail("the run started before its trace file was opened")
+
+    monkeypatch.setattr(cli, "enforce_flow", never)
+    monkeypatch.setattr(cli, "compute_optimal_tolls", never)
+    files = dict(zip(("GAME", "TARGET"), pigou_files))
+    bad = str(tmp_path / "missing" / "out.json")
+    result = runner.invoke(main, [*(files.get(a, a) for a in args), bad])
+    assert result.exit_code == 3
+    assert "No such file or directory" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_closed_stdout_is_not_invalid_input(runner, monkeypatch):
+    def closed(*args, **kwargs):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(click, "echo", closed)
+    result = runner.invoke(main, ["gen", "--topology", "pigou"])
+    assert result.exit_code == 1
+
+
+def test_enforce_not_found_writes_report_and_exits_2(runner, tmp_path, monkeypatch,
+                                                     pigou_files):
+    def not_found(*args, **kwargs):
+        return EnforcementResult(
+            TollVector(np.array([0.25, 0.0])), 0.1, 3,
+            EnforcementStatus.NOT_FOUND, 3, None,
+        )
+
+    monkeypatch.setattr(cli, "enforce_flow", not_found)
+    game_path, target = pigou_files
+    out = tmp_path / "report.json"
+    result = runner.invoke(
+        main,
+        ["enforce", "--instance", game_path, "--target", target, "--out", str(out)],
+    )
+    assert result.exit_code == 2
+    report = json.loads(out.read_text())
+    assert validate_report(report)
+    assert report["results"]["status"] == "not_found"
+    assert report["results"]["tolls"] == {"e0": "0.25", "e1": "0.0"}
 
 
 def test_optimize_cyclic_instance_exits_3(runner, tmp_path):
@@ -336,6 +420,29 @@ def test_report_fields_in_stable_order():
         "wall_clock_sec",
     ]
     assert validate_report(report)
+
+
+_VALID_REPORT = {
+    "command": "bench", "instance": {}, "config": {}, "results": {},
+    "oracle_queries": 0, "wall_clock_sec": 0.5,
+}
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        [_VALID_REPORT],
+        {k: v for k, v in _VALID_REPORT.items() if k != "results"},
+        {**_VALID_REPORT, "config": []},
+        {**_VALID_REPORT, "command": 1},
+        {**_VALID_REPORT, "oracle_queries": True},
+    ],
+    ids=["not-a-dict", "missing-key", "list-for-object", "number-for-string",
+         "bool-for-number"],
+)
+def test_validate_report_refuses_malformed(report):
+    assert validate_report(_VALID_REPORT)
+    assert not validate_report(report)
 
 
 def test_report_json_round_trip():

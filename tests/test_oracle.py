@@ -114,6 +114,11 @@ def test_budget_exhaustion(pigou):
         oracle.query(TollVector.zeros(2))
 
 
+def test_negative_budget_rejected(pigou):
+    with pytest.raises(ValueError, match="max_queries"):
+        EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, max_queries=-3)
+
+
 def test_cost_consistency_with_returned_flow(rng):
     game = random_parallel(3, rng)
     oracle = EquilibriumOracle(

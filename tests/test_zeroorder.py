@@ -256,7 +256,6 @@ class TestGradient:
         basis = affine_hull_basis(pigou.skeleton())
         g = _fd_gradient(
             lambda f: total_latency(pigou, f),
-            pigou.skeleton(),
             basis,
             FlowVector.single([0.5, 0.5]),
             1e-5,
@@ -267,7 +266,6 @@ class TestGradient:
         basis = affine_hull_basis(pigou.skeleton())
         g = _fd_gradient(
             lambda f: total_latency(pigou, f),
-            pigou.skeleton(),
             basis,
             FlowVector.single([0.75, 0.25]),
             1e-6,
@@ -279,7 +277,6 @@ class TestGradient:
         basis = affine_hull_basis(game.skeleton())
         g = _fd_gradient(
             lambda f: total_latency(game, f),
-            game.skeleton(),
             basis,
             FlowVector.single([0.5, 0.5]),
             1e-4,
@@ -293,7 +290,6 @@ class TestGradient:
         engine = SampleEngine(oracle, delta)
         g = _fd_gradient(
             lambda x: engine.sample(x).observed_cost,
-            oracle.skeleton,
             affine_hull_basis(oracle.skeleton),
             FlowVector.single([0.75, 0.25]),
             h,
@@ -311,7 +307,7 @@ class TestGradient:
             f = FlowVector.single(split / split.sum())
             h = 1e-6
             g = _fd_gradient(
-                lambda x: total_latency(game, x), skel, basis, f, h
+                lambda x: total_latency(game, x), basis, f, h
             )
             marginal = np.array(
                 [
