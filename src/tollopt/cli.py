@@ -22,7 +22,9 @@ Exit codes are one map, by exception class, that every command runs in:
 
 ``enforce --trace`` writes one JSON line per enforcement step (a dual
 step or an ellipsoid cut), ``optimize --trace`` one per descent
-iteration; both open the file before the first query.  Every command is
+iteration.  ``--out`` files open while the options are parsed, and
+``--trace`` files before the first query, so a path that cannot be
+written exits 3 before any solve.  Every command is
 deterministic given --seed and emits a machine-readable report with a
 stable field order.
 """
@@ -30,6 +32,7 @@ stable field order.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -280,7 +283,8 @@ def run_bench(
     if any(m < 2 for m in sizes):
         raise ValueError("sizes must be at least 2")
     enforce_cfg = EnforcementConfig(delta=delta_enforce)
-    opt_cfg = OptConfig(epsilon=epsilon, max_iterations=opt_iterations or 60)
+    iterations = 60 if opt_iterations is None else opt_iterations
+    opt_cfg = OptConfig(epsilon=epsilon, max_iterations=iterations)
     enforce_counts: list[int] = []
     optimize_counts: list[int] = []
     for idx, m in enumerate(sizes):
@@ -360,15 +364,19 @@ class _Commands(click.Group):
             return super().invoke(ctx)
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        click.echo(text)
+def _open_out(ctx: click.Context, param, path: str | None):
+    """``--out`` callback: open the file for writing before the command
+    runs, and hand the command a function that writes one text there (or
+    to standard output).  Only that write replaces an existing file, so a
+    failed run leaves it, perhaps the command's own input, as it was."""
+    if not path:
+        return click.echo
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    return lambda text: Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _emit(report: dict, out: str | None) -> None:
-    _write(json.dumps(report, indent=2, allow_nan=False), out)
+def _emit(report: dict, out) -> None:
+    out(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _load_game(path: str):
@@ -393,7 +401,7 @@ def main() -> None:
 @click.option("--demand", default=1.0, show_default=True)
 @click.option("--commodities", default=1, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_open_out)
 def gen_cmd(topology, links, width, height, n_vertices, density, degree,
             coeff_bound, demand, commodities, seed, out) -> None:
     """Generate a routing-game instance as JSON."""
@@ -403,14 +411,14 @@ def gen_cmd(topology, links, width, height, n_vertices, density, degree,
         coeff_bound=coeff_bound, demand=demand, commodities=commodities,
         seed=seed,
     )
-    _write(game_to_json(generate(spec)), out)
+    out(game_to_json(generate(spec)))
 
 
 @main.command("solve-eq")
 @click.option("--instance", required=True, type=click.Path(exists=False))
 @click.option("--tolls", "tolls_path", type=click.Path(exists=False), default=None)
 @click.option("--accuracy", default=1e-8, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_open_out)
 def solve_eq_cmd(instance, tolls_path, accuracy, out) -> None:
     """Compute the tolled Wardrop equilibrium of a known instance."""
     started = time.perf_counter()
@@ -442,7 +450,7 @@ def solve_eq_cmd(instance, tolls_path, accuracy, out) -> None:
 @click.option("--delta-enforce", "delta", default=1e-3, show_default=True)
 @click.option("--max-queries", default=None, type=int)
 @click.option("--trace", "trace_path", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_open_out)
 def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
     """Find tolls enforcing a target flow on a (locally known) instance."""
     started = time.perf_counter()
@@ -504,7 +512,7 @@ def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
 @click.option("--delta", default=None, type=float)
 @click.option("--max-queries", default=None, type=int)
 @click.option("--trace", "trace_path", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_open_out)
 def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
                  degree, demand, seed, epsilon, delta, max_queries, trace_path,
                  out) -> None:
@@ -531,7 +539,7 @@ def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
 @main.command("demo-impossibility")
 @click.option("--grid", "grid_resolution", default=21, show_default=True)
 @click.option("--toll-max", default=2.0, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_open_out)
 def demo_cmd(grid_resolution, toll_max, out) -> None:
     """Show that flow-only oracles cannot separate the fig1 game pair."""
     report = run_impossibility_demo(grid_resolution, toll_max)
@@ -547,7 +555,7 @@ def demo_cmd(grid_resolution, toll_max, out) -> None:
 @click.option("--opt-iterations", default=None, type=int,
               help="fixed descent-iteration budget for the optimize leg")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_open_out)
 def bench_cmd(sizes, epsilon, delta, opt_iterations, seed, out) -> None:
     """Query-count trend across instance sizes (informational)."""
     sizes = tuple(int(s) for s in sizes.split(","))

@@ -104,8 +104,8 @@ class EnforcementConfig:
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:  # False for NaN
+            raise ValueError("delta must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -75,9 +75,9 @@ class EquilibriumOracle:
         allow_test_backdoor: bool = False,
     ):
         validate_game(game)
-        if eps_query < ACCURACY_FLOOR:
+        if not eps_query >= ACCURACY_FLOOR:  # True for NaN
             raise ValueError(
-                f"eps_query below the double-precision floor {ACCURACY_FLOOR}"
+                f"eps_query must be at least the precision floor {ACCURACY_FLOOR}"
             )
         if max_queries is not None and max_queries < 0:
             raise ValueError(f"max_queries must be nonnegative, got {max_queries}")

@@ -20,6 +20,7 @@ __all__ = [
     "dijkstra",
     "reachable",
     "shortest_path",
+    "dag_distances",
     "dag_shortest_path",
     "decompose_paths",
 ]
@@ -109,28 +110,39 @@ def shortest_path(game, edge_costs, s: str, t: str) -> tuple[tuple[int, ...], fl
     return _trace(pred, skel.tails, vi[s], ti), dist[ti]
 
 
+def dag_distances(skel, costs, source: int) -> tuple[list[float], list[int]]:
+    """Single-source distances on an acyclic graph; costs may be negative.
+
+    Relaxes the edges in the skeleton's topological order and returns
+    (dist, pred_edge) as ``dijkstra`` does.  Raises ``ValueError`` on a
+    graph with a directed cycle.
+    """
+    order = skel.topological_order
+    if order is None:
+        raise ValueError("graph is not acyclic")
+    adj = skel.adjacency_out
+    costs = np.asarray(costs, dtype=float).tolist()
+    dist = [float("inf")] * len(adj)
+    pred = [-1] * len(adj)
+    dist[source] = 0.0
+    for v in order:
+        if dist[v] == float("inf"):
+            continue
+        for e_idx, head in adj[v]:
+            nd = dist[v] + costs[e_idx]
+            if nd < dist[head]:
+                dist[head] = nd
+                pred[head] = e_idx
+    return dist, pred
+
+
 def dag_shortest_path(
     game, edge_costs, s: str, t: str
 ) -> tuple[tuple[int, ...], float]:
     """Min-cost s-t path on a DAG; edge costs may be negative."""
     skel = game.skeleton()
-    order = skel.topological_order
-    if order is None:
-        raise ValueError("graph is not acyclic")
     vi = skel.vertex_index
-    adj = skel.adjacency_out
-    n = len(skel.vertices)
-    dist = [float("inf")] * n
-    pred = [-1] * n
-    dist[vi[s]] = 0.0
-    for v in order:
-        if dist[v] == float("inf"):
-            continue
-        for e_idx, head in adj[v]:
-            nd = dist[v] + edge_costs[e_idx]
-            if nd < dist[head]:
-                dist[head] = nd
-                pred[head] = e_idx
+    dist, pred = dag_distances(skel, edge_costs, vi[s])
     ti = vi[t]
     if dist[ti] == float("inf"):
         raise Unreachable(f"{t!r} unreachable from {s!r}")

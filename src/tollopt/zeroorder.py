@@ -11,8 +11,9 @@ On top of that delta-accurate value oracle the minimizer runs projected
 descent in the affine hull of the polytope: central finite differences
 along an orthonormal basis of the per-commodity conservation null spaces
 estimate the gradient, iterates are pulled toward a strictly positive
-reference flow before probing so both probe arms stay feasible, and an
-away-step conditional-gradient routine performs Euclidean projections.
+reference flow before probing so both probe arms stay feasible, and the
+equilibrium engine performs the Euclidean projections: one solve per
+commodity of a game whose Beckmann potential is the squared distance.
 Descent stops on a small estimated gap, a persistent stall, the
 iteration cap or the budget.  The best sampled flow is tracked globally,
 so the reported cost never regresses, and its enforcing tolls are the
@@ -32,9 +33,19 @@ from .enforcement import (
     EnforcementStatus,
     enforce_flow,
 )
-from .game import FlowVector, GameSkeleton, TollVector, acyclic_reduce, is_feasible
+from .equilibrium import EqConfig, solve_equilibrium
+from .game import (
+    Edge,
+    FlowVector,
+    GameSkeleton,
+    PolyLatency,
+    RoutingGame,
+    TollVector,
+    acyclic_reduce,
+    is_feasible,
+)
 from .oracle import EquilibriumOracle, OracleBudgetExceeded, OracleMode
-from .paths import _trace, dag_shortest_path, dijkstra, reachable
+from .paths import _trace, dag_distances, dag_shortest_path, dijkstra, reachable
 
 __all__ = [
     "OracleSampleFailed",
@@ -72,8 +83,10 @@ class OptConfig:
     max_iterations: int = 60
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:  # False for NaN
+            raise ValueError("epsilon must be positive and finite")
+        if not self.max_iterations >= 1:
+            raise ValueError("max_iterations must be at least 1")
 
     def resolved_delta(self, skeleton: GameSkeleton) -> float:
         """delta, checked to be positive and at most epsilon / (8 N^2)."""
@@ -252,11 +265,15 @@ def reference_flow(skel: GameSkeleton) -> FlowVector:
 def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
     """Euclidean projection onto the feasible-flow polytope.
 
-    Runs an away-step conditional gradient per commodity over the path
-    polytope (linear minimization is a DAG shortest path, which tolerates
-    the negative costs a quadratic objective produces), for at most 2000
-    steps or until the Frank-Wolfe gap is at most 1e-10.  Deterministic;
-    already-feasible points are returned unchanged.
+    Commodity i's part is the equilibrium of a one-commodity game on the
+    same graph with latency 2x on every edge and tolls
+    tau_e = max(0, c_e + pi(tail_e) - pi(head_e)), where c = -2 x_i and
+    pi holds the DAG shortest distances from the source under c
+    (Johnson's reweighting; an edge the source cannot reach gets 0).  The
+    tolls add the same constant to every source-sink path, so the game's
+    Beckmann potential is ||f_i - x_i||^2 plus a constant, and its duality
+    gap, solved to 1e-10, is the Frank-Wolfe gap of the projection.
+    Deterministic; already-feasible points are returned unchanged.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
@@ -265,64 +282,22 @@ def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
     if pts.shape == (skel.k, skel.m) and is_feasible(skel, candidate, tol=1e-12):
         return candidate
     require_acyclic(skel)
-    m = skel.m
-    out = np.zeros((skel.k, m))
+    edges = tuple(
+        Edge(e, t, h, PolyLatency((0.0, 2.0)))
+        for e, t, h in zip(skel.edge_ids, skel.edge_tails, skel.edge_heads)
+    )
+    tails, heads = np.array(skel.tails), np.array(skel.heads)
+    out = np.zeros((skel.k, skel.m))
     for i, com in enumerate(skel.commodities):
-        target = pts[i]
-        d_i = com.demand
-        path0, _ = dag_shortest_path(skel, np.ones(m), com.source, com.sink)
-        weights: dict[tuple[int, ...], float] = {path0: 1.0}
-        f = _route(m, path0, d_i)
-        for _ in range(2000):
-            grad = 2.0 * (f - target)
-            fw_path, _ = dag_shortest_path(skel, grad, com.source, com.sink)
-            v_fw = _route(m, fw_path, d_i)
-            away_path = max(
-                weights, key=lambda p: (sum(grad[e] for e in p), p)
-            )
-            v_away = _route(m, away_path, d_i)
-            gap_fw = float(np.dot(grad, f - v_fw))
-            if gap_fw <= 1e-10:
-                break
-            gap_away = float(np.dot(grad, v_away - f))
-            # an away step needs a path that does not carry all the weight
-            is_away = gap_fw < gap_away and weights[away_path] < 1.0
-            if is_away:
-                d_dir = f - v_away
-                gamma_max = weights[away_path] / (1.0 - weights[away_path])
-            else:
-                d_dir = v_fw - f
-                gamma_max = 1.0
-            denom = float(np.dot(d_dir, d_dir))
-            if denom <= 0:
-                break
-            gamma = min(gamma_max, max(0.0, -float(np.dot(f - target, d_dir)) / denom))
-            if gamma <= 0:
-                break
-            if is_away:
-                for p in weights:
-                    weights[p] *= 1.0 + gamma
-                weights[away_path] -= gamma
-                if weights[away_path] <= 1e-15:
-                    del weights[away_path]
-            else:
-                for p in weights:
-                    weights[p] *= 1.0 - gamma
-                weights[fw_path] = weights.get(fw_path, 0.0) + gamma
-            f = np.zeros(m)
-            for p, w in weights.items():
-                for e in p:
-                    f[e] += w * d_i
-        out[i] = f
+        c = -2.0 * pts[i]
+        pi = np.array(dag_distances(skel, c, skel.vertex_index[com.source])[0])
+        seen = np.isfinite(pi[tails])
+        tau = np.zeros(skel.m)
+        tau[seen] = np.maximum(0.0, c[seen] + pi[tails[seen]] - pi[heads[seen]])
+        game = RoutingGame(skel.vertices, edges, (com,))
+        result = solve_equilibrium(game, TollVector(tau), EqConfig(accuracy=1e-10))
+        out[i] = result.flow.per_commodity[0]
     return FlowVector(out)
-
-
-def _route(m: int, path: tuple[int, ...], amount: float) -> np.ndarray:
-    """Edge vector of ``amount`` units routed along ``path``."""
-    v = np.zeros(m)
-    for e in path:
-        v[e] += amount
-    return v
 
 
 # ---------------------------------------------------------------------------

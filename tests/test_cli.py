@@ -2,6 +2,7 @@
 
 import errno
 import json
+from pathlib import Path
 
 import click
 import numpy as np
@@ -255,21 +256,49 @@ def test_malformed_input_file_exits_3(runner, tmp_path, command, option, text):
         ["solve-eq", "--instance", "GAME", "--out"],
         ["enforce", "--instance", "GAME", "--target", "TARGET", "--trace"],
         ["optimize", "--topology", "pigou", "--trace"],
+        ["enforce", "--instance", "GAME", "--target", "TARGET", "--out"],
+        ["optimize", "--topology", "pigou", "--out"],
+        ["demo-impossibility", "--grid", "2", "--out"],
+        ["bench", "--sizes", "2", "--out"],
     ],
 )
 def test_unwritable_output_path_exits_3(runner, tmp_path, monkeypatch, pigou_files,
                                         args):
     def never(*args, **kwargs):
-        pytest.fail("the run started before its trace file was opened")
+        pytest.fail("the run started before its output files were opened")
 
-    monkeypatch.setattr(cli, "enforce_flow", never)
-    monkeypatch.setattr(cli, "compute_optimal_tolls", never)
+    for name in ("solve_equilibrium", "enforce_flow", "compute_optimal_tolls",
+                 "run_impossibility_demo"):
+        monkeypatch.setattr(cli, name, never)
     files = dict(zip(("GAME", "TARGET"), pigou_files))
     bad = str(tmp_path / "missing" / "out.json")
     result = runner.invoke(main, [*(files.get(a, a) for a in args), bad])
     assert result.exit_code == 3
     assert "No such file or directory" in result.output
     assert "Traceback" not in result.output
+
+
+def test_unwritable_out_leaves_trace_empty(runner, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    bad = tmp_path / "missing" / "r.json"
+    result = runner.invoke(
+        main,
+        ["optimize", "--topology", "pigou", "--trace", str(trace), "--out", str(bad)],
+    )
+    assert result.exit_code == 3
+    assert not trace.exists() or trace.read_text() == ""
+
+
+def test_out_replaced_only_by_the_report(runner, pigou_files):
+    game_path, _ = pigou_files
+    result = runner.invoke(main, ["optimize", "--epsilon", "nan", "--out", game_path])
+    assert result.exit_code == 3
+    # the failed run left the file as it was, so it can still be read
+    result = runner.invoke(
+        main, ["solve-eq", "--instance", game_path, "--out", game_path]
+    )
+    assert result.exit_code == 0
+    assert json.loads(Path(game_path).read_text())["command"] == "solve-eq"
 
 
 def test_closed_stdout_is_not_invalid_input(runner, monkeypatch):
@@ -321,15 +350,24 @@ def test_optimize_cyclic_instance_exits_3(runner, tmp_path):
         ["demo-impossibility", "--grid", "2", "--toll-max", "-1"],
         ["demo-impossibility", "--grid", "2", "--toll-max", "nan"],
         ["demo-impossibility", "--grid", "2", "--toll-max", "9"],  # T_max is 8
+        ["enforce", "--delta-enforce", "inf"],
+        ["optimize", "--topology", "pigou", "--epsilon", "inf"],
+        ["bench", "--sizes", "2", "--epsilon", "inf"],
+        ["bench", "--sizes", "2,3", "--opt-iterations", "0"],
     ],
 )
-def test_invalid_number_exits_3(runner, tmp_path, args):
+def test_invalid_number_exits_3(runner, tmp_path, monkeypatch, args):
+    def never(*args, **kwargs):
+        pytest.fail("a solve ran before the settings were checked")
+
     if args[0] == "enforce":
         game_path = tmp_path / "game.json"
         runner.invoke(main, ["gen", "--topology", "pigou", "--out", str(game_path)])
         target = tmp_path / "target.json"
         target.write_text('{"e0": "0.5", "e1": "0.5"}')
         args = [*args, "--instance", str(game_path), "--target", str(target)]
+    monkeypatch.setattr(oracle, "solve_equilibrium", never)
+    monkeypatch.setattr(cli, "solve_equilibrium", never)
     result = runner.invoke(main, args)
     assert result.exit_code == 3
     assert "Traceback" not in result.output

@@ -28,6 +28,12 @@ from tollopt.instances import TOPOLOGIES, InstanceSpec, generate
 from tollopt.oracle import ACCURACY_FLOOR, EquilibriumOracle, OracleMode
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_config_rejects_unusable_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        EnforcementConfig(delta=delta)
+
+
 class TestSeparationCut:
     def test_simple_subtraction(self):
         g = separation_cut(

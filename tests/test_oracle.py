@@ -213,3 +213,11 @@ def test_query_log_serialization(pigou):
 def test_eps_query_floor(pigou):
     with pytest.raises(ValueError):
         EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-13)
+
+
+def test_eps_query_nan_rejected():
+    # a NaN promise passes `eps < floor`; an enforcement against it can
+    # never accept a deviation, however small
+    game = make_parallel([(0.0, 1.0)] * 3)
+    with pytest.raises(ValueError, match="floor"):
+        EquilibriumOracle(game, OracleMode.FLOW_ONLY, eps_query=float("nan"))

@@ -20,6 +20,7 @@ from tollopt import FlowVector, solve_equilibrium, total_latency, zeroorder
 from tollopt.game import has_positive_cycle, is_feasible
 from tollopt.instances import InstanceSpec, generate
 from tollopt.oracle import EquilibriumOracle, OracleMode, reveal_hidden_game
+from tollopt.paths import dag_shortest_path
 from tollopt.zeroorder import (
     OptConfig,
     SampleEngine,
@@ -250,6 +251,31 @@ class TestProjection:
             d_other = float(np.sum((f - raw) ** 2))
             assert d_proj <= d_other + 1e-8
 
+    def test_full_step_leaves_other_links_usable(self):
+        # a first step onto one link must not strand the descent there
+        game = make_parallel([(0.0, 1.0)] * 3)
+        out = project_to_polytope(game.skeleton(), [[-0.5, 0.2, 1.0]])
+        assert np.allclose(out.per_commodity, [[0.0, 0.1, 0.9]], atol=1e-12)
+
+    def test_frank_wolfe_gap_certified(self, rng):
+        games = [random_parallel(m, rng) for m in (2, 3, 5, 8)]
+        games += [
+            generate(InstanceSpec(topology="grid", width=w, height=h, seed=1))
+            for w, h in ((2, 2), (3, 3))
+        ]
+        games += [random_dag_game(n, 2 * n, 2, rng) for n in (5, 6, 7)]
+        for game in games:
+            skel = game.skeleton()
+            for scale in (0.5, 3.0, 30.0):
+                x = rng.normal(0.3, scale, size=(skel.k, skel.m))
+                out = project_to_polytope(skel, x)
+                assert is_feasible(skel, out)
+                for i, com in enumerate(skel.commodities):
+                    f = out.per_commodity[i]
+                    grad = 2.0 * (f - x[i])
+                    _, dist = dag_shortest_path(skel, grad, com.source, com.sink)
+                    assert float(grad @ f) - com.demand * dist <= 1e-9
+
 
 class TestGradient:
     def test_pigou_zero_gradient_at_optimum(self, pigou):
@@ -422,6 +448,20 @@ class TestOptConfig:
         delta = OptConfig(epsilon=0.02).resolved_delta(pigou.skeleton())
         N = pigou.skeleton().constants.N
         assert delta == pytest.approx(0.02 / (8 * N * N))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"epsilon": 0.0},
+            {"epsilon": float("inf")},
+            {"epsilon": float("nan")},
+            {"epsilon": 0.02, "max_iterations": 0},
+            {"epsilon": 0.02, "max_iterations": -3},
+        ],
+    )
+    def test_unusable_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            OptConfig(**kwargs)
 
 
 class TestComputeOptimalTolls:
