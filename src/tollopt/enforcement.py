@@ -157,8 +157,10 @@ def separation_cut(
 
 
 def _check_inputs(oracle: EquilibriumOracle, f_star: FlowVector, delta: float) -> None:
-    """Reject an infeasible or cyclic target and an oracle coarser than
-    ``required_accuracy``."""
+    """Reject an infeasible or cyclic target, an oracle coarser than
+    ``required_accuracy``, and a delta whose success threshold
+    2*delta - eps_query lies below the 1e-12 floor of ``separation_cut``
+    (no answer could then succeed before the cut degenerates)."""
     skel = oracle.skeleton
     if not is_feasible(skel, f_star):
         raise TargetInfeasible("target flow is not feasible for this game")
@@ -169,6 +171,11 @@ def _check_inputs(oracle: EquilibriumOracle, f_star: FlowVector, delta: float) -
         raise ValueError(
             f"oracle accuracy {oracle.eps_query} is coarser than the "
             f"required {eps_acc}"
+        )
+    if 2.0 * delta - oracle.eps_query < 1e-12:
+        raise ValueError(
+            f"delta {delta} is too small for oracle accuracy "
+            f"{oracle.eps_query}: 2*delta - eps_query is below 1e-12"
         )
 
 

@@ -4,7 +4,9 @@ A game is a directed graph with polynomial edge latencies and a list of
 commodities (source, sink, demand).  Flows are per-commodity edge vectors;
 tolls are nonnegative per-edge surcharges measured in latency units.  This
 module also derives the bound constants that the search algorithms rely on:
-a latency ceiling K and the toll cap T_max.
+a latency ceiling K and the toll cap T_max.  Graph traversals, the
+acyclicity tests of the graph and of each commodity's flow support
+included, go through the primitives of ``paths``.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .paths import reachable
+from .paths import _trace, dijkstra, reachable, topological_order
 
 if TYPE_CHECKING:
     from .equilibrium import SeedPaths
@@ -123,18 +124,9 @@ class PolyLatency:
 
 
 def eval_latency(lat: PolyLatency, x):
-    """Evaluate a latency polynomial at x >= 0.
-
-    Accepts floats or ``fractions.Fraction``; with a Fraction argument the
-    evaluation is exact over the stored binary coefficients.
-    """
+    """Evaluate a latency polynomial at x >= 0."""
     if x < 0:
         raise ValueError(f"latency evaluated at negative flow {x}")
-    if not isinstance(x, float) and isinstance(x, Fraction):
-        acc = Fraction(0)
-        for a in reversed(lat.coeffs):
-            acc = acc * x + Fraction(a)
-        return acc
     return _horner(reversed(lat.coeffs), x)
 
 
@@ -324,22 +316,7 @@ class GameSkeleton:
     @cached_property
     def topological_order(self) -> tuple[int, ...] | None:
         """Topological vertex order (Kahn), or None if there is a cycle."""
-        n = len(self.vertices)
-        indeg = [0] * n
-        adj = self.adjacency_out
-        for v in range(n):
-            for _, head in adj[v]:
-                indeg[head] += 1
-        queue = [v for v in range(n) if indeg[v] == 0]
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            for _, head in adj[v]:
-                indeg[head] -= 1
-                if indeg[head] == 0:
-                    queue.append(head)
-        return tuple(queue) if len(queue) == n else None
+        return topological_order(self.adjacency_out)
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -513,44 +490,27 @@ def _horner(coeffs: Iterable[float], x: float) -> float:
     return acc
 
 
-def _find_positive_cycle(game, row: np.ndarray, tol: float) -> list[int] | None:
-    """Deterministic DFS for a directed cycle among edges with flow > tol.
+def _positive_cycle(game, row: np.ndarray, tol: float) -> tuple[int, ...] | None:
+    """A directed cycle among edges with flow > tol, as edge indices, or None.
 
-    Returns the cycle as a list of edge indices, or None.
+    Kahn's order decides acyclicity.  Only a support it cannot order is
+    searched: the first support edge, by id, whose head reaches its tail
+    closes the fewest-hop cycle through it.
     """
-    adj = [
-        [(e_idx, head) for e_idx, head in out if row[e_idx] > tol]
-        for out in game.skeleton().adjacency_out
+    skel = game.skeleton()
+    carries = (row > tol).tolist()
+    support = [
+        [(e_idx, head) for e_idx, head in out if carries[e_idx]]
+        for out in skel.adjacency_out
     ]
-    n = len(adj)
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for start in range(n):
-        if color[start] != 0:
-            continue
-        # Iterative DFS keeping the edge path to the current vertex.
-        stack: list[tuple[int, int]] = [(start, 0)]
-        path_edges: list[int] = []
-        path_vertices: list[int] = [start]
-        color[start] = 1
-        while stack:
-            v, ptr = stack[-1]
-            if ptr < len(adj[v]):
-                stack[-1] = (v, ptr + 1)
-                e_idx, head = adj[v][ptr]
-                if color[head] == 1:
-                    pos = path_vertices.index(head)
-                    return path_edges[pos:] + [e_idx]
-                if color[head] == 0:
-                    color[head] = 1
-                    stack.append((head, 0))
-                    path_edges.append(e_idx)
-                    path_vertices.append(head)
-            else:
-                color[v] = 2
-                stack.pop()
-                if path_edges:
-                    path_edges.pop()
-                    path_vertices.pop()
+    if topological_order(support) is not None:
+        return None
+    hops = [1.0] * skel.m
+    for e_idx in np.flatnonzero(carries).tolist():
+        head, tail = skel.heads[e_idx], skel.tails[e_idx]
+        dist, pred = dijkstra(support, hops, head)
+        if dist[tail] < math.inf:
+            return _trace(pred, skel.tails, head, tail) + (e_idx,)
     return None
 
 
@@ -558,7 +518,7 @@ def has_positive_cycle(game, f: FlowVector) -> bool:
     """True if some commodity routes flow around a directed cycle."""
     cycle_tol = 1e-12 * max(1.0, float(f.per_commodity.max(initial=0.0)))
     return any(
-        _find_positive_cycle(game, f.per_commodity[i], cycle_tol) is not None
+        _positive_cycle(game, f.per_commodity[i], cycle_tol) is not None
         for i in range(f.k)
     )
 
@@ -576,7 +536,7 @@ def acyclic_reduce(game, f: FlowVector) -> FlowVector:
     for i in range(out.shape[0]):
         row = out[i]
         while True:
-            cycle = _find_positive_cycle(game, row, cycle_tol)
+            cycle = _positive_cycle(game, row, cycle_tol)
             if cycle is None:
                 break
             slack = min(row[e] for e in cycle)

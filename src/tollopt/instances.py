@@ -54,6 +54,8 @@ class InstanceSpec:
             raise BadSpec("demand must be positive")
         if self.degree < 1:
             raise BadSpec("degree must be at least 1")
+        if not 0.0 <= self.density <= 1.0:  # True for NaN
+            raise BadSpec(f"density must lie in [0, 1], got {self.density}")
         if self.coeff_bound <= 0:
             raise BadSpec("coefficient bound must be positive")
         if self.topology == "parallel" and self.links < 2:

@@ -1,5 +1,11 @@
-"""Shortest paths, reachability and path decompositions on routing-game
-graphs.
+"""Shortest paths, reachability, topological order and path
+decompositions on routing-game graphs.
+
+Every graph traversal in the package goes through the primitives here:
+``dijkstra``, ``dag_distances``, ``reachable``, ``topological_order`` and
+the predecessor tracer ``_trace``.  They take per-vertex adjacency lists of
+(edge_index, vertex) pairs, so a caller can run them on a subgraph (one
+commodity's flow support, say) by filtering the lists.
 
 The helpers that take a game accept a ``RoutingGame`` or a
 ``GameSkeleton`` and read every index from ``game.skeleton()``.  Paths are
@@ -19,6 +25,7 @@ __all__ = [
     "Unreachable",
     "dijkstra",
     "reachable",
+    "topological_order",
     "shortest_path",
     "dag_distances",
     "dag_shortest_path",
@@ -75,6 +82,28 @@ def reachable(
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def topological_order(
+    adjacency: tuple[tuple[tuple[int, int], ...], ...],
+) -> tuple[int, ...] | None:
+    """Topological vertex order by Kahn's algorithm, or None if the graph
+    given by (edge_index, head) lists has a directed cycle."""
+    n = len(adjacency)
+    indeg = [0] * n
+    for out in adjacency:
+        for _, head in out:
+            indeg[head] += 1
+    queue = [v for v in range(n) if indeg[v] == 0]
+    i = 0
+    while i < len(queue):
+        v = queue[i]
+        i += 1
+        for _, head in adjacency[v]:
+            indeg[head] -= 1
+            if indeg[head] == 0:
+                queue.append(head)
+    return tuple(queue) if len(queue) == n else None
 
 
 def _trace(
@@ -154,37 +183,28 @@ def decompose_paths(
 ) -> list[tuple[tuple[int, ...], float]]:
     """Greedy path decomposition of one commodity's edge flow.
 
-    Repeatedly extracts an s-t path through edges whose residual flow
-    exceeds 1e-12 * max(1, largest flow), earliest edge id first, and
-    routes the bottleneck amount along it.  Leftover circulation, if any,
-    is not reported.
+    Repeatedly takes a fewest-hop s-t path through edges whose residual
+    flow exceeds 1e-12 * max(1, largest flow), ties going to earlier edge
+    ids, and routes along it the bottleneck amount, capped by the net
+    outflow of s not yet routed.  The paths therefore carry the s-t flow
+    and no more; leftover circulation, if any, is not reported.
     """
     residual = np.array(flow_row, dtype=float, copy=True)
     cut = 1e-12 * max(1.0, float(residual.max(initial=0.0)))
     skel = game.skeleton()
     vi = skel.vertex_index
-    adj = skel.adjacency_out
-    n = len(skel.vertices)
     si, ti = vi[s], vi[t]
+    left = float(skel.incidence[si] @ residual)
     out: list[tuple[tuple[int, ...], float]] = []
-    while True:
-        # DFS from s following positive residual edges.
-        pred = [-1] * n
-        seen = [False] * n
-        seen[si] = True
-        stack = [si]
-        while stack and not seen[ti]:
-            v = stack.pop()
-            for e_idx, head in adj[v]:
-                if residual[e_idx] > cut and not seen[head]:
-                    seen[head] = True
-                    pred[head] = e_idx
-                    stack.append(head)
-        if not seen[ti]:
+    while left > cut:
+        hops = np.where(residual > cut, 1.0, np.inf).tolist()
+        dist, pred = dijkstra(skel.adjacency_out, hops, si)
+        if dist[ti] == float("inf"):
             break
         path = _trace(pred, skel.tails, si, ti)
-        amount = min(residual[e] for e in path)
+        amount = min(left, min(residual[e] for e in path))
         for e in path:
             residual[e] -= amount
+        left -= amount
         out.append((path, float(amount)))
     return out

@@ -354,6 +354,10 @@ def test_optimize_cyclic_instance_exits_3(runner, tmp_path):
         ["optimize", "--topology", "pigou", "--epsilon", "inf"],
         ["bench", "--sizes", "2", "--epsilon", "inf"],
         ["bench", "--sizes", "2,3", "--opt-iterations", "0"],
+        ["gen", "--topology", "random_dag", "--n-vertices", "5", "--density", "nan"],
+        ["gen", "--topology", "random_dag", "--n-vertices", "5", "--density", "-1"],
+        # the oracle runs at 1e-11, so 2 delta - eps_query < 0
+        ["enforce", "--delta-enforce", "1e-12", "--trace", "trace.jsonl"],
     ],
 )
 def test_invalid_number_exits_3(runner, tmp_path, monkeypatch, args):
@@ -368,9 +372,12 @@ def test_invalid_number_exits_3(runner, tmp_path, monkeypatch, args):
         args = [*args, "--instance", str(game_path), "--target", str(target)]
     monkeypatch.setattr(oracle, "solve_equilibrium", never)
     monkeypatch.setattr(cli, "solve_equilibrium", never)
+    monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, args)
     assert result.exit_code == 3
     assert "Traceback" not in result.output
+    if "--trace" in args:
+        assert (tmp_path / "trace.jsonl").read_text() == ""
 
 
 @pytest.mark.parametrize(

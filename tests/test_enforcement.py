@@ -186,6 +186,18 @@ class TestEnforceFlow:
                 oracle, FlowVector.single([0.5, 0.5]), EnforcementConfig(delta=1e-3)
             )
 
+    @pytest.mark.parametrize("search", [enforce_flow, ellipsoid_search])
+    def test_delta_below_cut_floor_rejected(self, pigou, search):
+        # 2 delta - eps_query = 2e-12 - 1e-11 < 0: no answer could succeed
+        oracle = EquilibriumOracle(
+            pigou, OracleMode.FLOW_ONLY, eps_query=ACCURACY_FLOOR
+        )
+        with pytest.raises(ValueError, match="eps_query"):
+            search(
+                oracle, FlowVector.single([0.5, 0.5]), EnforcementConfig(delta=1e-12)
+            )
+        assert oracle.query_count == 0
+
 
 class TestDualAscent:
     @pytest.mark.parametrize("topology", TOPOLOGIES)

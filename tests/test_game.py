@@ -1,14 +1,13 @@
 """Core model: validation, latency evaluation, cost, feasibility,
 cycle canceling, derived constants."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    make_braess,
     make_parallel,
     random_cubic_parallel,
     random_dag_game,
@@ -102,11 +101,6 @@ class TestEvalLatency:
 
     def test_quadratic(self):
         assert eval_latency(PolyLatency((2.0, 0.0, 3.0)), 2.0) == 14.0
-
-    def test_exact_fraction_mode(self):
-        lat = PolyLatency((0.5, 0.25))
-        value = eval_latency(lat, Fraction(1, 2))
-        assert value == Fraction(5, 8)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +255,46 @@ def _two_cycle_game():
     )
 
 
+def _braess_back_edge():
+    """Braess plus a t->s return edge, and a flow with 1.0 on s->v->w->t
+    plus 0.1 circulating around s->v->w->t->s."""
+    edges = make_braess().edges + (Edge("e5", "t", "s", PolyLatency((0.0, 1.0))),)
+    game = validate_game(
+        RoutingGame(("s", "v", "w", "t"), edges, (Commodity("s", "t", 1.0),))
+    )
+    return game, FlowVector.single([1.1, 0.0, 0.0, 1.1, 1.1, 0.1])
+
+
+def _shared_edge_cycles_game():
+    """s->t, then t->u->t and t->u->w->t: two cycles sharing t->u."""
+    edges = tuple(
+        Edge(f"e{i}", tail, head, PolyLatency((0.0, 1.0)))
+        for i, (tail, head) in enumerate(
+            [("s", "t"), ("t", "u"), ("u", "t"), ("u", "w"), ("w", "t")]
+        )
+    )
+    return validate_game(
+        RoutingGame(("s", "t", "u", "w"), edges, (Commodity("s", "t", 1.0),))
+    )
+
+
+class TestPositiveCycle:
+    def _game(self):
+        # two s->t commodities on the two-cycle graph
+        game = _two_cycle_game()
+        return RoutingGame(game.vertices, game.edges, game.commodities * 2)
+
+    def test_cycle_in_second_commodity_only(self):
+        f = FlowVector(np.array([[1.0, 0.0, 0.0], [1.0, 0.3, 0.3]]))
+        assert is_feasible(self._game(), f)
+        assert has_positive_cycle(self._game(), f)
+
+    def test_cycle_below_tolerance_ignored(self):
+        # the tolerance is 1e-12 * max(1, largest flow) = 1e-12 here
+        f = FlowVector(np.array([[1.0, 0.0, 0.0], [1.0, 5e-13, 5e-13]]))
+        assert not has_positive_cycle(self._game(), f)
+
+
 class TestAcyclicReduce:
     def test_acyclic_input_unchanged(self, pigou):
         f = FlowVector.single([0.3, 0.7])
@@ -275,26 +309,24 @@ class TestAcyclicReduce:
         assert is_feasible(game, out)
 
     def test_braess_back_edge_circulation(self):
-        # braess plus a t->s return edge carrying 0.1 circulating units
-        edges = (
-            Edge("e0", "s", "v", PolyLatency((0.0, 1.0))),
-            Edge("e1", "s", "w", PolyLatency((1.0,), constant=True)),
-            Edge("e2", "v", "t", PolyLatency((1.0,), constant=True)),
-            Edge("e3", "w", "t", PolyLatency((0.0, 1.0))),
-            Edge("e4", "v", "w", PolyLatency((0.0,), constant=True)),
-            Edge("e5", "t", "s", PolyLatency((0.0, 1.0))),
-        )
-        game = validate_game(
-            RoutingGame(("s", "v", "w", "t"), edges, (Commodity("s", "t", 1.0),))
-        )
-        # 1.0 on s->v->w->t plus 0.1 around s->v->w->t->s
-        f = FlowVector.single([1.1, 0.0, 0.0, 1.1, 1.1, 0.1])
+        game, f = _braess_back_edge()
         cost_before = total_latency(game, f)
         out = acyclic_reduce(game, f)
         assert not has_positive_cycle(game, out)
         assert np.allclose(out.per_commodity[0], [1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
         assert total_latency(game, out) < cost_before
         assert np.all(out.per_commodity <= f.per_commodity + 1e-15)
+
+    def test_two_cycles_sharing_an_edge(self):
+        game = _shared_edge_cycles_game()
+        f = FlowVector.single([1.0, 0.5, 0.2, 0.3, 0.3])
+        assert is_feasible(game, f) and has_positive_cycle(game, f)
+        out = acyclic_reduce(game, f)
+        assert is_feasible(game, out)
+        assert not has_positive_cycle(game, out)
+        assert np.all(out.per_commodity <= f.per_commodity)
+        assert total_latency(game, out) <= total_latency(game, f)
+        assert np.allclose(out.per_commodity[0], [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_idempotent_on_random_flows(self, rng):
         game = random_dag_game(6, 10, 1, rng)
@@ -308,6 +340,30 @@ class TestAcyclicReduce:
     def test_infeasible_rejected(self, pigou):
         with pytest.raises(Infeasible):
             acyclic_reduce(pigou, FlowVector.single([0.1, 0.2]))
+
+
+class TestDecomposePaths:
+    def test_braess_back_edge_leaves_the_circulation(self):
+        game, f = _braess_back_edge()
+        pieces = decompose_paths(game, f.per_commodity[0], "s", "t")
+        skel = game.skeleton()
+        total = np.zeros(game.m)
+        for path, amount in pieces:
+            assert skel.edge_tails[path[0]] == "s" and skel.edge_heads[path[-1]] == "t"
+            for a, b in zip(path, path[1:]):
+                assert skel.edge_heads[a] == skel.edge_tails[b]
+            total[list(path)] += amount
+        circulation = np.array([0.1, 0.0, 0.0, 0.1, 0.1, 0.1])
+        assert np.allclose(total, f.per_commodity[0] - circulation, atol=1e-15)
+
+    def test_fewest_hops_first(self, braess):
+        # s->v->t and s->w->t have two hops, s->v->w->t three
+        pieces = decompose_paths(braess, np.array([0.6, 0.2, 0.2, 0.6, 0.4]), "s", "t")
+        assert [path for path, _ in pieces] == [(0, 2), (1, 3), (0, 4, 3)]
+        assert np.allclose([a for _, a in pieces], [0.2, 0.2, 0.4])
+
+    def test_flow_that_never_reaches_t_gives_no_path(self, braess):
+        assert decompose_paths(braess, np.array([0.5, 0.0, 0.0, 0.0, 0.0]), "s", "t") == []
 
 
 class TestDeriveConstants:

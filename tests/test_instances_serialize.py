@@ -74,6 +74,9 @@ class TestGenerate:
             InstanceSpec(topology="pigou", demand=-1.0)
         with pytest.raises(BadSpec):
             InstanceSpec(topology="grid", width=1)
+        for density in (float("nan"), -1.0, 2.0, float("inf")):
+            with pytest.raises(BadSpec, match="density"):
+                InstanceSpec(topology="random_dag", density=density)
 
 
 class TestSerialize:
