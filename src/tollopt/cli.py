@@ -9,11 +9,13 @@ Exit codes are one map, by exception class, that every command runs in:
   its accuracy (``NoConvergence``), an ellipsoid update that broke down
   (``NumericBreakdown``), an enforcement that found no tolls, or an
   optimize or demo result that fails its own check;
-- 3 invalid input: any ``ValueError`` (a malformed instance, tolls or
-  target file, a bad spec or configuration value, a negative query
-  budget, a toll out of range, an infeasible or cyclic target, a graph
-  with a directed cycle for ``optimize``), a missing field (``KeyError``),
-  or an input or output path that cannot be read or written (``OSError``);
+- 3 invalid input: a click usage error (an unknown command or option, a
+  missing option, a value of the wrong type), any ``ValueError`` (a
+  malformed instance, tolls or target file, a bad spec or configuration
+  value, a negative query budget, a toll out of range, an infeasible or
+  cyclic target, a graph with a directed cycle for ``optimize``), a
+  missing field (``KeyError``), or an input or output path that cannot be
+  read or written (``OSError``);
 - 4 query budget exhausted (``OracleBudgetExceeded``, or
   ``OracleSampleFailed`` when a cost sample's enforcement failed), and an
   ``optimize`` run whose descent spent the budget, after its report;
@@ -336,10 +338,14 @@ def run_bench(
 def _exit_codes():
     """Map a command's failures to the documented exit codes, by class.
 
-    Every ``ValueError`` the package raises refuses its caller's input.
+    Every ``ValueError`` the package raises refuses its caller's input, and
+    so does every click usage error, which click then reports itself.
     """
     try:
         yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_INVALID
+        raise
     except (OracleBudgetExceeded, OracleSampleFailed) as exc:
         click.echo(f"budget exhausted: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
@@ -357,7 +363,12 @@ def _exit_codes():
 
 
 class _Commands(click.Group):
-    """A command group that runs each command inside ``_exit_codes``."""
+    """A command group that parses its options and runs each command
+    inside ``_exit_codes``."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _exit_codes():
+            return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx: click.Context):
         with _exit_codes():

@@ -1,9 +1,10 @@
 """Toll search: find tolls whose induced equilibrium matches a target flow.
 
-``enforce_flow`` first runs dual ascent from the caller's start tolls (or
-zero tolls) and falls back to the paper's central-cut ellipsoid search
-(``ellipsoid_search``) from the ball around the whole toll box when ascent
-does not succeed within ``DUAL_QUERIES_PER_EDGE * m`` queries.
+``enforce_flow`` and ``ellipsoid_search`` run one search loop: first
+``DUAL_QUERIES_PER_EDGE * m`` dual-ascent steps from the caller's start
+tolls (or zero tolls), then the paper's central cuts from the ball around
+the toll box.  ``ellipsoid_search`` is that loop with no dual steps.  Both
+phases step along g = F(tau) - f*, the answer to one query.
 
 Dual ascent.  Let Phi be the Beckmann potential and
 V(tau) = min_f Phi(f) + tau . f over feasible flows.  V is a minimum of
@@ -30,11 +31,11 @@ the half-space {tau': g.tau' >= g.tau} keeps every exactly-enforcing toll
 vector.  Centers that leave the toll box are pushed back by coordinate
 feasibility cuts before any query is spent.
 
-Both phases declare success when the observed deviation is at most
-2*delta minus the oracle's accuracy promise, so the true deviation is at
-most 2*delta.  Without knowledge of the latencies there is no certified
-infeasibility test; the ellipsoid reports NOT_FOUND once its volume falls
-below a floor or the iteration cap is reached.  The worst case of
+The loop declares success once an observed deviation is at most 2*delta
+minus the oracle's accuracy promise, so the true deviation is at most
+2*delta.  Without knowledge of the latencies there is no certified
+infeasibility test; the search reports NOT_FOUND once the ellipsoid's
+volume falls below a floor or the iteration cap is reached.  The worst case of
 ``enforce_flow`` is therefore 20m dual queries plus the paper's bound.
 """
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -90,14 +91,13 @@ class EnforcementStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class EnforcementConfig:
-    """Tolerance delta and an optional iteration cap.
+    """Tolerance delta and an optional iteration cap, an int >= 1.
 
-    The searches derive the rest from delta and the game's constants:
-    the oracle accuracy they need (``required_accuracy``); the ellipsoid
-    iteration cap, ceil(16 m^2 ln(T_max m K / delta)) and at least 64,
-    unless ``max_iterations`` is set (in ``enforce_flow`` it then caps
-    dual steps and ellipsoid iterations together); and the volume floor,
-    the volume of an m-ball of radius delta / (4 m K).
+    The searches derive the rest from delta and the game's constants: the
+    oracle accuracy they need (``required_accuracy``); unless
+    ``max_iterations`` caps dual steps and cuts together, a limit of
+    ceil(16 m^2 ln(T_max m K / delta)) cuts, at least 64, after the dual
+    steps; and the volume floor, that of an m-ball of radius delta / (4 m K).
     """
 
     delta: float
@@ -106,6 +106,15 @@ class EnforcementConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < math.inf:  # False for NaN
             raise ValueError("delta must be positive and finite")
+        cap = self.max_iterations
+        if cap is not None and not _is_positive_int(cap):
+            raise ValueError("max_iterations must be None or an int >= 1")
+
+
+def _is_positive_int(value) -> bool:
+    """Whether ``value`` is an int of at least 1; a bool is not an int here."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return is_int and value >= 1
 
 
 @dataclass(frozen=True)
@@ -203,78 +212,8 @@ def enforce_flow(
 
     The target must be feasible and per-commodity acyclic.
     """
-    _check_inputs(oracle, f_star, cfg.delta)
-    skel = oracle.skeleton
-    m, t_max = skel.m, skel.constants.T_max
-    threshold = 2.0 * cfg.delta - oracle.eps_query
-    target = f_star.aggregate
-    budget = DUAL_QUERIES_PER_EDGE * m
-    if cfg.max_iterations is not None:
-        budget = min(budget, cfg.max_iterations)
-    tau = np.zeros(m) if initial is None else np.clip(initial.values, 0.0, t_max)
-    eta = 1.0 / skel.constants.K
-    queries_before = oracle.query_count
-    best_tau, best_dev = tau, float("inf")
-    prev_tau = prev_g = None
-    steps = 0
-    while steps < budget:
-        steps += 1
-        resp = oracle.query(TollVector(tau))
-        g = resp.aggregate_flow - target
-        dev = float(np.abs(g).max())
-        if dev < best_dev:
-            best_tau, best_dev = tau, dev
-        if dev <= threshold:
-            return EnforcementResult(
-                tolls=TollVector(tau),
-                achieved_deviation=dev,
-                queries_used=oracle.query_count - queries_before,
-                status=EnforcementStatus.SUCCESS,
-                iterations=steps,
-                response=resp,
-            )
-        if on_iteration is not None:
-            on_iteration(
-                EnforcementTraceRecord(
-                    iteration=steps,
-                    cut_type="dual",
-                    center=tau,
-                    deviation=dev,
-                    log_volume=None,
-                    ellipsoid=None,
-                )
-            )
-        if prev_tau is not None:
-            s, y = tau - prev_tau, g - prev_g
-            sy = float(s @ y)
-            if sy < 0.0:
-                eta = float(s @ s) / -sy
-        prev_tau, prev_g = tau, g
-        tau = np.clip(tau + eta * g, 0.0, t_max)
-
-    result = None
-    if cfg.max_iterations is None or cfg.max_iterations > steps:
-        rest = None if cfg.max_iterations is None else cfg.max_iterations - steps
-
-        def shifted(rec: EnforcementTraceRecord) -> None:
-            on_iteration(replace(rec, iteration=rec.iteration + steps))
-
-        result = ellipsoid_search(
-            oracle,
-            f_star,
-            replace(cfg, max_iterations=rest),
-            None if on_iteration is None else shifted,
-        )
-        if result.achieved_deviation < best_dev:
-            best_tau, best_dev = result.tolls.values, result.achieved_deviation
-    return EnforcementResult(
-        tolls=TollVector(best_tau),
-        achieved_deviation=best_dev,
-        queries_used=oracle.query_count - queries_before,
-        status=EnforcementStatus.NOT_FOUND if result is None else result.status,
-        iterations=steps + (0 if result is None else result.iterations),
-        response=None if result is None else result.response,
-    )
+    dual_steps = DUAL_QUERIES_PER_EDGE * oracle.skeleton.m
+    return _search(oracle, f_star, cfg, on_iteration, dual_steps, initial, None)
 
 
 def ellipsoid_search(
@@ -292,97 +231,108 @@ def ellipsoid_search(
     toll box); a smaller start is a pure accelerator, since success is
     always verified against the oracle.
     """
+    return _search(oracle, f_star, cfg, on_iteration, 0, None, initial)
+
+
+def _search(
+    oracle: EquilibriumOracle,
+    f_star: FlowVector,
+    cfg: EnforcementConfig,
+    on_iteration: Callable[[EnforcementTraceRecord], None] | None,
+    dual_steps: int,
+    start: TollVector | None,
+    initial: Ellipsoid | None,
+) -> EnforcementResult:
+    """``dual_steps`` dual-ascent steps from ``start`` (default zero tolls),
+    then central cuts from ``initial`` (default the ball around the box).
+    Each iteration queries its point, the dual tolls or the ellipsoid's
+    center (a center outside the toll box gets a box cut and no query),
+    keeps the strictly best deviation, stops on success, reports one
+    record and takes its phase's step.
+    """
     _check_inputs(oracle, f_star, cfg.delta)
-    skel = oracle.skeleton
-    const = skel.constants
-    m, delta = skel.m, cfg.delta
-    max_iterations = cfg.max_iterations
-    if max_iterations is None:
-        max_iterations = max(
-            64, math.ceil(16 * m * m * math.log(const.T_max * m * const.K / delta))
-        )
-    floor_radius = delta / (4.0 * m * const.K)
-    log_volume_floor = unit_ball_log_volume(m) + m * math.log(floor_radius)
-    margin = oracle.eps_query
-    t_max = const.T_max
+    const = oracle.skeleton.constants
+    m, delta, t_max = oracle.skeleton.m, cfg.delta, const.T_max
+    limit = cfg.max_iterations
+    if limit is None:
+        bound = math.ceil(16 * m * m * math.log(t_max * m * const.K / delta))
+        limit = dual_steps + max(64, bound)
+    threshold = 2.0 * delta - oracle.eps_query
     target = f_star.aggregate
     box_tol = 1e-12 * max(1.0, t_max)
-
-    E = initial
-    if E is None:
-        E = Ellipsoid.circumscribing_box(np.zeros(m), np.full(m, t_max))
-    full_radius = 0.5 * t_max * math.sqrt(m)
+    log_vol_floor = unit_ball_log_volume(m) + m * math.log(delta / (4.0 * m * const.K))
     queries_before = oracle.query_count
-    best_tau: np.ndarray | None = None
-    best_dev = float("inf")
+    best_tau, best_dev = None, float("inf")
     status = EnforcementStatus.NOT_FOUND
+
+    tau = np.zeros(m) if start is None else np.clip(start.values, 0.0, t_max)
+    eta, prev_tau, prev_g = 1.0 / const.K, None, None
+    E = initial
     # The shape matrix cannot represent extreme anisotropy (the enforcing
     # set may be unbounded along toll directions no cut ever shrinks, e.g.
     # a constant added to every toll of a parallel-link game).  When it
     # degenerates numerically, restart from a small ball around the best
-    # tolls seen; success remains oracle-verified, so restarts only speed
-    # things up or honestly fail.
+    # tolls of the ellipsoid phase; success remains oracle-verified, so
+    # restarts only speed things up or honestly fail.
     restarts_left = 6
-    restart_scale = 8.0 * m * const.K
-    it = 0
-    while it < max_iterations:
-        it += 1
-        c = E.center
-        if c.min() < -box_tol or c.max() > t_max + box_tol:
+    cut_tau, cut_dev = None, float("inf")
+    full_radius = 0.5 * t_max * math.sqrt(m)
+    for it in range(1, limit + 1):
+        dual = it <= dual_steps
+        if E is None and not dual:  # built only when the search reaches its cuts
+            E = Ellipsoid.circumscribing_box(np.zeros(m), np.full(m, t_max))
+        c = tau if dual else E.center  # dual tolls never leave the box
+        if not dual and (c.min() < -box_tol or c.max() > t_max + box_tol):
             low = c < -box_tol
-            high = c > t_max + box_tol
-            j = int(np.argmax(low)) if low.any() else int(np.argmax(high))
+            j = int(np.argmax(low if low.any() else c > t_max + box_tol))
             g = np.zeros(m)
             g[j] = 1.0 if low[j] else -1.0
-            cut_type = "box"
-            dev = None
+            cut_type, dev = "box", None
         else:
-            tau_q = np.clip(c, 0.0, t_max)
-            tolls = TollVector(tau_q)
-            resp = oracle.query(tolls)
-            dev = float(np.abs(resp.aggregate_flow - target).max())
+            point = tau if dual else np.clip(c, 0.0, t_max)
+            resp = oracle.query(TollVector(point))
+            g = resp.aggregate_flow - target  # the cut normal of ``separation_cut``
+            dev = float(np.abs(g).max())
             if dev < best_dev:
-                best_dev = dev
-                best_tau = tau_q
-            if dev <= 2.0 * delta - margin:
+                best_tau, best_dev = point, dev
+            if dev <= threshold:
                 status = EnforcementStatus.SUCCESS
                 break
-            g = separation_cut(tolls, resp.aggregate_flow, target)
-            cut_type = "separation"
-        try:
-            E = E.update(g)
-            log_vol = E.log_volume()
-        except NumericBreakdown:
-            if restarts_left <= 0 or best_tau is None:
-                break
-            radius = min(
-                max(restart_scale * best_dev, 1e3 * delta),
-                full_radius,
-            ) * 16.0 ** (6 - restarts_left)
-            restarts_left -= 1
-            E = Ellipsoid.ball(best_tau, min(radius, full_radius))
-            continue
+            cut_type = "dual" if dual else "separation"
+        if dual:  # a Barzilai-Borwein step
+            if prev_tau is not None:
+                s, y = tau - prev_tau, g - prev_g
+                sy = float(s @ y)
+                if sy < 0.0:
+                    eta = float(s @ s) / -sy
+            prev_tau, prev_g = tau, g
+            tau = np.clip(tau + eta * g, 0.0, t_max)
+            ellipsoid = log_vol = None
+        else:
+            if dev is not None and dev < cut_dev:
+                cut_tau, cut_dev = point, dev
+            try:
+                ellipsoid = E = E.update(g)
+                log_vol = E.log_volume()
+            except NumericBreakdown:
+                if restarts_left <= 0 or cut_tau is None:
+                    break
+                radius = min(max(8.0 * m * const.K * cut_dev, 1e3 * delta), full_radius)
+                radius *= 16.0 ** (6 - restarts_left)
+                restarts_left -= 1
+                E = Ellipsoid.ball(cut_tau, min(radius, full_radius))
+                continue
         if on_iteration is not None:
-            on_iteration(
-                EnforcementTraceRecord(
-                    iteration=it,
-                    cut_type=cut_type,
-                    center=c,
-                    deviation=dev,
-                    log_volume=log_vol,
-                    ellipsoid=E,
-                )
-            )
-        if log_vol < log_volume_floor:
+            record = EnforcementTraceRecord(it, cut_type, c, dev, log_vol, ellipsoid)
+            on_iteration(record)
+        if log_vol is not None and log_vol < log_vol_floor:
             break
-    queries_used = oracle.query_count - queries_before
     if best_tau is None:
         best_tau = np.clip(E.center, 0.0, t_max)
-        best_dev = float("inf")
     return EnforcementResult(
         tolls=TollVector(best_tau),
         achieved_deviation=best_dev,
-        queries_used=queries_used,
+        queries_used=oracle.query_count - queries_before,
         status=status,
         iterations=it,
         response=resp if status is EnforcementStatus.SUCCESS else None,

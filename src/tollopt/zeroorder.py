@@ -23,6 +23,7 @@ returned tolls.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -31,6 +32,7 @@ import numpy as np
 from .enforcement import (
     EnforcementConfig,
     EnforcementStatus,
+    _is_positive_int,
     enforce_flow,
 )
 from .equilibrium import EqConfig, solve_equilibrium
@@ -68,7 +70,8 @@ class OracleSampleFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Targets and the descent-iteration cap of the zero-order minimizer.
+    """Targets and the descent-iteration cap (an int >= 1) of the
+    zero-order minimizer.
 
     ``delta``, the value-oracle error, defaults to epsilon / (8 N^2) where
     N = mk and may not exceed it, keeping that error a fixed polynomial
@@ -85,8 +88,8 @@ class OptConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < math.inf:  # False for NaN
             raise ValueError("epsilon must be positive and finite")
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not _is_positive_int(self.max_iterations):
+            raise ValueError("max_iterations must be an int >= 1")
 
     def resolved_delta(self, skeleton: GameSkeleton) -> float:
         """delta, checked to be positive and at most epsilon / (8 N^2)."""
@@ -262,12 +265,33 @@ def reference_flow(skel: GameSkeleton) -> FlowVector:
     return FlowVector(out)
 
 
+#: The games ``project_to_polytope`` solves, per skeleton.  An entry lives
+#: only as long as its skeleton; equal skeletons share it, and the games
+#: are a function of the skeleton alone, so sharing changes no answer.
+_PROJECTION_GAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _projection_games(skel: GameSkeleton) -> tuple[RoutingGame, ...]:
+    """Per commodity, the one-commodity game on the skeleton's graph with
+    latency 2x on every edge.  Built once per skeleton, so the seed solve
+    of each game (``RoutingGame.zero_toll_paths``) runs once."""
+    games = _PROJECTION_GAMES.get(skel)
+    if games is None:
+        edges = tuple(
+            Edge(e, t, h, PolyLatency((0.0, 2.0)))
+            for e, t, h in zip(skel.edge_ids, skel.edge_tails, skel.edge_heads)
+        )
+        games = tuple(RoutingGame(skel.vertices, edges, (c,)) for c in skel.commodities)
+        _PROJECTION_GAMES[skel] = games
+    return games
+
+
 def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
     """Euclidean projection onto the feasible-flow polytope.
 
     Commodity i's part is the equilibrium of a one-commodity game on the
-    same graph with latency 2x on every edge and tolls
-    tau_e = max(0, c_e + pi(tail_e) - pi(head_e)), where c = -2 x_i and
+    same graph with latency 2x on every edge (built once per skeleton) and
+    tolls tau_e = max(0, c_e + pi(tail_e) - pi(head_e)), where c = -2 x_i and
     pi holds the DAG shortest distances from the source under c
     (Johnson's reweighting; an edge the source cannot reach gets 0).  The
     tolls add the same constant to every source-sink path, so the game's
@@ -282,11 +306,8 @@ def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
     if pts.shape == (skel.k, skel.m) and is_feasible(skel, candidate, tol=1e-12):
         return candidate
     require_acyclic(skel)
-    edges = tuple(
-        Edge(e, t, h, PolyLatency((0.0, 2.0)))
-        for e, t, h in zip(skel.edge_ids, skel.edge_tails, skel.edge_heads)
-    )
     tails, heads = np.array(skel.tails), np.array(skel.heads)
+    games = _projection_games(skel)
     out = np.zeros((skel.k, skel.m))
     for i, com in enumerate(skel.commodities):
         c = -2.0 * pts[i]
@@ -294,8 +315,7 @@ def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
         seen = np.isfinite(pi[tails])
         tau = np.zeros(skel.m)
         tau[seen] = np.maximum(0.0, c[seen] + pi[tails[seen]] - pi[heads[seen]])
-        game = RoutingGame(skel.vertices, edges, (com,))
-        result = solve_equilibrium(game, TollVector(tau), EqConfig(accuracy=1e-10))
+        result = solve_equilibrium(games[i], TollVector(tau), EqConfig(accuracy=1e-10))
         out[i] = result.flow.per_commodity[0]
     return FlowVector(out)
 

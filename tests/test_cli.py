@@ -301,6 +301,29 @@ def test_out_replaced_only_by_the_report(runner, pigou_files):
     assert json.loads(Path(game_path).read_text())["command"] == "solve-eq"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize", "--links", "x"],
+        ["gen"],
+        ["optimize", "--bogus"],
+        ["bogus"],
+        ["--bogus"],
+    ],
+)
+def test_usage_error_exits_3(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert "Error:" in result.output
+
+
+@pytest.mark.parametrize("args", [["--help"], ["optimize", "--help"]])
+def test_help_exits_0(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "Usage:" in result.output
+
+
 def test_closed_stdout_is_not_invalid_input(runner, monkeypatch):
     def closed(*args, **kwargs):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")

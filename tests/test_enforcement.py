@@ -26,12 +26,31 @@ from tollopt.exact import marginal_cost_tolls, optimal_flow
 from tollopt.game import RoutingGame, has_positive_cycle
 from tollopt.instances import TOPOLOGIES, InstanceSpec, generate
 from tollopt.oracle import ACCURACY_FLOOR, EquilibriumOracle, OracleMode
+from tollopt.zeroorder import OptConfig
 
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
 def test_config_rejects_unusable_delta(delta):
     with pytest.raises(ValueError, match="delta"):
         EnforcementConfig(delta=delta)
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, 1.5, True, False, "5", np.float64(3.0)])
+def test_iteration_caps_refuse_all_but_ints_from_1(cap):
+    # both caps are refused when the config is built, before any query
+    with pytest.raises(ValueError, match="max_iterations"):
+        EnforcementConfig(delta=1e-3, max_iterations=cap)
+    with pytest.raises(ValueError, match="max_iterations"):
+        OptConfig(epsilon=0.02, max_iterations=cap)
+
+
+def test_iteration_caps_accept_ints_from_1():
+    for cap in (1, 7, np.int64(3)):
+        assert EnforcementConfig(delta=1e-3, max_iterations=cap).max_iterations == cap
+        assert OptConfig(epsilon=0.02, max_iterations=cap).max_iterations == cap
+    assert EnforcementConfig(delta=1e-3).max_iterations is None
+    with pytest.raises(ValueError, match="max_iterations"):
+        OptConfig(epsilon=0.02, max_iterations=None)
 
 
 class TestSeparationCut:
@@ -232,15 +251,6 @@ class TestDualAscent:
     )
     def test_fallback_to_ellipsoid(self, pigou, monkeypatch, per_edge, start, cap, status):
         monkeypatch.setattr(enforcement, "DUAL_QUERIES_PER_EDGE", per_edge)
-        searches = []
-        starts = []
-
-        def spy(*args, **kwargs):
-            starts.append(kwargs.get("initial", args[4] if len(args) > 4 else None))
-            searches.append(ellipsoid_search(*args, **kwargs))
-            return searches[-1]
-
-        monkeypatch.setattr(enforcement, "ellipsoid_search", spy)
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-9)
         records = []
         res = enforce_flow(
@@ -251,7 +261,8 @@ class TestDualAscent:
             initial=start,
         )
         assert res.status is status
-        if status is EnforcementStatus.SUCCESS:
+        success = status is EnforcementStatus.SUCCESS
+        if success:
             # the accepted answer is the oracle's answer at the returned tolls
             assert res.achieved_deviation <= 2e-3
             fresh = oracle.query(res.tolls)
@@ -259,19 +270,22 @@ class TestDualAscent:
             assert res.response.total_cost == fresh.total_cost
         else:
             assert res.response is None
-        if not searches:
-            assert res.queries_used == res.iterations == 1
-            assert records == []
-            return
-        dual_steps = per_edge * pigou.m
-        assert len(searches) == 1
-        assert starts == [None]  # the fallback starts from the full box
-        assert res.queries_used == dual_steps + searches[0].queries_used
-        assert res.iterations == dual_steps + searches[0].iterations
-        assert [r.cut_type for r in records[:dual_steps]] == ["dual"] * dual_steps
-        assert all(r.ellipsoid is None and r.log_volume is None for r in records[:dual_steps])
-        assert all(r.ellipsoid is not None for r in records[dual_steps:])
+        # every iteration but a successful last one leaves one record, and
+        # every record but a box cut's spent one query
         assert [r.iteration for r in records] == list(range(1, len(records) + 1))
+        assert res.iterations == len(records) + success
+        assert res.queries_used == sum(r.deviation is not None for r in records) + success
+        if not records:
+            assert res.queries_used == res.iterations == 1
+            return
+        dual, cuts = records[: per_edge * pigou.m], records[per_edge * pigou.m :]
+        assert all(r.cut_type == "dual" for r in dual)
+        assert all(r.ellipsoid is None and r.log_volume is None for r in dual)
+        assert all(r.cut_type != "dual" and r.ellipsoid is not None for r in cuts)
+        # the cuts start from the ball around the toll box, whatever the start
+        t_max = pigou.skeleton().constants.T_max
+        assert cuts[0].cut_type == "separation"
+        assert np.array_equal(cuts[0].center, np.full(pigou.m, t_max / 2))
 
     def test_max_iterations_caps_both_phases(self, pigou, monkeypatch):
         monkeypatch.setattr(enforcement, "DUAL_QUERIES_PER_EDGE", 1)
@@ -285,19 +299,58 @@ class TestDualAscent:
         assert res.iterations == pigou.m + 2
         assert res.queries_used <= pigou.m + 2
 
-    def test_max_iterations_below_dual_budget_skips_ellipsoid(self, pigou, monkeypatch):
-        searches = []
-        monkeypatch.setattr(enforcement, "ellipsoid_search", searches.append)
+    def test_max_iterations_below_dual_budget_skips_ellipsoid(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        records = []
         res = enforce_flow(
             oracle,
             FlowVector.single([0.5, 0.5]),
             EnforcementConfig(delta=1e-3, max_iterations=2),
+            on_iteration=records.append,
         )
-        assert searches == []
+        assert [r.cut_type for r in records] == ["dual", "dual"]
+        assert all(r.ellipsoid is None for r in records)
         assert res.status is EnforcementStatus.NOT_FOUND
         assert res.iterations == res.queries_used == 2
         assert math.isfinite(res.achieved_deviation)
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    @pytest.mark.parametrize("instance", ["pigou", "dag"])
+    def test_no_dual_steps_is_ellipsoid_search(self, pigou, monkeypatch, instance, cap):
+        # with no dual budget enforce_flow is the ellipsoid search, bit for bit
+        monkeypatch.setattr(enforcement, "DUAL_QUERIES_PER_EDGE", 0)
+        game, target = pigou, FlowVector.single([0.5, 0.5])
+        if instance == "dag":
+            game = generate(
+                InstanceSpec(
+                    topology="random_dag", n_vertices=6, degree=3, commodities=2, seed=2
+                )
+            )
+            tau = np.random.default_rng(7).uniform(0.0, 1.0, game.m)
+            target = solve_equilibrium(game, TollVector(tau)).flow
+        cfg = EnforcementConfig(delta=1e-3, max_iterations=cap)
+        runs = []
+        for search in (enforce_flow, ellipsoid_search):
+            oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-10)
+            records = []
+            runs.append((search(oracle, target, cfg, records.append), records))
+        (res, recs), (ref, ref_recs) = runs
+        assert res.tolls.values.tobytes() == ref.tolls.values.tobytes()
+        assert (res.achieved_deviation, res.queries_used, res.status, res.iterations) == (
+            ref.achieved_deviation, ref.queries_used, ref.status, ref.iterations
+        )
+        if ref.response is None:
+            assert res.response is None
+        else:
+            assert res.response.aggregate_flow.tobytes() == ref.response.aggregate_flow.tobytes()
+        assert len(recs) == len(ref_recs) > 0
+        for rec, want in zip(recs, ref_recs):
+            assert (rec.iteration, rec.cut_type, rec.deviation, rec.log_volume) == (
+                want.iteration, want.cut_type, want.deviation, want.log_volume
+            )
+            assert rec.center.tobytes() == want.center.tobytes()
+            assert rec.ellipsoid.center.tobytes() == want.ellipsoid.center.tobytes()
+            assert rec.ellipsoid.shape.tobytes() == want.ellipsoid.shape.tobytes()
 
     def test_starts_from_initial_center(self, pigou):
         # tolls with tau_1 = tau_2 + 1/2 enforce (1/2, 1/2) exactly, so the

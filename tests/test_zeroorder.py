@@ -1,8 +1,10 @@
 """Zero-order value oracle, projection, gradients, and the minimizer."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from conftest import (
     random_parallel,
 )
 from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
-from tollopt import FlowVector, solve_equilibrium, total_latency, zeroorder
+from tollopt import FlowVector, equilibrium, solve_equilibrium, total_latency, zeroorder
 from tollopt.game import has_positive_cycle, is_feasible
 from tollopt.instances import InstanceSpec, generate
 from tollopt.oracle import EquilibriumOracle, OracleMode, reveal_hidden_game
@@ -235,6 +237,38 @@ class TestProjection:
             raw = rng.normal(0.4, 0.5, size=(2, game.m))
             out = project_to_polytope(skel, raw)
             assert is_feasible(skel, out)
+
+    def test_games_built_once_per_skeleton(self, monkeypatch):
+        # a demand no other test uses, so no equal skeleton shares the games
+        game = generate(
+            InstanceSpec(
+                topology="random_dag", n_vertices=6, degree=3, commodities=2,
+                demand=1.375, seed=2,
+            )
+        )
+        skel = game.skeleton()
+        seeds = []
+        solve_seed = equilibrium.zero_toll_paths
+        monkeypatch.setattr(
+            equilibrium, "zero_toll_paths", lambda g: seeds.append(g) or solve_seed(g)
+        )
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            out = project_to_polytope(skel, rng.uniform(-0.5, 1.5, (skel.k, skel.m)))
+            assert is_feasible(skel, out)
+        assert len(seeds) == skel.k
+
+    def test_games_die_with_their_skeleton(self):
+        spec = InstanceSpec(topology="grid", width=2, height=3, demand=1.625, seed=9)
+        skel = generate(spec).skeleton()
+        project_to_polytope(skel, np.full((1, skel.m), 0.5))
+        gc.collect()
+        before = len(zeroorder._PROJECTION_GAMES)
+        ref = weakref.ref(skel)
+        del skel
+        gc.collect()
+        assert ref() is None
+        assert len(zeroorder._PROJECTION_GAMES) == before - 1
 
     def test_projection_beats_random_feasible_points(self, rng, braess):
         skel = braess.skeleton()
