@@ -5,14 +5,12 @@ minimization of total latency."""
 
 from .ellipsoid import Ellipsoid, NumericBreakdown
 from .enforcement import (
-    DegenerateCut,
     EnforcementConfig,
     EnforcementResult,
     EnforcementStatus,
     TargetCyclic,
     TargetInfeasible,
     enforce_flow,
-    separation_cut,
 )
 from .equilibrium import (
     EqConfig,
@@ -37,7 +35,6 @@ from .game import (
     TollVector,
     acyclic_reduce,
     derive_constants,
-    eval_latency,
     has_positive_cycle,
     is_feasible,
     total_latency,
@@ -49,7 +46,6 @@ from .oracle import (
     OracleBudgetExceeded,
     OracleMode,
     OracleResponse,
-    serialize_query_log,
 )
 from .paths import Unreachable, shortest_path
 from .zeroorder import (
@@ -58,7 +54,6 @@ from .zeroorder import (
     OptimizationReport,
     OracleSampleFailed,
     compute_optimal_tolls,
-    minimize_total_latency,
     project_to_polytope,
 )
 
@@ -75,7 +70,6 @@ __all__ = [
     "TollVector",
     "acyclic_reduce",
     "derive_constants",
-    "eval_latency",
     "has_positive_cycle",
     "is_feasible",
     "total_latency",
@@ -93,23 +87,19 @@ __all__ = [
     "EquilibriumOracle",
     "TollOutOfRange",
     "OracleBudgetExceeded",
-    "serialize_query_log",
     "Ellipsoid",
     "NumericBreakdown",
-    "DegenerateCut",
     "TargetInfeasible",
     "TargetCyclic",
     "EnforcementConfig",
     "EnforcementResult",
     "EnforcementStatus",
-    "separation_cut",
     "enforce_flow",
     "OptConfig",
     "CostOracleSample",
     "OptimizationReport",
     "OracleSampleFailed",
     "project_to_polytope",
-    "minimize_total_latency",
     "compute_optimal_tolls",
     "marginal_game",
     "marginal_cost_tolls",

@@ -242,7 +242,7 @@ def _pipeline_on_game(
     return _report(
         "optimize",
         instance_desc,
-        {"epsilon": cfg.epsilon, "delta": cfg.delta,
+        {"epsilon": cfg.epsilon, "delta": cfg.resolved_delta(game.skeleton()),
          "max_queries": max_queries},
         results,
         oracle.query_count,
@@ -253,14 +253,13 @@ def _pipeline_on_game(
 def run_pipeline(
     spec: InstanceSpec,
     epsilon: float = 0.02,
-    delta: float | None = None,
     max_queries: int | None = None,
     trace_path: str | None = None,
 ) -> dict:
     """Generate a game, hide it behind a cost-revealing oracle, compute
     near-optimal tolls, and score them against the full-knowledge optimum."""
     game = generate(spec)
-    cfg = OptConfig(epsilon=epsilon, delta=delta)
+    cfg = OptConfig(epsilon=epsilon)
     return _pipeline_on_game(game, asdict(spec), cfg, max_queries, trace_path)
 
 
@@ -520,12 +519,11 @@ def enforce_cmd(instance, target, delta, max_queries, trace_path, out) -> None:
 @click.option("--demand", default=1.0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--epsilon", default=0.02, show_default=True)
-@click.option("--delta", default=None, type=float)
 @click.option("--max-queries", default=None, type=int)
 @click.option("--trace", "trace_path", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None, callback=_open_out)
 def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
-                 degree, demand, seed, epsilon, delta, max_queries, trace_path,
+                 degree, demand, seed, epsilon, max_queries, trace_path,
                  out) -> None:
     """End-to-end: hide a game behind the oracle, compute near-optimal tolls."""
     if instance is not None:
@@ -539,7 +537,7 @@ def optimize_cmd(instance, topology, links, width, height, n_vertices, density,
         )
         game = generate(spec)
         desc = asdict(spec)
-    cfg = OptConfig(epsilon=epsilon, delta=delta)
+    cfg = OptConfig(epsilon=epsilon)
     report = _pipeline_on_game(game, desc, cfg, max_queries, trace_path)
     _emit(report, out)
     if report["results"]["optimizer_status"] == "BUDGET_EXHAUSTED":

@@ -53,7 +53,6 @@ from .game import FlowVector, TollVector, has_positive_cycle, is_feasible
 from .oracle import ACCURACY_FLOOR, EquilibriumOracle, OracleResponse
 
 __all__ = [
-    "DegenerateCut",
     "TargetInfeasible",
     "TargetCyclic",
     "EnforcementStatus",
@@ -61,7 +60,6 @@ __all__ = [
     "EnforcementResult",
     "EnforcementTraceRecord",
     "required_accuracy",
-    "separation_cut",
     "ellipsoid_search",
     "enforce_flow",
     "DUAL_QUERIES_PER_EDGE",
@@ -70,10 +68,6 @@ __all__ = [
 #: Dual-ascent queries per edge before ``enforce_flow`` falls back to the
 #: ellipsoid search.
 DUAL_QUERIES_PER_EDGE = 20
-
-
-class DegenerateCut(ValueError):
-    """Observed and target flows coincide; no separating direction exists."""
 
 
 class TargetInfeasible(ValueError):
@@ -148,44 +142,35 @@ def required_accuracy(skeleton, delta: float) -> float:
     )
 
 
-def separation_cut(
-    tau_queried: TollVector,
-    f_observed: np.ndarray,
-    f_target: np.ndarray,
-) -> np.ndarray:
-    """Cut normal g = f_observed - f_target.
+def _accuracy_shortfall(skeleton, eps_query: float, delta: float) -> str | None:
+    """Why an oracle of accuracy ``eps_query`` cannot serve a search at
+    tolerance delta on a game (or skeleton), or None when it can.
 
-    The half-space {tau': g . tau' >= g . tau_queried} contains every toll
-    vector inducing f_target exactly (monotonicity argument in the module
-    docstring).  Raises ``DegenerateCut`` when no entry of g reaches 1e-12.
+    It must be no coarser than ``required_accuracy``, and the success
+    threshold 2*delta - eps_query must reach 1e-12: below that, success
+    would need a deviation F(tau) - f* at the rounding level of the flows.
     """
-    g = np.asarray(f_observed, dtype=float) - np.asarray(f_target, dtype=float)
-    if float(np.abs(g).max()) < 1e-12:
-        raise DegenerateCut("observed flow already matches the target")
-    return g
+    eps_acc = required_accuracy(skeleton, delta)
+    if eps_query > eps_acc * (1 + 1e-9):
+        reason = f"it is coarser than the required {eps_acc}"
+    elif 2.0 * delta - eps_query < 1e-12:
+        reason = "2*delta - eps_query is below 1e-12"
+    else:
+        return None
+    return f"oracle accuracy {eps_query} cannot serve delta {delta:.3g}: {reason}"
 
 
 def _check_inputs(oracle: EquilibriumOracle, f_star: FlowVector, delta: float) -> None:
-    """Reject an infeasible or cyclic target, an oracle coarser than
-    ``required_accuracy``, and a delta whose success threshold
-    2*delta - eps_query lies below the 1e-12 floor of ``separation_cut``
-    (no answer could then succeed before the cut degenerates)."""
+    """Reject an infeasible or cyclic target, and an oracle that cannot
+    serve tolerance delta (``_accuracy_shortfall``)."""
     skel = oracle.skeleton
     if not is_feasible(skel, f_star):
         raise TargetInfeasible("target flow is not feasible for this game")
     if has_positive_cycle(skel, f_star):
         raise TargetCyclic("target flow routes flow around a directed cycle")
-    eps_acc = required_accuracy(skel, delta)
-    if oracle.eps_query > eps_acc * (1 + 1e-9):
-        raise ValueError(
-            f"oracle accuracy {oracle.eps_query} is coarser than the "
-            f"required {eps_acc}"
-        )
-    if 2.0 * delta - oracle.eps_query < 1e-12:
-        raise ValueError(
-            f"delta {delta} is too small for oracle accuracy "
-            f"{oracle.eps_query}: 2*delta - eps_query is below 1e-12"
-        )
+    shortfall = _accuracy_shortfall(skel, oracle.eps_query, delta)
+    if shortfall is not None:
+        raise ValueError(shortfall)
 
 
 def enforce_flow(
@@ -291,7 +276,7 @@ def _search(
         else:
             point = tau if dual else np.clip(c, 0.0, t_max)
             resp = oracle.query(TollVector(point))
-            g = resp.aggregate_flow - target  # the cut normal of ``separation_cut``
+            g = resp.aggregate_flow - target
             dev = float(np.abs(g).max())
             if dev < best_dev:
                 best_tau, best_dev = point, dev

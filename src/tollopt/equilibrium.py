@@ -64,7 +64,6 @@ __all__ = [
     "beckmann_potential",
     "solve_equilibrium",
     "wardrop_violation",
-    "shortest_path",
 ]
 
 

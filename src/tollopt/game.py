@@ -38,7 +38,6 @@ __all__ = [
     "TollVector",
     "GameConstants",
     "validate_game",
-    "eval_latency",
     "total_latency",
     "is_feasible",
     "has_positive_cycle",
@@ -66,31 +65,19 @@ class TollOutOfRange(ValueError):
 class PolyLatency:
     """Polynomial latency l(x) = a_0 + a_1 x + ... + a_r x^r, all a_j >= 0.
 
-    ``constant`` marks edges whose latency intentionally does not grow with
-    flow (needed to model fixed-delay links).  Non-constant latencies must
-    have at least one positive coefficient of degree >= 1 so they are
-    strictly increasing on the feasible range.
+    A latency with no positive coefficient of degree >= 1 is ``constant``:
+    it models a fixed-delay link whose latency does not grow with flow.
+    Every other latency is strictly increasing on the feasible range.
     """
 
     coeffs: tuple[float, ...]
-    constant: bool = False
 
     def __post_init__(self) -> None:
-        if not self.coeffs:
-            object.__setattr__(self, "coeffs", (0.0,))
-        coeffs = tuple(float(a) for a in self.coeffs)
+        coeffs = tuple(float(a) for a in self.coeffs) or (0.0,)
         object.__setattr__(self, "coeffs", coeffs)
         if not all(0.0 <= a < math.inf for a in coeffs):  # False for NaN
             raise InvalidGame(
                 f"latency coefficients must be finite and nonnegative: {coeffs}"
-            )
-        growing = any(a > 0 for a in coeffs[1:])
-        if self.constant and growing:
-            raise InvalidGame("constant-flagged latency has a growing term")
-        if not self.constant and not growing:
-            raise InvalidGame(
-                "latency must have a positive coefficient of degree >= 1 "
-                "(or be flagged constant)"
             )
 
     @property
@@ -100,8 +87,15 @@ class PolyLatency:
             d -= 1
         return d
 
+    @property
+    def constant(self) -> bool:
+        return self.degree == 0
+
     def value(self, x):
-        return eval_latency(self, x)
+        """l(x) at a flow x >= 0, evaluated by Horner."""
+        if x < 0:
+            raise ValueError(f"latency evaluated at negative flow {x}")
+        return _horner(reversed(self.coeffs), x)
 
     def slope(self, x: float) -> float:
         """Derivative l'(x), evaluated by Horner."""
@@ -119,15 +113,7 @@ class PolyLatency:
 
     def marginal(self) -> "PolyLatency":
         """Latency of the marginal total cost d/dx [x l(x)] = l(x) + x l'(x)."""
-        coeffs = tuple((j + 1) * a for j, a in enumerate(self.coeffs))
-        return PolyLatency(coeffs, constant=self.constant)
-
-
-def eval_latency(lat: PolyLatency, x):
-    """Evaluate a latency polynomial at x >= 0."""
-    if x < 0:
-        raise ValueError(f"latency evaluated at negative flow {x}")
-    return _horner(reversed(lat.coeffs), x)
+        return PolyLatency(tuple((j + 1) * a for j, a in enumerate(self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -417,8 +403,8 @@ def validate_game(game: RoutingGame) -> RoutingGame:
             raise InvalidGame("commodity references unknown vertex")
         if c.source == c.sink:
             raise InvalidGame("commodity source equals sink")
-        if not c.demand > 0:
-            raise InvalidGame(f"commodity demand must be positive, got {c.demand}")
+        if not 0.0 < c.demand < math.inf:  # False for NaN
+            raise InvalidGame(f"commodity demand {c.demand} is not positive and finite")
         if c.source not in reach_cache:
             reach_cache[c.source] = reachable(
                 skel.adjacency_out, skel.vertex_index[c.source]
@@ -436,19 +422,27 @@ def derive_constants(game: RoutingGame) -> GameConstants:
     x*l_e'(x) for all x in [0, sum_d]: each of the r+1 terms of l is at most
     U*max(1, sum_d)^r, and the derivative terms j*a_j*x^j sum to at most
     r(r+1)/2 times that bound.  The extra max(1, r/2) factor is what makes
-    the derivative side hold for degrees above two.
+    the derivative side hold for degrees above two.  Raises InvalidGame when
+    the total demand, K or T_max is not a finite double.
     """
     total_demand = float(sum(c.demand for c in game.commodities))
     r = max((e.latency.degree for e in game.edges), default=0)
     U = max((max(e.latency.coeffs) for e in game.edges), default=0.0)
-    base = max(1.0, total_demand) ** r
+    try:
+        base = max(1.0, total_demand) ** r
+    except OverflowError:  # a float power past the double range raises
+        base = math.inf
     K = max(1.0, (r + 1) * max(1.0, r / 2.0) * U * base)
-    m = game.m
+    T_max = 2.0 * game.m * K
+    if not max(total_demand, K, T_max) < math.inf:  # False for NaN
+        raise InvalidGame(
+            f"total demand {total_demand}, K = {K} and T_max = {T_max} must be finite"
+        )
     return GameConstants(
         K=K,
-        T_max=2.0 * m * K,
+        T_max=T_max,
         total_demand=total_demand,
-        N=m * game.k,
+        N=game.m * game.k,
     )
 
 

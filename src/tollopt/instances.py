@@ -10,6 +10,7 @@ always yields the same game.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class InstanceSpec:
     def __post_init__(self) -> None:
         if self.topology not in TOPOLOGIES:
             raise BadSpec(f"unknown topology {self.topology!r}")
-        if self.demand <= 0:
-            raise BadSpec("demand must be positive")
+        if not 0.0 < self.demand < math.inf:  # False for NaN
+            raise BadSpec(f"demand must be positive and finite, got {self.demand}")
         if self.degree < 1:
             raise BadSpec("degree must be at least 1")
         if not 0.0 <= self.density <= 1.0:  # True for NaN
@@ -84,28 +85,28 @@ def generate(spec: InstanceSpec) -> RoutingGame:
     if spec.topology == "pigou":
         edges = (
             Edge("e0", "s", "t", PolyLatency((0.0, 1.0))),
-            Edge("e1", "s", "t", PolyLatency((1.0,), constant=True)),
+            Edge("e1", "s", "t", PolyLatency((1.0,))),
         )
         game = RoutingGame(("s", "t"), edges, (Commodity("s", "t", d),))
     elif spec.topology == "fig1_l1":
         edges = (
             Edge("e0", "s", "t", PolyLatency((0.0, 1.0))),
-            Edge("e1", "s", "t", PolyLatency((0.0,), constant=True)),
+            Edge("e1", "s", "t", PolyLatency((0.0,))),
         )
         game = RoutingGame(("s", "t"), edges, (Commodity("s", "t", d),))
     elif spec.topology == "fig1_l2":
         edges = (
-            Edge("e0", "s", "t", PolyLatency((1.0,), constant=True)),
+            Edge("e0", "s", "t", PolyLatency((1.0,))),
             Edge("e1", "s", "t", PolyLatency((0.0, 1.0))),
         )
         game = RoutingGame(("s", "t"), edges, (Commodity("s", "t", d),))
     elif spec.topology == "braess":
         edges = (
             Edge("e0", "s", "v", PolyLatency((0.0, 1.0))),
-            Edge("e1", "s", "w", PolyLatency((1.0,), constant=True)),
-            Edge("e2", "v", "t", PolyLatency((1.0,), constant=True)),
+            Edge("e1", "s", "w", PolyLatency((1.0,))),
+            Edge("e2", "v", "t", PolyLatency((1.0,))),
             Edge("e3", "w", "t", PolyLatency((0.0, 1.0))),
-            Edge("e4", "v", "w", PolyLatency((0.0,), constant=True)),
+            Edge("e4", "v", "w", PolyLatency((0.0,))),
         )
         game = RoutingGame(
             ("s", "v", "w", "t"), edges, (Commodity("s", "t", d),)

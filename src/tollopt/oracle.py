@@ -3,14 +3,13 @@
 An oracle wraps a routing game whose latency functions callers must not
 see.  Each query submits a toll vector and receives the aggregate
 equilibrium flow (and, in FLOW_AND_COST mode, its total latency), with a
-strictly increasing query counter.  The hidden game is reachable only
-through a construction-time test gate used by the property-test suite.
+strictly increasing query counter.  The public interface never reveals
+the hidden game.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "EquilibriumOracle",
     "TollOutOfRange",
     "OracleBudgetExceeded",
-    "reveal_hidden_game",
-    "serialize_query_log",
 ]
 
 #: Flow accuracies below this are not honestly deliverable in double
@@ -72,7 +69,6 @@ class EquilibriumOracle:
         mode: OracleMode = OracleMode.FLOW_AND_COST,
         eps_query: float = 1e-9,
         max_queries: int | None = None,
-        allow_test_backdoor: bool = False,
     ):
         validate_game(game)
         if not eps_query >= ACCURACY_FLOOR:  # True for NaN
@@ -86,7 +82,6 @@ class EquilibriumOracle:
         self.eps_query = float(eps_query)
         self.max_queries = max_queries
         self.skeleton: GameSkeleton = game.skeleton()
-        self._allow_test_backdoor = bool(allow_test_backdoor)
         self._count = 0
         self._log: list[tuple[np.ndarray, OracleResponse]] = []
         # The duality-gap certificate scales with the potential's magnitude;
@@ -134,42 +129,9 @@ class EquilibriumOracle:
         self._log.append((tau, resp))
         return resp
 
-    def reset_counter(self) -> None:
-        self._count = 0
-        self._log.clear()
-
     def __repr__(self) -> str:  # never leak the game
         return (
             f"EquilibriumOracle(m={self.skeleton.m}, k={self.skeleton.k}, "
             f"mode={self.mode.value}, eps_query={self.eps_query}, "
             f"queries={self._count})"
         )
-
-
-def reveal_hidden_game(oracle: EquilibriumOracle) -> RoutingGame:
-    """Test-suite backdoor.  Only oracles constructed with
-    ``allow_test_backdoor=True`` can be opened; production code never sets
-    the flag, so the hidden game stays hidden."""
-    if not getattr(oracle, "_allow_test_backdoor", False):
-        raise PermissionError("this oracle was not built with the test backdoor")
-    return oracle._EquilibriumOracle__game
-
-
-def serialize_query_log(oracle: EquilibriumOracle) -> str:
-    """Query log as JSON lines: index, tolls, flow, cost (null if hidden)."""
-    ids = oracle.skeleton.edge_ids
-    lines = []
-    for tau, resp in oracle.query_log:
-        lines.append(
-            json.dumps(
-                {
-                    "index": resp.query_index,
-                    "tolls": {eid: tau[j] for j, eid in enumerate(ids)},
-                    "flow": {
-                        eid: resp.aggregate_flow[j] for j, eid in enumerate(ids)
-                    },
-                    "cost": resp.total_cost,
-                }
-            )
-        )
-    return "\n".join(lines)

@@ -96,13 +96,12 @@ def game_from_json(text: str) -> RoutingGame:
     for e in _expect(payload["edges"], list, "edges"):
         _expect(e, dict, "an edge")
         coeffs = tuple(_value(a) for a in _expect(e["coeffs"], list, "coeffs"))
-        constant = not any(a > 0 for a in coeffs[1:])
         edges.append(
             Edge(
                 _name(e["id"]),
                 _name(e["tail"]),
                 _name(e["head"]),
-                PolyLatency(coeffs, constant=constant),
+                PolyLatency(coeffs),
             )
         )
     commodities = []

@@ -32,6 +32,7 @@ import numpy as np
 from .enforcement import (
     EnforcementConfig,
     EnforcementStatus,
+    _accuracy_shortfall,
     _is_positive_int,
     enforce_flow,
 )
@@ -58,7 +59,6 @@ __all__ = [
     "project_to_polytope",
     "affine_hull_basis",
     "reference_flow",
-    "minimize_total_latency",
     "compute_optimal_tolls",
     "SampleEngine",
 ]
@@ -70,19 +70,17 @@ class OracleSampleFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Targets and the descent-iteration cap (an int >= 1) of the
+    """Target and the descent-iteration cap (an int >= 1) of the
     zero-order minimizer.
 
-    ``delta``, the value-oracle error, defaults to epsilon / (8 N^2) where
-    N = mk and may not exceed it, keeping that error a fixed polynomial
-    factor below the optimality target.  The finite-difference step is
-    sqrt(delta), balancing oracle error delta/h against curvature error
-    O(h); probes mix in the reference flow with weight 1e-3.  The query
-    budget is the oracle's ``max_queries``.
+    The value-oracle error delta is epsilon / (8 N^2) where N = mk, a
+    fixed polynomial factor below the optimality target.  The
+    finite-difference step is sqrt(delta), balancing oracle error delta/h
+    against curvature error O(h); probes mix in the reference flow with
+    weight 1e-3.  The query budget is the oracle's ``max_queries``.
     """
 
     epsilon: float
-    delta: float | None = None
     max_iterations: int = 60
 
     def __post_init__(self) -> None:
@@ -92,13 +90,9 @@ class OptConfig:
             raise ValueError("max_iterations must be an int >= 1")
 
     def resolved_delta(self, skeleton: GameSkeleton) -> float:
-        """delta, checked to be positive and at most epsilon / (8 N^2)."""
+        """The value-oracle error delta = epsilon / (8 N^2) on a skeleton."""
         N = max(1, skeleton.constants.N)
-        p = 8.0 * N * N
-        delta = self.delta if self.delta is not None else self.epsilon / p
-        if not 0.0 < delta <= self.epsilon / p * (1 + 1e-12):  # False for NaN
-            raise ValueError(f"delta must lie in (0, epsilon / {p}]")
-        return delta
+        return self.epsilon / (8.0 * N * N)
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,10 @@ class SampleEngine:
         skel = oracle.skeleton
         const = skel.constants
         self.skeleton = skel
-        self.delta_enforce = delta / (4.0 * skel.m * const.K**2)
+        try:
+            self.delta_enforce = delta / (4.0 * skel.m * const.K**2)
+        except OverflowError:  # K**2 past the double range: no tolerance is left
+            self.delta_enforce = 0.0
         self.cache: dict[tuple, CostOracleSample] = {}
         self._last: CostOracleSample | None = None
 
@@ -374,25 +371,37 @@ def _estimated_fw_gap(skel: GameSkeleton, G: np.ndarray, f: FlowVector) -> float
     return gap
 
 
-def minimize_total_latency(
+def compute_optimal_tolls(
     oracle: EquilibriumOracle,
     skeleton: GameSkeleton,
     cfg: OptConfig,
-) -> OptimizationReport:
-    """Find a feasible flow whose total latency is within epsilon of optimal.
+) -> tuple[TollVector, OptimizationReport]:
+    """Minimize total latency; return the best sample's enforcing tolls.
 
-    Projected descent on finite-difference gradients, with the globally
-    best sample tracked across every probe.  Stops on an estimated-gap
+    Projected descent on finite-difference gradients tracks the globally
+    best sample across every probe.  It stops on an estimated-gap
     certificate, a persistent stall, the iteration cap or the oracle's
     ``max_queries`` (a sample that needs a query past it ends the descent;
-    reaching it with every later sample cached does not); the report
-    carries the best flow either way, with ``status`` saying which.
+    reaching it with every later sample cached does not); the report's
+    ``status`` says which.  A cyclic graph, a skeleton not the oracle's and
+    an epsilon finer than the oracle's accuracy can serve raise
+    ``ValueError`` before any query.
+
+    The best sample was enforced at tolerance delta / (4mK^2) with
+    delta = epsilon / (8 N^2), tighter than epsilon / (4mK^2), and its
+    ``observed_cost`` is the total latency of the equilibrium its tolls
+    induce.  So those tolls need no further enforcement, and they induce
+    an equilibrium costing at most OPT + 2 epsilon whenever the best
+    sampled flow is epsilon-optimal.
     """
     if tuple(skeleton.edge_ids) != tuple(oracle.skeleton.edge_ids):
         raise ValueError("skeleton does not match the oracle's game")
     require_acyclic(skeleton)
     delta = cfg.resolved_delta(skeleton)
     engine = SampleEngine(oracle, delta)
+    shortfall = _accuracy_shortfall(skeleton, oracle.eps_query, engine.delta_enforce)
+    if shortfall is not None:
+        raise ValueError(f"epsilon {cfg.epsilon} is too small: {shortfall}")
     basis = affine_hull_basis(skeleton)
     f_ref = reference_flow(skeleton)
     queries_start = oracle.query_count
@@ -473,7 +482,7 @@ def minimize_total_latency(
             converged = est_gap <= cfg.epsilon or not capped
             status = "CONVERGED" if converged else "BUDGET_EXHAUSTED"
             break
-    return OptimizationReport(
+    return best.enforcing_tolls, OptimizationReport(
         best_flow=best.requested_flow,
         best_cost=best.observed_cost,
         final_tolls=best.enforcing_tolls,
@@ -481,22 +490,3 @@ def minimize_total_latency(
         iteration_trace=tuple(trace),
         status=status,
     )
-
-
-def compute_optimal_tolls(
-    oracle: EquilibriumOracle,
-    skeleton: GameSkeleton,
-    cfg: OptConfig,
-) -> tuple[TollVector, OptimizationReport]:
-    """Minimize total latency and return the best sample's enforcing tolls.
-
-    Those tolls need no further enforcement.  The best sample was enforced
-    at tolerance delta / (4mK^2), tighter than epsilon / (4mK^2) because
-    delta <= epsilon / (8 N^2), and its ``observed_cost`` is the total
-    latency of the equilibrium those very tolls induce, read from the
-    answer enforcement accepted.  So the returned tolls induce an
-    equilibrium costing at most OPT + 2 epsilon whenever the best sampled
-    flow is epsilon-optimal.
-    """
-    report = minimize_total_latency(oracle, skeleton, cfg)
-    return report.final_tolls, report

@@ -12,12 +12,7 @@ from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
 def make_parallel(latencies, demand=1.0):
     """Parallel-link game; a latency is a coefficient tuple."""
     edges = tuple(
-        Edge(
-            f"e{i}",
-            "s",
-            "t",
-            PolyLatency(tuple(c), constant=not any(a > 0 for a in c[1:])),
-        )
+        Edge(f"e{i}", "s", "t", PolyLatency(tuple(c)))
         for i, c in enumerate(latencies)
     )
     return validate_game(
@@ -28,10 +23,10 @@ def make_parallel(latencies, demand=1.0):
 def make_braess(demand=1.0):
     edges = (
         Edge("e0", "s", "v", PolyLatency((0.0, 1.0))),
-        Edge("e1", "s", "w", PolyLatency((1.0,), constant=True)),
-        Edge("e2", "v", "t", PolyLatency((1.0,), constant=True)),
+        Edge("e1", "s", "w", PolyLatency((1.0,))),
+        Edge("e2", "v", "t", PolyLatency((1.0,))),
         Edge("e3", "w", "t", PolyLatency((0.0, 1.0))),
-        Edge("e4", "v", "w", PolyLatency((0.0,), constant=True)),
+        Edge("e4", "v", "w", PolyLatency((0.0,))),
     )
     return validate_game(
         RoutingGame(("s", "v", "w", "t"), edges, (Commodity("s", "t", demand),))

@@ -27,7 +27,7 @@ from tollopt.enforcement import (
 from tollopt.exact import marginal_cost_tolls, optimal_flow
 from tollopt.game import has_positive_cycle
 from tollopt.instances import InstanceSpec, generate
-from tollopt.oracle import EquilibriumOracle, OracleMode, reveal_hidden_game
+from tollopt.oracle import EquilibriumOracle, OracleMode
 from tollopt.zeroorder import (
     OptConfig,
     SampleEngine,
@@ -152,18 +152,14 @@ def test_criterion_4_oracle_accuracy():
     for _ in range(7):
         m = int(rng.integers(2, 5))
         game = random_parallel(m, rng)
-        oracle = EquilibriumOracle(
-            game, OracleMode.FLOW_AND_COST, eps_query=1e-11, allow_test_backdoor=True
-        )
-        engines.append((game, SampleEngine(oracle, delta), oracle))
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        engines.append((game, SampleEngine(oracle, delta)))
     for _ in range(3):
         game = random_dag_game(5, 8, 1, rng)
-        oracle = EquilibriumOracle(
-            game, OracleMode.FLOW_AND_COST, eps_query=1e-11, allow_test_backdoor=True
-        )
-        engines.append((game, SampleEngine(oracle, delta), oracle))
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        engines.append((game, SampleEngine(oracle, delta)))
     while checked < 100:
-        game, engine, oracle = engines[checked % len(engines)]
+        game, engine = engines[checked % len(engines)]
         if game.k == 1 and all(e.tail == "s" for e in game.edges):
             split = rng.dirichlet(np.ones(game.m))
             flow = FlowVector.single(split)
@@ -171,7 +167,7 @@ def test_criterion_4_oracle_accuracy():
             raw = rng.normal(0.4, 0.4, size=(game.k, game.m))
             flow = project_to_polytope(game.skeleton(), raw)
         sample = engine.sample(flow)
-        exact = total_latency(reveal_hidden_game(oracle), sample.requested_flow)
+        exact = total_latency(game, sample.requested_flow)
         worst = max(worst, abs(sample.observed_cost - exact))
         checked += 1
     elapsed = time.perf_counter() - start

@@ -21,7 +21,7 @@ from tollopt.ellipsoid import NumericBreakdown
 from tollopt.enforcement import EnforcementResult, EnforcementStatus
 from tollopt.equilibrium import NoConvergence
 from tollopt.game import TollVector
-from tollopt.instances import InstanceSpec
+from tollopt.instances import InstanceSpec, generate
 from tollopt.oracle import OracleBudgetExceeded
 from tollopt.serialize import game_to_json
 from tollopt.zeroorder import OracleSampleFailed
@@ -173,6 +173,13 @@ def test_optimize_pigou(runner):
     assert report["results"]["gap_within_2eps"] is True
 
 
+def test_optimize_reports_delta_in_force(runner):
+    # delta = epsilon / (8 N^2) with N = mk = 2 on pigou
+    result = runner.invoke(main, ["optimize", "--topology", "pigou"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["config"]["delta"] == 0.02 / 32
+
+
 def test_optimize_spent_budget_emits_report_and_exits_4(runner, tmp_path):
     # the descent spends the budget: the best sample's tolls are
     # reported, not lost
@@ -195,10 +202,6 @@ def test_optimize_spent_budget_emits_report_and_exits_4(runner, tmp_path):
     "args",
     [
         ["--epsilon", "-1"],
-        ["--delta", "0.5"],
-        ["--delta", "0"],
-        ["--delta", "-1"],
-        ["--delta", "nan"],
         ["--max-queries", "-3"],
     ],
 )
@@ -381,6 +384,16 @@ def test_optimize_cyclic_instance_exits_3(runner, tmp_path):
         ["gen", "--topology", "random_dag", "--n-vertices", "5", "--density", "-1"],
         # the oracle runs at 1e-11, so 2 delta - eps_query < 0
         ["enforce", "--delta-enforce", "1e-12", "--trace", "trace.jsonl"],
+        ["gen", "--topology", "pigou", "--demand", "inf"],
+        ["gen", "--topology", "pigou", "--demand", "nan"],
+        ["solve-eq", "--instance", "inf.json"],
+        # K = 2 (1e200)^2 is past the double range
+        ["gen", "--topology", "parallel", "--degree", "2", "--demand", "1e200"],
+        # enforcement at delta / (4 m K^2) = 4.1e-13, finer than 1e-11 serves
+        ["optimize", "--topology", "random_dag", "--degree", "3", "--demand", "30",
+         "--n-vertices", "5"],
+        # K is finite, K^2 is not
+        ["optimize", "--topology", "parallel", "--links", "4", "--demand", "1e300"],
     ],
 )
 def test_invalid_number_exits_3(runner, tmp_path, monkeypatch, args):
@@ -393,6 +406,10 @@ def test_invalid_number_exits_3(runner, tmp_path, monkeypatch, args):
         target = tmp_path / "target.json"
         target.write_text('{"e0": "0.5", "e1": "0.5"}')
         args = [*args, "--instance", str(game_path), "--target", str(target)]
+    if args[0] == "solve-eq":  # a pigou file with demand inf
+        text = game_to_json(generate(InstanceSpec(topology="pigou")))
+        text = text.replace('"demand": "1.0"', '"demand": "inf"')
+        (tmp_path / "inf.json").write_text(text)
     monkeypatch.setattr(oracle, "solve_equilibrium", never)
     monkeypatch.setattr(cli, "solve_equilibrium", never)
     monkeypatch.chdir(tmp_path)

@@ -11,7 +11,6 @@ from tollopt import FlowVector, TollVector, solve_equilibrium
 from tollopt import enforcement
 from tollopt.ellipsoid import Ellipsoid
 from tollopt.enforcement import (
-    DegenerateCut,
     EnforcementConfig,
     EnforcementStatus,
     TargetCyclic,
@@ -19,7 +18,6 @@ from tollopt.enforcement import (
     ellipsoid_search,
     enforce_flow,
     required_accuracy,
-    separation_cut,
 )
 from tollopt.equilibrium import NoConvergence
 from tollopt.exact import marginal_cost_tolls, optimal_flow
@@ -51,30 +49,6 @@ def test_iteration_caps_accept_ints_from_1():
     assert EnforcementConfig(delta=1e-3).max_iterations is None
     with pytest.raises(ValueError, match="max_iterations"):
         OptConfig(epsilon=0.02, max_iterations=None)
-
-
-class TestSeparationCut:
-    def test_simple_subtraction(self):
-        g = separation_cut(
-            TollVector.zeros(2), np.array([1.0, 0.0]), np.array([0.5, 0.5])
-        )
-        assert np.allclose(g, [0.5, -0.5])
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateCut):
-            separation_cut(
-                TollVector.zeros(2), np.array([0.5, 0.5]), np.array([0.5, 0.5])
-            )
-
-    def test_pigou_certificate_kept(self):
-        # marginal-cost tolls (1/2, 0) enforce (1/2, 1/2) on pigou; the cut
-        # taken at tau = 0 (observed flow (1,0)) must keep them
-        g = separation_cut(
-            TollVector.zeros(2), np.array([1.0, 0.0]), np.array([0.5, 0.5])
-        )
-        tau_star = np.array([0.5, 0.0])
-        tau_queried = np.zeros(2)
-        assert np.dot(g, tau_star) >= np.dot(g, tau_queried)
 
 
 class TestEnforceFlow:

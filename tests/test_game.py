@@ -25,7 +25,6 @@ from tollopt import (
     TollVector,
     acyclic_reduce,
     derive_constants,
-    eval_latency,
     is_feasible,
     solve_equilibrium,
     total_latency,
@@ -83,28 +82,42 @@ class TestValidation:
         with pytest.raises(InvalidGame, match="self-loop"):
             validate_game(game)
 
-    def test_flat_latency_needs_constant_flag(self):
-        with pytest.raises(InvalidGame):
-            PolyLatency((1.0, 0.0))
-        PolyLatency((1.0, 0.0), constant=True)
-
     def test_parallel_edges_allowed(self):
         validate_game(make_parallel([(0.0, 1.0), (0.0, 1.0)]))
+
+    def test_flat_latency_is_constant(self):
+        assert PolyLatency((1.0, 0.0)).constant
+        assert PolyLatency((0.0,)).constant
+        assert not PolyLatency((1.0, 0.0, 2.0)).constant
+
+    @pytest.mark.parametrize("demand", [float("inf"), float("nan")])
+    def test_non_finite_demand_rejected(self, demand):
+        with pytest.raises(InvalidGame):
+            make_parallel([(0.0, 1.0), (1.0, 1.0)], demand=demand)
+
+    def test_overflowing_constants_rejected(self):
+        # K = 2 (1e200)^2 overflows, and so does a demand total of 2e308
+        with pytest.raises(InvalidGame, match="finite"):
+            make_parallel([(0.0, 1.0), (0.0, 0.0, 1.0)], demand=1e200)
+        edges = (Edge("e0", "s", "t", PolyLatency((0.0, 1.0))),)
+        game = RoutingGame(("s", "t"), edges, (Commodity("s", "t", 1e308),) * 2)
+        with pytest.raises(InvalidGame, match="finite"):
+            validate_game(game)
 
 
 class TestEvalLatency:
     def test_identity_polynomial(self):
-        assert eval_latency(PolyLatency((0.0, 1.0)), 0.5) == 0.5
+        assert PolyLatency((0.0, 1.0)).value(0.5) == 0.5
 
     def test_constant_edge(self):
-        assert eval_latency(PolyLatency((1.0,), constant=True), 0.7) == 1.0
+        assert PolyLatency((1.0,)).value(0.7) == 1.0
 
     def test_quadratic(self):
-        assert eval_latency(PolyLatency((2.0, 0.0, 3.0)), 2.0) == 14.0
+        assert PolyLatency((2.0, 0.0, 3.0)).value(2.0) == 14.0
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
-            eval_latency(PolyLatency((0.0, 1.0)), -0.1)
+            PolyLatency((0.0, 1.0)).value(-0.1)
 
     @given(
         x=st.floats(min_value=0.0, max_value=10.0),
@@ -114,7 +127,7 @@ class TestEvalLatency:
     def test_monotone_nondecreasing(self, x, y):
         lat = PolyLatency((0.3, 1.2, 0.4))
         lo, hi = min(x, y), max(x, y)
-        assert eval_latency(lat, lo) <= eval_latency(lat, hi) + 1e-12
+        assert lat.value(lo) <= lat.value(hi) + 1e-12
 
 
 class TestTotalLatency:
@@ -382,7 +395,7 @@ class TestDeriveConstants:
             RoutingGame(
                 ("s", "t"),
                 tuple(
-                    Edge(f"e{i}", "s", "t", PolyLatency((1.0,), constant=True))
+                    Edge(f"e{i}", "s", "t", PolyLatency((1.0,)))
                     for i in range(3)
                 ),
                 (Commodity("s", "t", 1.0),),

@@ -70,8 +70,9 @@ class TestGenerate:
             InstanceSpec(topology="mystery")
         with pytest.raises(BadSpec):
             InstanceSpec(topology="parallel", links=1)
-        with pytest.raises(BadSpec):
-            InstanceSpec(topology="pigou", demand=-1.0)
+        for demand in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(BadSpec, match="demand"):
+                InstanceSpec(topology="pigou", demand=demand)
         with pytest.raises(BadSpec):
             InstanceSpec(topology="grid", width=1)
         for density in (float("nan"), -1.0, 2.0, float("inf")):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import enum
-import json
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ from tollopt.oracle import (
     OracleBudgetExceeded,
     OracleMode,
     TollOutOfRange,
-    reveal_hidden_game,
-    serialize_query_log,
 )
 
 
@@ -61,18 +58,6 @@ def test_query_indices_increment(pigou):
     assert oracle.query(TollVector.zeros(2)).query_index == 1
     assert oracle.query(TollVector.zeros(2)).query_index == 2
     assert oracle.query_count == 2
-
-
-def test_reset_counter(pigou):
-    oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY)
-    for _ in range(5):
-        oracle.query(TollVector.zeros(2))
-    oracle.reset_counter()
-    assert oracle.query_count == 0
-    assert oracle.query_log == []
-    oracle.reset_counter()  # idempotent
-    assert oracle.query_count == 0
-    assert oracle.query(TollVector.zeros(2)).query_index == 1
 
 
 def test_determinism(pigou, rng):
@@ -121,38 +106,23 @@ def test_negative_budget_rejected(pigou):
 
 def test_cost_consistency_with_returned_flow(rng):
     game = random_parallel(3, rng)
-    oracle = EquilibriumOracle(
-        game, OracleMode.FLOW_AND_COST, eps_query=1e-9, allow_test_backdoor=True
-    )
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-9)
     c = game.constants
     for _ in range(10):
         tau = TollVector(rng.uniform(0, 2, 3))
         resp = oracle.query(tau)
-        direct = total_latency(
-            reveal_hidden_game(oracle), FlowVector.single(resp.aggregate_flow)
-        )
+        direct = total_latency(game, FlowVector.single(resp.aggregate_flow))
         assert abs(resp.total_cost - direct) <= 2 * game.m * c.K**2 * oracle.eps_query
 
 
 def test_flow_accuracy_against_hidden_equilibrium(rng):
     game = random_parallel(4, rng, quadratic=True)
-    oracle = EquilibriumOracle(
-        game, OracleMode.FLOW_ONLY, eps_query=1e-9, allow_test_backdoor=True
-    )
-    hidden = reveal_hidden_game(oracle)
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_ONLY, eps_query=1e-9)
     for _ in range(10):
         tau = TollVector(rng.uniform(0, 2, 4))
         resp = oracle.query(tau)
-        exact = solve_equilibrium(hidden, tau).flow.aggregate
+        exact = solve_equilibrium(game, tau).flow.aggregate
         assert np.max(np.abs(resp.aggregate_flow - exact)) <= oracle.eps_query
-
-
-def test_backdoor_gated(pigou):
-    locked = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY)
-    with pytest.raises(PermissionError):
-        reveal_hidden_game(locked)
-    unlocked = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, allow_test_backdoor=True)
-    assert reveal_hidden_game(unlocked) is pigou
 
 
 def test_no_game_leak_in_repr_or_skeleton(pigou):
@@ -196,18 +166,6 @@ def test_no_latency_data_reachable_from_skeleton_or_oracle():
     for value in _reachable(exposed):
         assert not isinstance(value, (RoutingGame, LatencyTable, PolyLatency))
         assert not (isinstance(value, float) and value in coeffs)
-
-
-def test_query_log_serialization(pigou):
-    oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST)
-    oracle.query(TollVector(np.array([0.5, 0.0])))
-    oracle.query(TollVector(np.array([0.0, 0.5])))
-    lines = serialize_query_log(oracle).splitlines()
-    assert len(lines) == 2
-    rec = json.loads(lines[0])
-    assert rec["index"] == 1
-    assert set(rec["tolls"]) == {"e0", "e1"}
-    assert rec["cost"] is not None
 
 
 def test_eps_query_floor(pigou):

@@ -21,7 +21,7 @@ from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
 from tollopt import FlowVector, equilibrium, solve_equilibrium, total_latency, zeroorder
 from tollopt.game import has_positive_cycle, is_feasible
 from tollopt.instances import InstanceSpec, generate
-from tollopt.oracle import EquilibriumOracle, OracleMode, reveal_hidden_game
+from tollopt.oracle import EquilibriumOracle, OracleMode
 from tollopt.paths import dag_shortest_path
 from tollopt.zeroorder import (
     OptConfig,
@@ -29,7 +29,6 @@ from tollopt.zeroorder import (
     _fd_gradient,
     affine_hull_basis,
     compute_optimal_tolls,
-    minimize_total_latency,
     project_to_polytope,
     reference_flow,
 )
@@ -61,14 +60,11 @@ class TestZeroOrderCostOracle:
         delta = 0.01
         for _ in range(5):
             game = random_parallel(3, rng)
-            oracle = EquilibriumOracle(
-                game, OracleMode.FLOW_AND_COST, eps_query=1e-11,
-                allow_test_backdoor=True,
-            )
+            oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
             engine = SampleEngine(oracle, delta)
             split = rng.dirichlet(np.ones(3))
             s = engine.sample(FlowVector.single(split))
-            exact = total_latency(reveal_hidden_game(oracle), s.requested_flow)
+            exact = total_latency(game, s.requested_flow)
             assert abs(s.observed_cost - exact) <= delta
 
     def test_cache_reuses_samples(self, pigou):
@@ -394,30 +390,30 @@ class TestReferenceFlow:
 class TestMinimize:
     def test_pigou(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        rep = minimize_total_latency(oracle, pigou.skeleton(), OptConfig(epsilon=0.02))
+        _, rep = compute_optimal_tolls(oracle, pigou.skeleton(), OptConfig(epsilon=0.02))
         assert rep.best_cost <= 0.77
         assert rep.total_oracle_queries == oracle.query_count
 
     def test_fig1_l2_flow_near_optimum(self, fig1_l2):
         oracle = EquilibriumOracle(fig1_l2, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        rep = minimize_total_latency(oracle, fig1_l2.skeleton(), OptConfig(epsilon=0.02))
+        _, rep = compute_optimal_tolls(oracle, fig1_l2.skeleton(), OptConfig(epsilon=0.02))
         assert np.max(np.abs(rep.best_flow.aggregate - [0.5, 0.5])) <= 0.05
 
     def test_braess(self, braess):
         oracle = EquilibriumOracle(braess, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        rep = minimize_total_latency(oracle, braess.skeleton(), OptConfig(epsilon=0.02))
+        _, rep = compute_optimal_tolls(oracle, braess.skeleton(), OptConfig(epsilon=0.02))
         assert rep.best_cost <= 1.5 + 0.02
 
     def test_best_cost_monotone_in_trace(self, pigou):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        rep = minimize_total_latency(oracle, pigou.skeleton(), OptConfig(epsilon=0.02))
+        _, rep = compute_optimal_tolls(oracle, pigou.skeleton(), OptConfig(epsilon=0.02))
         bests = [r["best_cost"] for r in rep.iteration_trace]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bests, bests[1:]))
 
     def test_best_flow_feasible_and_acyclic(self, rng):
         game = random_parallel(3, rng)
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        rep = minimize_total_latency(oracle, game.skeleton(), OptConfig(epsilon=0.05))
+        _, rep = compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=0.05))
         assert is_feasible(game, rep.best_flow)
         assert not has_positive_cycle(game, rep.best_flow)
 
@@ -425,7 +421,7 @@ class TestMinimize:
         oracle = EquilibriumOracle(
             pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=5
         )
-        rep = minimize_total_latency(oracle, pigou.skeleton(), OptConfig(epsilon=0.02))
+        _, rep = compute_optimal_tolls(oracle, pigou.skeleton(), OptConfig(epsilon=0.02))
         assert rep.status == "BUDGET_EXHAUSTED"
         assert rep.best_cost < float("inf")
         assert rep.total_oracle_queries <= 5
@@ -434,7 +430,7 @@ class TestMinimize:
         # no query budget is set, so the cap, not a budget, ends the run
         game = generate(InstanceSpec(topology="grid", width=3, height=3, seed=5))
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        rep = minimize_total_latency(
+        _, rep = compute_optimal_tolls(
             oracle, game.skeleton(), OptConfig(epsilon=0.1, max_iterations=1)
         )
         assert [r["iteration"] for r in rep.iteration_trace] == [1]
@@ -451,33 +447,44 @@ class TestMinimize:
             zeroorder, "_estimated_fw_gap", lambda *args: float("inf")
         )
         oracle = EquilibriumOracle(fig1_l1, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        rep = minimize_total_latency(oracle, fig1_l1.skeleton(), OptConfig(epsilon=0.1))
+        _, rep = compute_optimal_tolls(oracle, fig1_l1.skeleton(), OptConfig(epsilon=0.1))
         assert rep.status == "CONVERGED"
         assert [r["iteration"] for r in rep.iteration_trace] == [1, 2, 3]
         steps = [r["step"] for r in rep.iteration_trace]
         assert steps == [0.0625, 0.015625, 0.00390625]
         assert rep.total_oracle_queries == 24
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # delta / (4 m K^2) = 4.1e-13: 2 delta - eps_query < 1e-12
+            InstanceSpec(topology="random_dag", degree=3, demand=30.0, n_vertices=5),
+            # K = 2e300 or so is finite, K^2 is not
+            InstanceSpec(topology="parallel", links=4, demand=1e300),
+        ],
+    )
+    def test_epsilon_finer_than_oracle_rejected_before_any_query(self, spec):
+        game = generate(spec)
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        with pytest.raises(ValueError, match="epsilon 0.02 .* oracle accuracy 1e-11"):
+            compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=0.02))
+        assert oracle.query_count == 0
+
     def test_cyclic_graph_rejected_before_any_query(self):
         # the projection's DAG shortest paths could never run on it
         game = make_cyclic()
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         with pytest.raises(ValueError, match="acyclic"):
-            minimize_total_latency(oracle, game.skeleton(), OptConfig(epsilon=0.02))
+            compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=0.02))
         assert oracle.query_count == 0
 
     def test_mismatched_skeleton_rejected(self, pigou, braess):
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         with pytest.raises(ValueError):
-            minimize_total_latency(oracle, braess.skeleton(), OptConfig(epsilon=0.02))
+            compute_optimal_tolls(oracle, braess.skeleton(), OptConfig(epsilon=0.02))
 
 
 class TestOptConfig:
-    def test_delta_cap_enforced(self, pigou):
-        cfg = OptConfig(epsilon=0.02, delta=0.01)  # way above eps/(8 N^2)
-        with pytest.raises(ValueError):
-            cfg.resolved_delta(pigou.skeleton())
-
     def test_defaults(self, pigou):
         delta = OptConfig(epsilon=0.02).resolved_delta(pigou.skeleton())
         N = pigou.skeleton().constants.N
@@ -528,7 +535,7 @@ class TestComputeOptimalTolls:
     def test_returns_best_sample_tolls_without_extra_query(self, braess):
         cfg = OptConfig(epsilon=0.02)
         probe = EquilibriumOracle(braess, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        descent = minimize_total_latency(probe, braess.skeleton(), cfg)
+        _, descent = compute_optimal_tolls(probe, braess.skeleton(), cfg)
         oracle = EquilibriumOracle(braess, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         tolls, rep = compute_optimal_tolls(oracle, braess.skeleton(), cfg)
         assert tolls is rep.final_tolls
@@ -548,7 +555,7 @@ class TestComputeOptimalTolls:
         cfg = OptConfig(epsilon=0.02)
         for game in (pigou, fig1_l1, fig1_l2, braess):
             probe = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-            descent = minimize_total_latency(probe, game.skeleton(), cfg)
+            _, descent = compute_optimal_tolls(probe, game.skeleton(), cfg)
             assert descent.status == "CONVERGED"
             oracle = EquilibriumOracle(
                 game, OracleMode.FLOW_AND_COST, eps_query=1e-11,
