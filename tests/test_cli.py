@@ -202,6 +202,10 @@ def test_optimize_spent_budget_emits_report_and_exits_4(runner, tmp_path):
     "args",
     [
         ["--epsilon", "-1"],
+        ["--epsilon", "0"],
+        ["--epsilon", "nan"],
+        ["--epsilon", "inf"],
+        ["--demand", "0"],
         ["--max-queries", "-3"],
     ],
 )
