@@ -13,7 +13,8 @@ Exit codes are one map, by exception class, that every command runs in:
   missing option, a value of the wrong type), any ``ValueError`` (a
   malformed instance, tolls or target file, a bad spec or configuration
   value, a negative query budget, a toll out of range, an infeasible or
-  cyclic target, a graph with a directed cycle for ``optimize``), a
+  cyclic target, a graph with a directed cycle for ``optimize``, a game
+  whose costs overflow a double for ``solve-eq`` and ``enforce``), a
   missing field (``KeyError``), or an input or output path that cannot be
   read or written (``OSError``);
 - 4 query budget exhausted (``OracleBudgetExceeded``, or
@@ -24,9 +25,10 @@ Exit codes are one map, by exception class, that every command runs in:
 
 ``enforce --trace`` writes one JSON line per enforcement step (a dual
 step or an ellipsoid cut), ``optimize --trace`` one per descent
-iteration.  ``--out`` files open while the options are parsed, and
-``--trace`` files before the first query, so a path that cannot be
-written exits 3 before any solve.  Every command is
+iteration, with the gradient that ran (``gradient``: "probe" or "fd")
+and the queries it spent (``gradient_queries``).  ``--out`` files open
+while the options are parsed, and ``--trace`` files before the first
+query, so a path that cannot be written exits 3 before any solve.  Every command is
 deterministic given --seed and emits a machine-readable report with a
 stable field order.
 """
@@ -59,6 +61,7 @@ from .oracle import (
     EquilibriumOracle,
     OracleBudgetExceeded,
     OracleMode,
+    _refuse_overflowing,
 )
 from .serialize import (
     flow_from_json,
@@ -436,6 +439,7 @@ def solve_eq_cmd(instance, tolls_path, accuracy, out) -> None:
     tolls = TollVector.zeros(game.m)
     if tolls_path:
         tolls = tolls_from_json(game, Path(tolls_path).read_text(encoding="utf-8"))
+    _refuse_overflowing(game.skeleton())
     result = solve_equilibrium(game, tolls, EqConfig(accuracy=accuracy))
     report = _report(
         "solve-eq",

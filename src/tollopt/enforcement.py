@@ -50,7 +50,12 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid, NumericBreakdown, unit_ball_log_volume
 from .game import FlowVector, TollVector, has_positive_cycle, is_feasible
-from .oracle import ACCURACY_FLOOR, EquilibriumOracle, OracleResponse
+from .oracle import (
+    ACCURACY_FLOOR,
+    EquilibriumOracle,
+    OracleResponse,
+    _refuse_overflowing,
+)
 
 __all__ = [
     "TargetInfeasible",
@@ -161,9 +166,11 @@ def _accuracy_shortfall(skeleton, eps_query: float, delta: float) -> str | None:
 
 
 def _check_inputs(oracle: EquilibriumOracle, f_star: FlowVector, delta: float) -> None:
-    """Reject an infeasible or cyclic target, and an oracle that cannot
-    serve tolerance delta (``_accuracy_shortfall``)."""
+    """Reject a game whose costs overflow a double, an infeasible or cyclic
+    target, and an oracle that cannot serve tolerance delta
+    (``_accuracy_shortfall``)."""
     skel = oracle.skeleton
+    _refuse_overflowing(skel)
     if not is_feasible(skel, f_star):
         raise TargetInfeasible("target flow is not feasible for this game")
     if has_positive_cycle(skel, f_star):

@@ -10,6 +10,7 @@ the hidden game.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,23 @@ __all__ = [
 ACCURACY_FLOOR = 1e-11
 
 
+def _gap_floor(skeleton: GameSkeleton) -> float:
+    """Smallest duality gap a solve on the game can certify in double
+    precision, 1e-12 (1 + K max(1, sum_d) sqrt(m)).  It is not finite when
+    the game's costs lie past the double range."""
+    const = skeleton.constants
+    return 1e-12 * (1.0 + const.K * max(1.0, const.total_demand) * skeleton.m**0.5)
+
+
+def _refuse_overflowing(skeleton: GameSkeleton) -> None:
+    """Raise ``ValueError`` when no solve on the game can be certified."""
+    if not _gap_floor(skeleton) < math.inf:
+        raise ValueError(
+            "the game's costs overflow a double: its solver gap target "
+            "1e-12 (1 + K max(1, sum_d) sqrt(m)) is not finite"
+        )
+
+
 class OracleBudgetExceeded(RuntimeError):
     """The optional query budget is exhausted."""
 
@@ -60,7 +78,9 @@ class EquilibriumOracle:
     (infinity norm against the exact deterministic equilibrium).  Queries
     mutate only the counter and log; responses are a pure function of the
     toll vector.  ``max_queries``, when given, is a nonnegative cap on the
-    queries answered.
+    queries answered.  On a game whose costs overflow a double, so that no
+    solve can be certified, every query raises ``ValueError`` before any
+    solve.
     """
 
     def __init__(
@@ -88,12 +108,8 @@ class EquilibriumOracle:
         # targets below the representable floor would only trip spurious
         # NoConvergence.  Flow accuracy itself comes from the Newton
         # refinement, which the test suite checks against closed forms.
-        const = self.skeleton.constants
-        gap_floor = 1e-12 * (
-            1.0 + const.K * max(1.0, const.total_demand) * self.skeleton.m**0.5
-        )
         self._eq_cfg = EqConfig(
-            accuracy=max(min(1e-8, self.eps_query / 4.0), gap_floor)
+            accuracy=max(min(1e-8, self.eps_query / 4.0), _gap_floor(self.skeleton))
         )
 
     @property
@@ -115,6 +131,8 @@ class EquilibriumOracle:
             raise TollOutOfRange(f"tolls must be finite and lie in [0, {t_max}]")
         if self.max_queries is not None and self._count >= self.max_queries:
             raise OracleBudgetExceeded(f"budget of {self.max_queries} queries spent")
+        if self._eq_cfg.accuracy == math.inf:
+            _refuse_overflowing(self.skeleton)
         tau = np.clip(tau, 0.0, t_max)
         result = solve_equilibrium(self.__game, TollVector(tau), self._eq_cfg)
         cost = None

@@ -8,16 +8,27 @@ the cost in the aggregate infinity norm turns that flow accuracy into a
 cost error of at most delta.
 
 On top of that delta-accurate value oracle the minimizer runs projected
-descent in the affine hull of the polytope: central finite differences
-along an orthonormal basis of the per-commodity conservation null spaces
-estimate the gradient, iterates are pulled toward a strictly positive
-reference flow before probing so both probe arms stay feasible, and the
-equilibrium engine performs the Euclidean projections: one solve per
-commodity of a game whose Beckmann potential is the squared distance.
-Descent stops on a small estimated gap, a persistent stall, the
-iteration cap or the budget.  The best sampled flow is tracked globally,
-so the reported cost never regresses, and its enforcing tolls are the
-returned tolls.
+descent in the affine hull of the polytope, whose directions are an
+orthonormal basis of the per-commodity conservation null spaces.  Each
+iteration pulls the current flow toward a strictly positive reference
+flow, enforces that mixed point at tolls tau0, and queries the oracle at
+tau0 + r e_j for every edge j (regression-model derivative-free
+optimization; Conn, Scheinberg & Vicente, 2009, ch. 4).  Every answer is
+a (flow, cost) pair near the mixed point, accurate to the oracle's
+promise and needing no enforcement, and the cost depends on the
+aggregate flow only: a least-squares fit of the cost changes on the flow
+changes gives the gradient along every hull direction.  The same
+answers measure J = dF/dtau, and later samples start their enforcement
+at the tolls J predicts.  The gradient's error is O(K'' r) from curvature
+plus O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the
+smallest singular value of J on the hull span; an iteration whose sigma
+makes that bound exceed the finite-difference one estimates the gradient
+by central differences of enforced samples instead.  The equilibrium
+engine performs the Euclidean projections: one solve per commodity of a
+game whose Beckmann potential is the squared distance.  Descent stops on
+a small estimated gap, a persistent stall, the iteration cap or the
+budget.  The best sampled flow is tracked globally, so the reported cost
+never regresses, and its enforcing tolls are the returned tolls.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ from .game import (
     acyclic_reduce,
     is_feasible,
 )
-from .oracle import EquilibriumOracle, OracleBudgetExceeded, OracleMode
+from .oracle import EquilibriumOracle, OracleBudgetExceeded, OracleMode, OracleResponse
 from .paths import _trace, dag_distances, dag_shortest_path, dijkstra, reachable
 
 __all__ = [
@@ -64,6 +75,11 @@ __all__ = [
 ]
 
 
+#: Iterations per edge of an enforcement from Jacobian-predicted tolls,
+#: before an uncapped search takes over.
+PREDICTED_START_STEPS_PER_EDGE = 5
+
+
 class OracleSampleFailed(RuntimeError):
     """Toll enforcement could not realize a requested flow."""
 
@@ -74,10 +90,12 @@ class OptConfig:
     zero-order minimizer.
 
     The value-oracle error delta is epsilon / (8 N^2) where N = mk, a
-    fixed polynomial factor below the optimality target.  The
-    finite-difference step is sqrt(delta), balancing oracle error delta/h
-    against curvature error O(h); probes mix in the reference flow with
-    weight 1e-3.  The query budget is the oracle's ``max_queries``.
+    fixed polynomial factor below the optimality target.  It sets the
+    enforcement tolerance and the finite-difference step sqrt(delta) of
+    the fallback gradient, which runs only in an iteration whose toll
+    probes are too ill-conditioned to beat it.  Gradient points mix in the
+    reference flow with weight 1e-3.  The query budget is the oracle's
+    ``max_queries``.
     """
 
     epsilon: float
@@ -101,6 +119,7 @@ class CostOracleSample:
     enforcing_tolls: TollVector
     observed_cost: float
     queries_spent: int
+    response: OracleResponse  # the answer accepted at enforcing_tolls
 
 
 @dataclass(frozen=True)
@@ -119,18 +138,25 @@ class SampleEngine:
     """Caching zero-order value oracle built from toll enforcement.
 
     Identical (rounded) flow requests reuse the previous sample.  Every
-    other request makes one ``enforce_flow`` call whose dual ascent starts
-    at the previous sample's enforcing tolls, and no other query: the cost
-    is read from the answer that call accepted.  It needs no warm ball
-    around the start tolls and no restart of its own: when ascent fails,
-    ``enforce_flow`` falls back to the paper's ellipsoid search over the
-    whole toll box.  The start tolls only save queries, never change what
-    success means: every success is verified against the oracle.
+    other request is enforced, and spends no other query: the cost is read
+    from the answer the enforcement accepted.  While ``model`` holds a
+    Jacobian model (tau0, F0, J+) from the minimizer's toll probes, a miss
+    first runs ``enforce_flow`` from the predicted tolls
+    clip(tau0 + J+ (f*_agg - F0), 0, T_max), capped at
+    ``PREDICTED_START_STEPS_PER_EDGE * m`` iterations; if that does not
+    succeed, an uncapped ``enforce_flow`` goes on from the best tolls it
+    found, or from the previous sample's enforcing tolls when the best
+    were the predicted ones (the search would replay itself from there).
+    Without a model, a miss runs ``enforce_flow`` from the previous
+    sample's enforcing tolls.  When ascent fails, ``enforce_flow`` falls
+    back to the paper's ellipsoid search over the whole toll box.  Start
+    tolls only save queries, never change what success means: every
+    success is verified against the oracle.
 
-    The warm start pays: removing it raised the queries of a whole
-    optimize run from 331 to 1,097 on 8 affine parallel links and from 96
-    to 189 on a 3x3 grid (the ``parallel-opt`` and ``grid-opt`` benchmark
-    workloads).
+    The warm starts pay: starting every enforcement at zero tolls instead
+    raised the queries of a whole optimize run from 46 to 326 on 8 affine
+    parallel links and from 31 to 74 on a 3x3 grid (the ``parallel-opt``
+    and ``grid-opt`` benchmark workloads).
     """
 
     def __init__(self, oracle: EquilibriumOracle, delta: float):
@@ -147,6 +173,7 @@ class SampleEngine:
             self.delta_enforce = 0.0
         self.cache: dict[tuple, CostOracleSample] = {}
         self._last: CostOracleSample | None = None
+        self.model: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def sample(self, f: FlowVector) -> CostOracleSample:
         reduced = acyclic_reduce(self.skeleton, f)
@@ -154,12 +181,26 @@ class SampleEngine:
         hit = self.cache.get(key)
         if hit is not None:
             return replace(hit, queries_spent=0)
-        result = enforce_flow(
-            self.oracle,
-            reduced,
-            EnforcementConfig(delta=self.delta_enforce),
-            initial=None if self._last is None else self._last.enforcing_tolls,
-        )
+        cfg = EnforcementConfig(delta=self.delta_enforce)
+        start = None if self._last is None else self._last.enforcing_tolls
+        spent = 0
+        if self.model is not None:
+            tau0, flow0, j_plus = self.model
+            t_max = self.skeleton.constants.T_max
+            predicted = np.clip(tau0 + j_plus @ (reduced.aggregate - flow0), 0.0, t_max)
+            cap = PREDICTED_START_STEPS_PER_EDGE * self.skeleton.m
+            result = enforce_flow(
+                self.oracle,
+                reduced,
+                replace(cfg, max_iterations=cap),
+                initial=TollVector(predicted),
+            )
+            spent = result.queries_used
+            if not np.array_equal(result.tolls.values, predicted):
+                start = result.tolls  # from its own start, the search would replay
+        if self.model is None or result.status is not EnforcementStatus.SUCCESS:
+            result = enforce_flow(self.oracle, reduced, cfg, initial=start)
+            spent += result.queries_used
         if result.status is not EnforcementStatus.SUCCESS:
             raise OracleSampleFailed(
                 f"no tolls found for the requested flow "
@@ -169,7 +210,8 @@ class SampleEngine:
             requested_flow=reduced,
             enforcing_tolls=result.tolls,
             observed_cost=float(result.response.total_cost),
-            queries_spent=result.queries_used,
+            queries_spent=spent,
+            response=result.response,
         )
         self.cache[key] = sample
         self._last = sample
@@ -318,8 +360,90 @@ def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference gradients
+# gradients: toll probes around an enforced sample, finite differences
 # ---------------------------------------------------------------------------
+
+
+def _probe_step(skel: GameSkeleton, eps_query: float) -> float:
+    """Toll probe step r = sqrt(2 m K^2 eps_query).
+
+    It balances the probe gradient's two error terms, K'' r and
+    2mK^2 eps_query / (r sigma), with K'' and sigma at 1, as h = sqrt(delta)
+    balances the finite-difference terms K'' h and delta / h.
+    """
+    return math.sqrt(2.0 * skel.m * skel.constants.K**2 * eps_query)
+
+
+def _hull_span(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the aggregates of the hull directions,
+    shape (m, d); the cost depends on the aggregate flow only.  The
+    aggregates of two commodities' directions may be dependent, so the
+    rank is cut at 1e-10 of the largest singular value."""
+    _, s, vh = np.linalg.svd(basis.sum(axis=1), full_matrices=False)
+    return vh[: int(np.sum(s > 1e-10 * np.amax(s, initial=0.0)))].T
+
+
+def _probe(
+    oracle: EquilibriumOracle, sample: CostOracleSample, r: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Query tau0 + s_j e_j for every edge j around the sample's enforcing
+    tolls tau0, with s_j = r, or -r where +r would leave the toll box.
+
+    Returns the steps s, the flow changes (column j is F_j - F0) and the
+    cost changes C_j - C0 against the sample's accepted answer (F0, C0).
+    Each answer is a (flow, cost) pair accurate to the oracle's promise,
+    so no probe needs enforcement.
+    """
+    tau0 = sample.enforcing_tolls.values
+    flow0 = sample.response.aggregate_flow
+    cost0 = sample.response.total_cost
+    steps = np.where(tau0 + r <= oracle.skeleton.constants.T_max, r, -r)
+    d_flow = np.empty((tau0.size, tau0.size))
+    d_cost = np.empty(tau0.size)
+    for j in range(tau0.size):
+        tau = tau0.copy()
+        tau[j] += steps[j]
+        resp = oracle.query(TollVector(tau))
+        d_flow[:, j] = resp.aggregate_flow - flow0
+        d_cost[j] = resp.total_cost - cost0
+    return steps, d_flow, d_cost
+
+
+def _fit_gradient(
+    d_flow: np.ndarray, d_cost: np.ndarray, span: np.ndarray, basis: np.ndarray
+) -> np.ndarray:
+    """Hull-basis gradient from the probes: fit d_cost ~ g . d_flow by
+    min-norm least squares (rcond 1e-10) in the coordinates of ``span``,
+    then take direction j's component (sum_i v_{j,i}) . g.
+    """
+    coords = d_flow.T @ span
+    gamma = np.linalg.lstsq(coords, d_cost, rcond=1e-10)[0]
+    return basis.sum(axis=1) @ (span @ gamma)
+
+
+def _probe_model(
+    oracle: EquilibriumOracle,
+    sample: CostOracleSample,
+    span: np.ndarray,
+    basis: np.ndarray,
+    r: float,
+) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Probe around an enforced sample (``_probe``) and return the fitted
+    hull-basis gradient, sigma and the Jacobian model (tau0, F0, J+).
+
+    J = dF/dtau has column j = (F_j - F0) / s_j.  sigma is the smallest
+    singular value of span^T J, J on the aggregate hull span, and J+ its
+    pseudo-inverse there: pinv(span^T J) span^T.
+    """
+    steps, d_flow, d_cost = _probe(oracle, sample, r)
+    jac_span = span.T @ (d_flow / steps)
+    sigma = float(np.linalg.svd(jac_span, compute_uv=False).min())
+    model = (
+        sample.enforcing_tolls.values,
+        sample.response.aggregate_flow,
+        np.linalg.pinv(jac_span) @ span.T,
+    )
+    return _fit_gradient(d_flow, d_cost, span, basis), sigma, model
 
 
 def _fd_gradient(
@@ -378,8 +502,11 @@ def compute_optimal_tolls(
 ) -> tuple[TollVector, OptimizationReport]:
     """Minimize total latency; return the best sample's enforcing tolls.
 
-    Projected descent on finite-difference gradients tracks the globally
-    best sample across every probe.  It stops on an estimated-gap
+    Projected descent on toll-probe gradients (finite differences in an
+    iteration whose probes fail the sigma guard) tracks the globally best
+    sample.  Each ``iteration_trace`` entry says which gradient ran
+    (``gradient``: "probe" or "fd") and the queries it spent after the
+    mixed point's enforcement (``gradient_queries``).  It stops on an estimated-gap
     certificate, a persistent stall, the iteration cap or the oracle's
     ``max_queries`` (a sample that needs a query past it ends the descent;
     reaching it with every later sample cached does not); the report's
@@ -403,7 +530,10 @@ def compute_optimal_tolls(
     if shortfall is not None:
         raise ValueError(f"epsilon {cfg.epsilon} is too small: {shortfall}")
     basis = affine_hull_basis(skeleton)
+    span = _hull_span(basis)
     f_ref = reference_flow(skeleton)
+    h = math.sqrt(delta)
+    r = _probe_step(skeleton, oracle.eps_query)
     queries_start = oracle.query_count
     trace: list[dict] = []
 
@@ -425,15 +555,28 @@ def compute_optimal_tolls(
             (1.0 - 1e-3) * f.per_commodity + 1e-3 * f_ref.per_commodity
         )
         try:
-            g_hat = _fd_gradient(
-                lambda x: engine.sample(x).observed_cost,
-                basis,
-                mixed,
-                math.sqrt(delta),
-            )
+            g_hat = model = None
+            grad_start = spent()
+            if span.shape[1]:
+                at = engine.sample(mixed)  # from the last probes' prediction
+                grad_start = spent()
+                g_hat, sigma, model = _probe_model(oracle, at, span, basis, r)
+                # The answer terms of the two error bounds are 2mK^2 eps_query
+                # / (r sigma) = r / sigma and delta / h = h.  The curvature terms
+                # K''r and K''h share K'', and r < h since the accuracy check
+                # above leaves eps_query < 2 delta_enforce = delta / (2mK^2).
+                # So the probe bound is the smaller one whenever sigma >= r / h.
+                if sigma * h < r:
+                    g_hat = model = None
+            engine.model = model
+            if g_hat is None:
+                g_hat = _fd_gradient(
+                    lambda x: engine.sample(x).observed_cost, basis, mixed, h
+                )
         except (OracleSampleFailed, OracleBudgetExceeded):
             status = "BUDGET_EXHAUSTED"
             break
+        grad_queries = spent() - grad_start
         G = _lift(basis, g_hat)
         est_gap = _estimated_fw_gap(skeleton, G, f)
         gnorm = float(np.linalg.norm(g_hat))
@@ -472,6 +615,8 @@ def compute_optimal_tolls(
                 "step": alpha,
                 "estimated_gap": est_gap,
                 "grad_norm": gnorm,
+                "gradient": "fd" if engine.model is None else "probe",
+                "gradient_queries": grad_queries,
                 "queries": spent(),
             }
         )

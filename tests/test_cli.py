@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import make_cyclic
-from tollopt import cli, equilibrium, oracle
+from tollopt import cli, equilibrium, oracle, zeroorder
 from tollopt.cli import (
     main,
     run_impossibility_demo,
@@ -617,3 +617,67 @@ def test_optimize_on_instance_file(runner, tmp_path):
     assert validate_report(report)
     assert report["instance"]["path"] == str(game_path)
     assert report["results"]["gap_within_2eps"] is True
+
+
+def test_optimize_trace_says_where_gradient_queries_went(runner, tmp_path):
+    # pigou: each iteration probes both links around the mixed point
+    trace = tmp_path / "trace.jsonl"
+    result = runner.invoke(
+        main,
+        ["optimize", "--topology", "pigou", "--epsilon", "0.02", "--trace", str(trace)],
+    )
+    assert result.exit_code == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert records
+    assert [rec["gradient"] for rec in records] == ["probe"] * len(records)
+    assert [rec["gradient_queries"] for rec in records] == [2] * len(records)
+    report = json.loads(result.output)
+    assert records[-1]["queries"] == report["results"]["optimizer_queries"]
+
+
+def test_optimize_trace_reports_fd_fallback(runner, tmp_path, monkeypatch):
+    # a sigma below the guard sends every iteration to finite differences
+    probe_model = zeroorder._probe_model
+
+    def ill_conditioned(*args):
+        g_hat, _, model = probe_model(*args)
+        return g_hat, 0.0, model
+
+    monkeypatch.setattr(zeroorder, "_probe_model", ill_conditioned)
+    trace = tmp_path / "trace.jsonl"
+    result = runner.invoke(
+        main,
+        ["optimize", "--topology", "braess", "--epsilon", "0.02", "--trace", str(trace)],
+    )
+    assert result.exit_code == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert {rec["gradient"] for rec in records} == {"fd"}
+    assert all(type(rec["gradient_queries"]) is int for rec in records)
+
+
+def test_overflowing_costs_exit_3_before_any_solve(runner, tmp_path, monkeypatch):
+    # demand 1e300 on 4 links: K is finite but the solver's gap target,
+    # 1e-12 (1 + K sum_d sqrt(m)), is not
+    game_path = tmp_path / "game.json"
+    result = runner.invoke(
+        main,
+        ["gen", "--topology", "parallel", "--links", "4", "--demand", "1e300",
+         "--out", str(game_path)],
+    )
+    assert result.exit_code == 0
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({f"e{i}": 2.5e299 for i in range(4)}))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_solve)
+    monkeypatch.setattr(oracle, "solve_equilibrium", no_solve)
+    for args in (
+        ["solve-eq", "--instance", str(game_path)],
+        ["enforce", "--instance", str(game_path), "--target", str(target)],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert "overflow a double" in result.output
+        assert "Traceback" not in result.output

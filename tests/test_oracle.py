@@ -15,7 +15,10 @@ from tollopt import (
     solve_equilibrium,
     total_latency,
 )
+from tollopt import oracle as oracle_module
+from tollopt.enforcement import EnforcementConfig, enforce_flow
 from tollopt.game import LatencyTable
+from tollopt.instances import InstanceSpec, generate
 from tollopt.oracle import (
     EquilibriumOracle,
     OracleBudgetExceeded,
@@ -179,3 +182,29 @@ def test_eps_query_nan_rejected():
     game = make_parallel([(0.0, 1.0)] * 3)
     with pytest.raises(ValueError, match="floor"):
         EquilibriumOracle(game, OracleMode.FLOW_ONLY, eps_query=float("nan"))
+
+
+def test_overflowing_costs_refused_before_any_solve(monkeypatch):
+    # demand 1e300: K = 2e300 is finite, the solver's gap target is not
+    game = generate(InstanceSpec(topology="parallel", links=4, demand=1e300))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(oracle_module, "solve_equilibrium", no_solve)
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+    with pytest.raises(ValueError, match="overflow a double"):
+        oracle.query(TollVector.zeros(4))
+    assert oracle.query_count == 0
+    target = FlowVector.single([2.5e299] * 4)
+    with pytest.raises(ValueError, match="overflow a double"):
+        enforce_flow(oracle, target, EnforcementConfig(delta=1e-3))
+    assert oracle.query_count == 0
+
+
+def test_large_finite_costs_still_answered():
+    # demand 1e30: the gap target is large but finite, so queries run
+    game = generate(InstanceSpec(topology="parallel", links=4, demand=1e30))
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+    resp = oracle.query(TollVector.zeros(4))
+    assert resp.aggregate_flow.sum() == pytest.approx(1e30)

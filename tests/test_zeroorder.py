@@ -19,6 +19,9 @@ from conftest import (
 )
 from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
 from tollopt import FlowVector, equilibrium, solve_equilibrium, total_latency, zeroorder
+from tollopt.enforcement import EnforcementResult, EnforcementStatus
+from tollopt.equilibrium import EqConfig
+from tollopt.game import TollVector
 from tollopt.game import has_positive_cycle, is_feasible
 from tollopt.instances import InstanceSpec, generate
 from tollopt.oracle import EquilibriumOracle, OracleMode
@@ -375,6 +378,202 @@ class TestGradient:
             assert np.max(np.abs(g - expected)) < 1e-4
 
 
+_PROBE_GAMES = [
+    InstanceSpec(topology="parallel", links=8, seed=5),
+    InstanceSpec(topology="grid", width=3, height=3, seed=5),
+    InstanceSpec(topology="random_dag", n_vertices=6, degree=3, commodities=2, seed=2),
+]
+
+
+def _curvature(game) -> float:
+    """K'': the largest 2 l'(x) + x l''(x) over the edges and the feasible
+    range [0, sum_d], reached at x = sum_d for nonnegative coefficients."""
+    x = game.skeleton().constants.total_demand
+    return max(
+        sum(j * (j + 1) * a * x ** (j - 1) for j, a in enumerate(e.latency.coeffs) if j)
+        for e in game.edges
+    )
+
+
+def _probe_setup(spec, epsilon):
+    """A fresh oracle, its engine, and the enforced mixed reference point."""
+    game = generate(spec)
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+    skel = oracle.skeleton
+    engine = SampleEngine(oracle, OptConfig(epsilon=epsilon).resolved_delta(skel))
+    return game, oracle, engine, engine.sample(reference_flow(skel))
+
+
+class TestProbeGradient:
+    @pytest.mark.parametrize("spec", _PROBE_GAMES, ids=lambda s: s.topology)
+    def test_within_stated_bound_of_true_hull_gradient(self, spec):
+        # ||g_hat - g||_2 <= sqrt(k m) (K'' max_j ||dF_j||^2 / 2
+        #                    + 4 m K^2 eps_query) / (r sigma)
+        game, oracle, engine, at = _probe_setup(spec, 0.05)
+        skel = oracle.skeleton
+        basis = affine_hull_basis(skel)
+        span = zeroorder._hull_span(basis)
+        r = zeroorder._probe_step(skel, oracle.eps_query)
+        steps, d_flow, d_cost = zeroorder._probe(oracle, at, r)
+        g_hat = zeroorder._fit_gradient(d_flow, d_cost, span, basis)
+        sigma = np.linalg.svd(span.T @ (d_flow / steps), compute_uv=False).min()
+        # the true gradient at the answer the probes surround
+        F0 = at.response.aggregate_flow
+        grad = np.array(
+            [e.latency.value(x) + x * e.latency.slope(x) for e, x in zip(game.edges, F0)]
+        )
+        g_true = basis.sum(axis=1) @ grad
+        K = skel.constants.K
+        answer = _curvature(game) * np.max(np.sum(d_flow**2, axis=0)) / 2.0
+        bound = np.sqrt(skel.k * skel.m) * (
+            answer + 4.0 * skel.m * K**2 * oracle.eps_query
+        ) / (r * sigma)
+        err = np.linalg.norm(g_hat - g_true)
+        assert err <= bound
+        # the sigma guard passes: the minimizer would use these gradients
+        assert sigma * np.sqrt(engine.delta) >= r
+
+    def test_small_sigma_falls_back_to_fd(self, braess, monkeypatch):
+        probe_model = zeroorder._probe_model
+        fd_gradient = zeroorder._fd_gradient
+        fd_calls = []
+
+        def forced(*args):
+            g_hat, _, model = probe_model(*args)
+            return g_hat, 1e-300, model
+
+        def fd_spy(*args):
+            fd_calls.append(args)
+            return fd_gradient(*args)
+
+        monkeypatch.setattr(zeroorder, "_probe_model", forced)
+        monkeypatch.setattr(zeroorder, "_fd_gradient", fd_spy)
+        oracle = EquilibriumOracle(braess, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        tolls, rep = compute_optimal_tolls(oracle, braess.skeleton(), OptConfig(epsilon=0.02))
+        assert rep.status == "CONVERGED"
+        assert len(fd_calls) == len(rep.iteration_trace) > 0
+        assert {r["gradient"] for r in rep.iteration_trace} == {"fd"}
+        assert all(r["gradient_queries"] >= 5 for r in rep.iteration_trace)
+        induced = solve_equilibrium(braess, tolls).flow
+        assert total_latency(braess, induced) <= 1.5 + 2 * 0.02
+
+    @pytest.mark.parametrize("spec", _PROBE_GAMES, ids=lambda s: s.topology)
+    def test_predicted_start_sample_rechecked_by_independent_solve(
+        self, spec, monkeypatch
+    ):
+        game, oracle, engine, at = _probe_setup(spec, 0.05)
+        skel = oracle.skeleton
+        basis = affine_hull_basis(skel)
+        span = zeroorder._hull_span(basis)
+        r = zeroorder._probe_step(skel, oracle.eps_query)
+        _, _, engine.model = zeroorder._probe_model(oracle, at, span, basis, r)
+        calls = []
+        enforce = zeroorder.enforce_flow
+
+        def spy(*args, **kwargs):
+            calls.append((args[2].max_iterations, kwargs["initial"]))
+            return enforce(*args, **kwargs)
+
+        monkeypatch.setattr(zeroorder, "enforce_flow", spy)
+        # a step along the first hull direction, projected back
+        f = at.requested_flow.per_commodity
+        target = project_to_polytope(skel, f + 0.05 * basis[0])
+        s = engine.sample(target)
+        tau0, flow0, j_plus = engine.model
+        predicted = np.clip(tau0 + j_plus @ (s.requested_flow.aggregate - flow0), 0.0,
+                            skel.constants.T_max)
+        assert len(calls) == 1  # the capped search from the prediction succeeded
+        assert calls[0][0] == zeroorder.PREDICTED_START_STEPS_PER_EDGE * skel.m
+        assert np.array_equal(calls[0][1].values, predicted)
+        induced = solve_equilibrium(game, s.enforcing_tolls, EqConfig(accuracy=1e-12))
+        dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
+        assert dev <= 2.0 * engine.delta_enforce
+
+    @pytest.mark.parametrize("moved", [True, False])
+    def test_failed_predicted_start_hands_over_without_replay(self, moved, monkeypatch):
+        # the uncapped search goes on from the capped search's best tolls,
+        # or, when those are the predicted start it would only replay, from
+        # the previous sample's tolls
+        game, oracle, engine, at = _probe_setup(_PROBE_GAMES[0], 0.05)
+        skel = oracle.skeleton
+        m, t_max = skel.m, skel.constants.T_max
+        engine.model = (np.full(m, 0.5), at.response.aggregate_flow, np.zeros((m, m)))
+        best = np.full(m, 0.25) if moved else np.full(m, 0.5)
+        calls = []
+        enforce = zeroorder.enforce_flow
+
+        def spy(oracle_, target, cfg, initial=None):
+            calls.append((cfg.max_iterations, initial.values.copy()))
+            if cfg.max_iterations is not None:  # the capped search fails
+                return EnforcementResult(
+                    TollVector(best), 1.0, 0, EnforcementStatus.NOT_FOUND, 1, None
+                )
+            return enforce(oracle_, target, cfg, initial=initial)
+
+        monkeypatch.setattr(zeroorder, "enforce_flow", spy)
+        f = at.requested_flow.per_commodity
+        s = engine.sample(project_to_polytope(skel, f + 0.05 * affine_hull_basis(skel)[0]))
+        assert [c[0] for c in calls] == [zeroorder.PREDICTED_START_STEPS_PER_EDGE * m, None]
+        assert np.array_equal(calls[0][1], np.clip(np.full(m, 0.5), 0.0, t_max))
+        expected = best if moved else at.enforcing_tolls.values
+        assert np.array_equal(calls[1][1], expected)
+        induced = solve_equilibrium(game, s.enforcing_tolls, EqConfig(accuracy=1e-12))
+        dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
+        assert dev <= 2.0 * engine.delta_enforce
+
+    def test_probe_steps_back_from_the_toll_cap(self, pigou):
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        t_max = oracle.skeleton.constants.T_max
+        tau0 = TollVector(np.array([t_max, 0.0]))
+        resp = oracle.query(tau0)
+        at = zeroorder.CostOracleSample(
+            FlowVector.single(resp.aggregate_flow), tau0, resp.total_cost, 1, resp
+        )
+        r = zeroorder._probe_step(oracle.skeleton, oracle.eps_query)
+        steps, _, _ = zeroorder._probe(oracle, at, r)
+        assert list(steps) == [-r, r]
+        probed = [tau for tau, _ in oracle.query_log[1:]]
+        assert np.array_equal(probed[0], [t_max - r, 0.0])
+        assert np.array_equal(probed[1], [t_max, r])
+
+    def test_no_hull_direction_needs_no_gradient_query(self):
+        # a single path: nothing to estimate, and nothing is probed
+        game = _chain()
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        _, rep = compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=0.02))
+        assert rep.status == "CONVERGED"
+        assert [r["gradient_queries"] for r in rep.iteration_trace] == [0, 0]
+        assert rep.total_oracle_queries == oracle.query_count
+
+    def test_budget_spent_during_probes_keeps_best_sample(self, monkeypatch):
+        game = generate(InstanceSpec(topology="parallel", links=8, seed=5))
+        cfg = OptConfig(epsilon=0.25, max_iterations=5)
+        probe = zeroorder._probe
+        starts = []
+
+        def spy(oracle, *args):
+            starts.append(oracle.query_count)
+            return probe(oracle, *args)
+
+        monkeypatch.setattr(zeroorder, "_probe", spy)
+        free = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        compute_optimal_tolls(free, free.skeleton, cfg)
+        budget = starts[0] + 3  # three of the first iteration's 8 probes
+        first = SampleEngine(
+            EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11),
+            cfg.resolved_delta(free.skeleton),
+        ).sample(reference_flow(free.skeleton))
+        oracle = EquilibriumOracle(
+            game, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=budget
+        )
+        tolls, rep = compute_optimal_tolls(oracle, oracle.skeleton, cfg)
+        assert rep.status == "BUDGET_EXHAUSTED"
+        assert rep.iteration_trace == ()
+        assert oracle.query_count == rep.total_oracle_queries == budget
+        assert rep.best_cost == first.observed_cost
+        assert np.array_equal(tolls.values, first.enforcing_tolls.values)
+
+
 class TestReferenceFlow:
     def test_interior_on_usable_edges(self, braess):
         f = reference_flow(braess.skeleton())
@@ -439,9 +638,9 @@ class TestMinimize:
     def test_stall_stops_descent(self, fig1_l1, monkeypatch):
         # uphill gradients and no gap certificate: every iteration fails to
         # improve, the step shrinks 4x each time, and the third stall stops
-        fd_gradient = zeroorder._fd_gradient
+        fit_gradient = zeroorder._fit_gradient
         monkeypatch.setattr(
-            zeroorder, "_fd_gradient", lambda *args: -fd_gradient(*args)
+            zeroorder, "_fit_gradient", lambda *args: -fit_gradient(*args)
         )
         monkeypatch.setattr(
             zeroorder, "_estimated_fw_gap", lambda *args: float("inf")
@@ -452,7 +651,8 @@ class TestMinimize:
         assert [r["iteration"] for r in rep.iteration_trace] == [1, 2, 3]
         steps = [r["step"] for r in rep.iteration_trace]
         assert steps == [0.0625, 0.015625, 0.00390625]
-        assert rep.total_oracle_queries == 24
+        assert [r["gradient"] for r in rep.iteration_trace] == ["probe"] * 3
+        assert rep.total_oracle_queries == 30
 
     @pytest.mark.parametrize(
         "spec",
