@@ -166,11 +166,24 @@ def _accuracy_shortfall(skeleton, eps_query: float, delta: float) -> str | None:
 
 
 def _check_inputs(oracle: EquilibriumOracle, f_star: FlowVector, delta: float) -> None:
-    """Reject a game whose costs overflow a double, an infeasible or cyclic
-    target, and an oracle that cannot serve tolerance delta
-    (``_accuracy_shortfall``)."""
+    """Reject a game whose costs or search constants overflow a double, an
+    infeasible or cyclic target, and an oracle that cannot serve tolerance
+    delta (``_accuracy_shortfall``).
+
+    The search constants are ln(T_max m K / delta), from which the cut
+    limit is taken, and (T_max sqrt(m) / 2)^2, the squared radius of the
+    starting ball around the toll box.
+    """
     skel = oracle.skeleton
     _refuse_overflowing(skel)
+    const = skel.constants
+    log_arg = const.T_max * skel.m * const.K / delta
+    radius = 0.5 * const.T_max * math.sqrt(skel.m)
+    if not max(log_arg, radius * radius) < math.inf:  # a float product overflows to inf
+        raise ValueError(
+            "the search's constants overflow a double: ln(T_max m K / delta) "
+            "and (T_max sqrt(m) / 2)^2 must be finite"
+        )
     if not is_feasible(skel, f_star):
         raise TargetInfeasible("target flow is not feasible for this game")
     if has_positive_cycle(skel, f_star):

@@ -12,18 +12,25 @@ descent in the affine hull of the polytope, whose directions are an
 orthonormal basis of the per-commodity conservation null spaces.  Each
 iteration pulls the current flow toward a strictly positive reference
 flow, enforces that mixed point at tolls tau0, and queries the oracle at
-tau0 + r e_j for every edge j (regression-model derivative-free
-optimization; Conn, Scheinberg & Vicente, 2009, ch. 4).  Every answer is
-a (flow, cost) pair near the mixed point, accurate to the oracle's
-promise and needing no enforcement, and the cost depends on the
-aggregate flow only: a least-squares fit of the cost changes on the flow
-changes gives the gradient along every hull direction.  The same
-answers measure J = dF/dtau, and later samples start their enforcement
-at the tolls J predicts.  The gradient's error is O(K'' r) from curvature
-plus O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the
-smallest singular value of J on the hull span; an iteration whose sigma
-makes that bound exceed the finite-difference one estimates the gradient
-by central differences of enforced samples instead.  The equilibrium
+tau0 + r e_j for the d toll coordinates j whose rows of the aggregate
+hull span are independent, chosen once per run (regression-model
+derivative-free optimization on a determined sample set; Conn,
+Scheinberg & Vicente, 2009, ch. 4).  Every answer is a (flow, cost) pair
+near the mixed point, accurate to the oracle's promise and needing no
+enforcement, and the cost depends on the aggregate flow only: a
+least-squares fit of the cost changes on the flow changes gives the
+gradient along every hull direction.  The same answers measure
+J = dF/dtau, the Hessian of enforcement's concave dual: symmetric, with
+range in the d-dimensional span, so d columns fix it there and the other
+m - d toll directions only shift the gauge.  Later samples start their
+enforcement at the tolls J predicts, and an iteration whose enforced
+tolls repeat the last probed ones reuses that round with no query.  The
+gradient's error is O(K'' r) from curvature plus
+O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the smallest
+singular value of the probed columns of J on the hull span; an
+iteration whose sigma makes that bound exceed the finite-difference one
+estimates the gradient by central differences of enforced samples
+instead.  The equilibrium
 engine performs the Euclidean projections: one solve per commodity of a
 game whose Beckmann potential is the squared distance.  Descent stops on
 a small estimated gap, a persistent stall, the iteration cap or the
@@ -154,8 +161,8 @@ class SampleEngine:
     success is verified against the oracle.
 
     The warm starts pay: starting every enforcement at zero tolls instead
-    raised the queries of a whole optimize run from 46 to 326 on 8 affine
-    parallel links and from 31 to 74 on a 3x3 grid (the ``parallel-opt``
+    raised the queries of a whole optimize run from 44 to 274 on 8 affine
+    parallel links and from 23 to 66 on a 3x3 grid (the ``parallel-opt``
     and ``grid-opt`` benchmark workloads).
     """
 
@@ -383,29 +390,48 @@ def _hull_span(basis: np.ndarray) -> np.ndarray:
     return vh[: int(np.sum(s > 1e-10 * np.amax(s, initial=0.0)))].T
 
 
-def _probe(
-    oracle: EquilibriumOracle, sample: CostOracleSample, r: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Query tau0 + s_j e_j for every edge j around the sample's enforcing
-    tolls tau0, with s_j = r, or -r where +r would leave the toll box.
+def _probe_coordinates(span: np.ndarray) -> np.ndarray:
+    """The d toll coordinates whose rows of ``span`` are independent.
 
-    Returns the steps s, the flow changes (column j is F_j - F0) and the
-    cost changes C_j - C0 against the sample's accepted answer (F0, C0).
-    Each answer is a (flow, cost) pair accurate to the oracle's promise,
-    so no probe needs enforcement.
+    Greedy pivoting: take the row of largest norm (an exact tie goes to
+    the lowest index), project it out of the other rows, and repeat d
+    times.  The chosen rows form a nonsingular d x d block span[S].
+    """
+    rows = span.copy()
+    chosen: list[int] = []
+    for _ in range(span.shape[1]):
+        norms = np.linalg.norm(rows, axis=1)
+        j = int(np.argmax(norms))
+        chosen.append(j)
+        pivot = rows[j] / norms[j]
+        rows -= np.outer(rows @ pivot, pivot)
+    return np.array(chosen, dtype=int)
+
+
+def _probe(
+    oracle: EquilibriumOracle, sample: CostOracleSample, r: float, coords: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Query tau0 + s_j e_j for each toll coordinate j in ``coords`` around
+    the sample's enforcing tolls tau0, with s_j = r, or -r where +r would
+    leave the toll box.
+
+    Returns the steps s, the flow changes (column i is F_j - F0 for
+    j = coords[i]) and the cost changes C_j - C0 against the sample's
+    accepted answer (F0, C0).  Each answer is a (flow, cost) pair accurate
+    to the oracle's promise, so no probe needs enforcement.
     """
     tau0 = sample.enforcing_tolls.values
     flow0 = sample.response.aggregate_flow
     cost0 = sample.response.total_cost
-    steps = np.where(tau0 + r <= oracle.skeleton.constants.T_max, r, -r)
-    d_flow = np.empty((tau0.size, tau0.size))
-    d_cost = np.empty(tau0.size)
-    for j in range(tau0.size):
+    steps = np.where(tau0[coords] + r <= oracle.skeleton.constants.T_max, r, -r)
+    d_flow = np.empty((tau0.size, len(coords)))
+    d_cost = np.empty(len(coords))
+    for i, j in enumerate(coords):
         tau = tau0.copy()
-        tau[j] += steps[j]
+        tau[j] += steps[i]
         resp = oracle.query(TollVector(tau))
-        d_flow[:, j] = resp.aggregate_flow - flow0
-        d_cost[j] = resp.total_cost - cost0
+        d_flow[:, i] = resp.aggregate_flow - flow0
+        d_cost[i] = resp.total_cost - cost0
     return steps, d_flow, d_cost
 
 
@@ -427,21 +453,31 @@ def _probe_model(
     span: np.ndarray,
     basis: np.ndarray,
     r: float,
+    coords: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Probe around an enforced sample (``_probe``) and return the fitted
-    hull-basis gradient, sigma and the Jacobian model (tau0, F0, J+).
+    """Probe the toll coordinates S = ``coords`` (by default
+    ``_probe_coordinates(span)``) around an enforced sample (``_probe``)
+    and return the fitted hull-basis gradient, sigma and the Jacobian
+    model (tau0, F0, J+).
 
-    J = dF/dtau has column j = (F_j - F0) / s_j.  sigma is the smallest
-    singular value of span^T J, J on the aggregate hull span, and J+ its
-    pseudo-inverse there: pinv(span^T J) span^T.
+    J = dF/dtau is the Hessian of the concave dual V(tau) (see
+    ``enforcement``), so it is symmetric with range in the aggregate hull
+    span: J = span M span^T.  Its probed columns J_S, column i =
+    (F_j - F0) / s_j for j = S[i], fix M = (span^T J_S) span[S]^-T, and the
+    other m - d toll directions only shift the gauge.  sigma is the
+    smallest singular value of span^T J_S and
+    J+ = span span[S]^T pinv(span^T J_S) span^T, which is
+    span M^-1 span^T = pinv(span^T J) span^T.
     """
-    steps, d_flow, d_cost = _probe(oracle, sample, r)
+    if coords is None:
+        coords = _probe_coordinates(span)
+    steps, d_flow, d_cost = _probe(oracle, sample, r, coords)
     jac_span = span.T @ (d_flow / steps)
     sigma = float(np.linalg.svd(jac_span, compute_uv=False).min())
     model = (
         sample.enforcing_tolls.values,
         sample.response.aggregate_flow,
-        np.linalg.pinv(jac_span) @ span.T,
+        span @ span[coords].T @ np.linalg.pinv(jac_span) @ span.T,
     )
     return _fit_gradient(d_flow, d_cost, span, basis), sigma, model
 
@@ -531,6 +567,7 @@ def compute_optimal_tolls(
         raise ValueError(f"epsilon {cfg.epsilon} is too small: {shortfall}")
     basis = affine_hull_basis(skeleton)
     span = _hull_span(basis)
+    coords = _probe_coordinates(span)
     f_ref = reference_flow(skeleton)
     h = math.sqrt(delta)
     r = _probe_step(skeleton, oracle.eps_query)
@@ -546,6 +583,7 @@ def compute_optimal_tolls(
     alpha = 0.25
     stall = 0
     capped = False  # a sample needed a query past max_queries
+    probed = None  # the last probe round: (tau0, g_hat, sigma, model)
     for it in range(1, cfg.max_iterations + 1):
         if capped:
             status = "BUDGET_EXHAUSTED"
@@ -560,7 +598,11 @@ def compute_optimal_tolls(
             if span.shape[1]:
                 at = engine.sample(mixed)  # from the last probes' prediction
                 grad_start = spent()
-                g_hat, sigma, model = _probe_model(oracle, at, span, basis, r)
+                tau0 = at.enforcing_tolls.values
+                if probed is None or not np.array_equal(probed[0], tau0):
+                    # equal tolls get bitwise-equal answers: reuse the round
+                    probed = (tau0, *_probe_model(oracle, at, span, basis, r, coords))
+                _, g_hat, sigma, model = probed
                 # The answer terms of the two error bounds are 2mK^2 eps_query
                 # / (r sigma) = r / sigma and delta / h = h.  The curvature terms
                 # K''r and K''h share K'', and r < h since the accuracy check

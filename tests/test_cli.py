@@ -620,7 +620,7 @@ def test_optimize_on_instance_file(runner, tmp_path):
 
 
 def test_optimize_trace_says_where_gradient_queries_went(runner, tmp_path):
-    # pigou: each iteration probes both links around the mixed point
+    # pigou: d = 1, so each iteration probes one link around the mixed point
     trace = tmp_path / "trace.jsonl"
     result = runner.invoke(
         main,
@@ -630,7 +630,7 @@ def test_optimize_trace_says_where_gradient_queries_went(runner, tmp_path):
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert records
     assert [rec["gradient"] for rec in records] == ["probe"] * len(records)
-    assert [rec["gradient_queries"] for rec in records] == [2] * len(records)
+    assert [rec["gradient_queries"] for rec in records] == [1] * len(records)
     report = json.loads(result.output)
     assert records[-1]["queries"] == report["results"]["optimizer_queries"]
 
@@ -681,3 +681,23 @@ def test_overflowing_costs_exit_3_before_any_solve(runner, tmp_path, monkeypatch
         assert result.exit_code == 3, result.output
         assert "overflow a double" in result.output
         assert "Traceback" not in result.output
+
+
+def test_overflowing_search_constants_exit_3_before_any_query(runner, tmp_path):
+    # coefficients up to 1e160: the solver's gap target is finite, but the
+    # search's cut limit and starting ball are not
+    game_path = tmp_path / "game.json"
+    result = runner.invoke(
+        main,
+        ["gen", "--topology", "parallel", "--links", "4", "--coeff-bound", "1e160",
+         "--out", str(game_path)],
+    )
+    assert result.exit_code == 0
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({f"e{i}": 0.25 for i in range(4)}))
+    result = runner.invoke(
+        main, ["enforce", "--instance", str(game_path), "--target", str(target)]
+    )
+    assert result.exit_code == 3, result.output
+    assert "search's constants overflow a double" in result.output
+    assert "Traceback" not in result.output

@@ -191,6 +191,16 @@ class TestEnforceFlow:
             )
         assert oracle.query_count == 0
 
+    @pytest.mark.parametrize("search", [enforce_flow, ellipsoid_search])
+    def test_overflowing_search_constants_rejected(self, search):
+        # coefficients up to 1e160: the solver's gap target is finite, but
+        # T_max m K / delta and (T_max sqrt(m) / 2)^2 are not
+        game = generate(InstanceSpec(topology="parallel", links=4, coeff_bound=1e160))
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        with pytest.raises(ValueError, match="search's constants overflow a double"):
+            search(oracle, FlowVector.single([0.25] * 4), EnforcementConfig(delta=1e-3))
+        assert oracle.query_count == 0
+
 
 class TestDualAscent:
     @pytest.mark.parametrize("topology", TOPOLOGIES)

@@ -414,7 +414,8 @@ class TestProbeGradient:
         basis = affine_hull_basis(skel)
         span = zeroorder._hull_span(basis)
         r = zeroorder._probe_step(skel, oracle.eps_query)
-        steps, d_flow, d_cost = zeroorder._probe(oracle, at, r)
+        coords = zeroorder._probe_coordinates(span)
+        steps, d_flow, d_cost = zeroorder._probe(oracle, at, r, coords)
         g_hat = zeroorder._fit_gradient(d_flow, d_cost, span, basis)
         sigma = np.linalg.svd(span.T @ (d_flow / steps), compute_uv=False).min()
         # the true gradient at the answer the probes surround
@@ -432,6 +433,44 @@ class TestProbeGradient:
         assert err <= bound
         # the sigma guard passes: the minimizer would use these gradients
         assert sigma * np.sqrt(engine.delta) >= r
+
+    @pytest.mark.parametrize(
+        "spec", [*_PROBE_GAMES, InstanceSpec(topology="braess")], ids=lambda s: s.topology
+    )
+    def test_probe_coordinates_span_the_hull(self, spec):
+        # d coordinates whose rows of span are independent (0.26-0.42 here)
+        span = zeroorder._hull_span(affine_hull_basis(generate(spec).skeleton()))
+        coords = zeroorder._probe_coordinates(span)
+        assert len(set(coords.tolist())) == len(coords) == span.shape[1] > 0
+        assert np.linalg.svd(span[coords], compute_uv=False).min() > 0.1
+
+    @pytest.mark.parametrize("spec", _PROBE_GAMES[1:], ids=lambda s: s.topology)
+    def test_d_probes_give_the_m_probe_jacobian_model(self, spec):
+        # J = dF/dtau is symmetric with range in the hull span, so its d
+        # probed columns fix the J+ = pinv(span^T J) span^T of all m columns
+        game, oracle, engine, at = _probe_setup(spec, 0.05)
+        skel = oracle.skeleton
+        basis = affine_hull_basis(skel)
+        span = zeroorder._hull_span(basis)
+        r = zeroorder._probe_step(skel, oracle.eps_query)
+        coords = zeroorder._probe_coordinates(span)
+        before = oracle.query_count
+        _, _, (_, _, j_plus) = zeroorder._probe_model(oracle, at, span, basis, r, coords)
+        assert oracle.query_count - before == span.shape[1] < skel.m
+        steps, d_flow, _ = zeroorder._probe(oracle, at, r, np.arange(skel.m))
+        full = np.linalg.pinv(span.T @ (d_flow / steps)) @ span.T
+        assert np.abs(j_plus - full).max() <= r * np.abs(full).max()
+
+    def test_grid_probes_d_coordinates_per_iteration(self):
+        # the 3x3 grid: m = 12 tolls, d = 4 hull dimensions
+        game = generate(InstanceSpec(topology="grid", width=3, height=3, seed=5))
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        _, rep = compute_optimal_tolls(oracle, oracle.skeleton, OptConfig(epsilon=0.1))
+        assert rep.status == "CONVERGED"
+        assert {r["gradient"] for r in rep.iteration_trace} == {"probe"}
+        assert [r["gradient_queries"] for r in rep.iteration_trace] == [4] * len(
+            rep.iteration_trace
+        )
 
     def test_small_sigma_falls_back_to_fd(self, braess, monkeypatch):
         probe_model = zeroorder._probe_model
@@ -530,7 +569,7 @@ class TestProbeGradient:
             FlowVector.single(resp.aggregate_flow), tau0, resp.total_cost, 1, resp
         )
         r = zeroorder._probe_step(oracle.skeleton, oracle.eps_query)
-        steps, _, _ = zeroorder._probe(oracle, at, r)
+        steps, _, _ = zeroorder._probe(oracle, at, r, np.array([0, 1]))
         assert list(steps) == [-r, r]
         probed = [tau for tau, _ in oracle.query_log[1:]]
         assert np.array_equal(probed[0], [t_max - r, 0.0])
@@ -652,7 +691,9 @@ class TestMinimize:
         steps = [r["step"] for r in rep.iteration_trace]
         assert steps == [0.0625, 0.015625, 0.00390625]
         assert [r["gradient"] for r in rep.iteration_trace] == ["probe"] * 3
-        assert rep.total_oracle_queries == 30
+        # one probe (d = 1), reused by the two stalled iterations at the same tolls
+        assert [r["gradient_queries"] for r in rep.iteration_trace] == [1, 0, 0]
+        assert rep.total_oracle_queries == 25
 
     @pytest.mark.parametrize(
         "spec",
