@@ -25,12 +25,11 @@ Exit codes are one map, by exception class, that every command runs in:
 
 ``enforce --trace`` writes one JSON line per enforcement step (a dual
 step or an ellipsoid cut), ``optimize --trace`` one per descent
-iteration, with the gradient that ran (``gradient``: "probe" or "fd")
-and the queries it spent (``gradient_queries``).  ``--out`` files open
-while the options are parsed, and ``--trace`` files before the first
-query, so a path that cannot be written exits 3 before any solve.  Every command is
-deterministic given --seed and emits a machine-readable report with a
-stable field order.
+iteration, with the queries its gradient spent (``gradient_queries``).
+``--out`` files open while the options are parsed, and ``--trace`` files
+before the first query, so a path that cannot be written exits 3 before
+any solve.  Every command is deterministic given --seed and emits a
+machine-readable report with a stable field order.
 """
 
 from __future__ import annotations

@@ -27,12 +27,9 @@ enforcement at the tolls J predicts, and an iteration whose enforced
 tolls repeat the last probed ones reuses that round with no query.  The
 gradient's error is O(K'' r) from curvature plus
 O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the smallest
-singular value of the probed columns of J on the hull span; an
-iteration whose sigma makes that bound exceed the finite-difference one
-estimates the gradient by central differences of enforced samples
-instead.  The equilibrium
-engine performs the Euclidean projections: one solve per commodity of a
-game whose Beckmann potential is the squared distance.  Descent stops on
+singular value of the probed columns of J on the hull span.  The
+equilibrium engine performs the Euclidean projections: one solve per
+commodity of a game whose Beckmann potential is the squared distance.  Descent stops on
 a small estimated gap, a persistent stall, the iteration cap or the
 budget.  The best sampled flow is tracked globally, so the reported cost
 never regresses, and its enforcing tolls are the returned tolls.
@@ -43,7 +40,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -98,11 +94,8 @@ class OptConfig:
 
     The value-oracle error delta is epsilon / (8 N^2) where N = mk, a
     fixed polynomial factor below the optimality target.  It sets the
-    enforcement tolerance and the finite-difference step sqrt(delta) of
-    the fallback gradient, which runs only in an iteration whose toll
-    probes are too ill-conditioned to beat it.  Gradient points mix in the
-    reference flow with weight 1e-3.  The query budget is the oracle's
-    ``max_queries``.
+    enforcement tolerance.  Gradient points mix in the reference flow
+    with weight 1e-3.  The query budget is the oracle's ``max_queries``.
     """
 
     epsilon: float
@@ -367,7 +360,7 @@ def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
 
 
 # ---------------------------------------------------------------------------
-# gradients: toll probes around an enforced sample, finite differences
+# gradients: toll probes around an enforced sample
 # ---------------------------------------------------------------------------
 
 
@@ -375,8 +368,7 @@ def _probe_step(skel: GameSkeleton, eps_query: float) -> float:
     """Toll probe step r = sqrt(2 m K^2 eps_query).
 
     It balances the probe gradient's two error terms, K'' r and
-    2mK^2 eps_query / (r sigma), with K'' and sigma at 1, as h = sqrt(delta)
-    balances the finite-difference terms K'' h and delta / h.
+    2mK^2 eps_query / (r sigma), with K'' and sigma at 1.
     """
     return math.sqrt(2.0 * skel.m * skel.constants.K**2 * eps_query)
 
@@ -454,18 +446,17 @@ def _probe_model(
     basis: np.ndarray,
     r: float,
     coords: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Probe the toll coordinates S = ``coords`` (by default
     ``_probe_coordinates(span)``) around an enforced sample (``_probe``)
-    and return the fitted hull-basis gradient, sigma and the Jacobian
-    model (tau0, F0, J+).
+    and return the fitted hull-basis gradient and the Jacobian model
+    (tau0, F0, J+).
 
     J = dF/dtau is the Hessian of the concave dual V(tau) (see
     ``enforcement``), so it is symmetric with range in the aggregate hull
     span: J = span M span^T.  Its probed columns J_S, column i =
     (F_j - F0) / s_j for j = S[i], fix M = (span^T J_S) span[S]^-T, and the
-    other m - d toll directions only shift the gauge.  sigma is the
-    smallest singular value of span^T J_S and
+    other m - d toll directions only shift the gauge.
     J+ = span span[S]^T pinv(span^T J_S) span^T, which is
     span M^-1 span^T = pinv(span^T J) span^T.
     """
@@ -473,45 +464,12 @@ def _probe_model(
         coords = _probe_coordinates(span)
     steps, d_flow, d_cost = _probe(oracle, sample, r, coords)
     jac_span = span.T @ (d_flow / steps)
-    sigma = float(np.linalg.svd(jac_span, compute_uv=False).min())
     model = (
         sample.enforcing_tolls.values,
         sample.response.aggregate_flow,
         span @ span[coords].T @ np.linalg.pinv(jac_span) @ span.T,
     )
-    return _fit_gradient(d_flow, d_cost, span, basis), sigma, model
-
-
-def _fd_gradient(
-    value_fn: Callable[[FlowVector], float],
-    basis: np.ndarray,
-    f: FlowVector,
-    h: float,
-) -> np.ndarray:
-    """Central differences along the hull basis, arms shrunk to stay in
-    the polytope (the secant then spans the actual chord).
-
-    With a delta-accurate ``value_fn`` the component error is bounded by
-    delta/h plus the curvature term K''h; both shrink under h = sqrt(delta).
-    """
-    X = f.per_commodity
-    grads = np.zeros(basis.shape[0])
-    for j in range(basis.shape[0]):
-        v = basis[j]
-        neg = v < -1e-15
-        pos = v > 1e-15
-        t_plus = float(np.min(X[neg] / -v[neg])) if neg.any() else math.inf
-        t_minus = float(np.min(X[pos] / v[pos])) if pos.any() else math.inf
-        a_plus = min(h, 0.95 * t_plus)
-        a_minus = min(h, 0.95 * t_minus)
-        span = a_plus + a_minus
-        if span <= 1e-12:
-            grads[j] = 0.0
-            continue
-        hi = value_fn(FlowVector(X + a_plus * v))
-        lo = value_fn(FlowVector(X - a_minus * v))
-        grads[j] = (hi - lo) / span
-    return grads
+    return _fit_gradient(d_flow, d_cost, span, basis), model
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +496,12 @@ def compute_optimal_tolls(
 ) -> tuple[TollVector, OptimizationReport]:
     """Minimize total latency; return the best sample's enforcing tolls.
 
-    Projected descent on toll-probe gradients (finite differences in an
-    iteration whose probes fail the sigma guard) tracks the globally best
-    sample.  Each ``iteration_trace`` entry says which gradient ran
-    (``gradient``: "probe" or "fd") and the queries it spent after the
-    mixed point's enforcement (``gradient_queries``).  It stops on an estimated-gap
-    certificate, a persistent stall, the iteration cap or the oracle's
-    ``max_queries`` (a sample that needs a query past it ends the descent;
+    Projected descent on toll-probe gradients tracks the globally best
+    sample.  Each ``iteration_trace`` entry records the queries the
+    gradient spent after the mixed point's enforcement
+    (``gradient_queries``).  It stops on an estimated-gap certificate, a
+    persistent stall, the iteration cap or the oracle's ``max_queries``
+    (a sample that needs a query past it ends the descent;
     reaching it with every later sample cached does not); the report's
     ``status`` says which.  A cyclic graph, a skeleton not the oracle's and
     an epsilon finer than the oracle's accuracy can serve raise
@@ -569,7 +526,6 @@ def compute_optimal_tolls(
     span = _hull_span(basis)
     coords = _probe_coordinates(span)
     f_ref = reference_flow(skeleton)
-    h = math.sqrt(delta)
     r = _probe_step(skeleton, oracle.eps_query)
     queries_start = oracle.query_count
     trace: list[dict] = []
@@ -583,7 +539,7 @@ def compute_optimal_tolls(
     alpha = 0.25
     stall = 0
     capped = False  # a sample needed a query past max_queries
-    probed = None  # the last probe round: (tau0, g_hat, sigma, model)
+    probed = None  # the last probe round: (tau0, g_hat, model)
     for it in range(1, cfg.max_iterations + 1):
         if capped:
             status = "BUDGET_EXHAUSTED"
@@ -592,9 +548,9 @@ def compute_optimal_tolls(
         mixed = FlowVector(  # interior mix toward the reference flow
             (1.0 - 1e-3) * f.per_commodity + 1e-3 * f_ref.per_commodity
         )
+        g_hat = np.zeros(basis.shape[0])  # no hull direction: nothing to probe
+        grad_start = spent()
         try:
-            g_hat = model = None
-            grad_start = spent()
             if span.shape[1]:
                 at = engine.sample(mixed)  # from the last probes' prediction
                 grad_start = spent()
@@ -602,19 +558,7 @@ def compute_optimal_tolls(
                 if probed is None or not np.array_equal(probed[0], tau0):
                     # equal tolls get bitwise-equal answers: reuse the round
                     probed = (tau0, *_probe_model(oracle, at, span, basis, r, coords))
-                _, g_hat, sigma, model = probed
-                # The answer terms of the two error bounds are 2mK^2 eps_query
-                # / (r sigma) = r / sigma and delta / h = h.  The curvature terms
-                # K''r and K''h share K'', and r < h since the accuracy check
-                # above leaves eps_query < 2 delta_enforce = delta / (2mK^2).
-                # So the probe bound is the smaller one whenever sigma >= r / h.
-                if sigma * h < r:
-                    g_hat = model = None
-            engine.model = model
-            if g_hat is None:
-                g_hat = _fd_gradient(
-                    lambda x: engine.sample(x).observed_cost, basis, mixed, h
-                )
+                _, g_hat, engine.model = probed
         except (OracleSampleFailed, OracleBudgetExceeded):
             status = "BUDGET_EXHAUSTED"
             break
@@ -657,7 +601,6 @@ def compute_optimal_tolls(
                 "step": alpha,
                 "estimated_gap": est_gap,
                 "grad_norm": gnorm,
-                "gradient": "fd" if engine.model is None else "probe",
                 "gradient_queries": grad_queries,
                 "queries": spent(),
             }

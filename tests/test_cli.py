@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import make_cyclic
-from tollopt import cli, equilibrium, oracle, zeroorder
+from tollopt import cli, equilibrium, oracle
 from tollopt.cli import (
     main,
     run_impossibility_demo,
@@ -629,30 +629,9 @@ def test_optimize_trace_says_where_gradient_queries_went(runner, tmp_path):
     assert result.exit_code == 0
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert records
-    assert [rec["gradient"] for rec in records] == ["probe"] * len(records)
     assert [rec["gradient_queries"] for rec in records] == [1] * len(records)
     report = json.loads(result.output)
     assert records[-1]["queries"] == report["results"]["optimizer_queries"]
-
-
-def test_optimize_trace_reports_fd_fallback(runner, tmp_path, monkeypatch):
-    # a sigma below the guard sends every iteration to finite differences
-    probe_model = zeroorder._probe_model
-
-    def ill_conditioned(*args):
-        g_hat, _, model = probe_model(*args)
-        return g_hat, 0.0, model
-
-    monkeypatch.setattr(zeroorder, "_probe_model", ill_conditioned)
-    trace = tmp_path / "trace.jsonl"
-    result = runner.invoke(
-        main,
-        ["optimize", "--topology", "braess", "--epsilon", "0.02", "--trace", str(trace)],
-    )
-    assert result.exit_code == 0
-    records = [json.loads(line) for line in trace.read_text().splitlines()]
-    assert {rec["gradient"] for rec in records} == {"fd"}
-    assert all(type(rec["gradient_queries"]) is int for rec in records)
 
 
 def test_overflowing_costs_exit_3_before_any_solve(runner, tmp_path, monkeypatch):

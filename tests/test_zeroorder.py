@@ -21,6 +21,7 @@ from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
 from tollopt import FlowVector, equilibrium, solve_equilibrium, total_latency, zeroorder
 from tollopt.enforcement import EnforcementResult, EnforcementStatus
 from tollopt.equilibrium import EqConfig
+from tollopt.exact import optimal_flow
 from tollopt.game import TollVector
 from tollopt.game import has_positive_cycle, is_feasible
 from tollopt.instances import InstanceSpec, generate
@@ -29,7 +30,6 @@ from tollopt.paths import dag_shortest_path
 from tollopt.zeroorder import (
     OptConfig,
     SampleEngine,
-    _fd_gradient,
     affine_hull_basis,
     compute_optimal_tolls,
     project_to_polytope,
@@ -310,74 +310,6 @@ class TestProjection:
                     assert float(grad @ f) - com.demand * dist <= 1e-9
 
 
-class TestGradient:
-    def test_pigou_zero_gradient_at_optimum(self, pigou):
-        basis = affine_hull_basis(pigou.skeleton())
-        g = _fd_gradient(
-            lambda f: total_latency(pigou, f),
-            basis,
-            FlowVector.single([0.5, 0.5]),
-            1e-5,
-        )
-        assert abs(g[0]) < 1e-9
-
-    def test_pigou_interior_gradient(self, pigou):
-        basis = affine_hull_basis(pigou.skeleton())
-        g = _fd_gradient(
-            lambda f: total_latency(pigou, f),
-            basis,
-            FlowVector.single([0.75, 0.25]),
-            1e-6,
-        )
-        assert abs(abs(g[0]) - 0.5 / np.sqrt(2)) < 1e-6
-
-    def test_constant_game_linear_gradient(self):
-        game = make_parallel([(0.7,), (0.3,)])
-        basis = affine_hull_basis(game.skeleton())
-        g = _fd_gradient(
-            lambda f: total_latency(game, f),
-            basis,
-            FlowVector.single([0.5, 0.5]),
-            1e-4,
-        )
-        assert abs(abs(g[0]) - 0.4 / np.sqrt(2)) < 1e-9
-
-    def test_oracle_based_estimate(self, pigou):
-        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        delta = 1e-4
-        h = float(np.sqrt(delta))
-        engine = SampleEngine(oracle, delta)
-        g = _fd_gradient(
-            lambda x: engine.sample(x).observed_cost,
-            affine_hull_basis(oracle.skeleton),
-            FlowVector.single([0.75, 0.25]),
-            h,
-        )
-        K2 = 2.0  # curvature of f1^2 + f2 along the hull
-        tol = max(1e-4, delta / h + K2 * h)
-        assert abs(abs(g[0]) - 0.5 / np.sqrt(2)) <= tol
-
-    def test_gradient_matches_analytic_on_random_games(self, rng):
-        for _ in range(5):
-            game = random_parallel(4, rng, quadratic=True)
-            skel = game.skeleton()
-            basis = affine_hull_basis(skel)
-            split = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
-            f = FlowVector.single(split / split.sum())
-            h = 1e-6
-            g = _fd_gradient(
-                lambda x: total_latency(game, x), basis, f, h
-            )
-            marginal = np.array(
-                [
-                    e.latency.value(x) + x * e.latency.slope(x)
-                    for x, e in zip(f.aggregate, game.edges)
-                ]
-            )
-            expected = basis.reshape(len(basis), -1) @ marginal
-            assert np.max(np.abs(g - expected)) < 1e-4
-
-
 _PROBE_GAMES = [
     InstanceSpec(topology="parallel", links=8, seed=5),
     InstanceSpec(topology="grid", width=3, height=3, seed=5),
@@ -409,7 +341,7 @@ class TestProbeGradient:
     def test_within_stated_bound_of_true_hull_gradient(self, spec):
         # ||g_hat - g||_2 <= sqrt(k m) (K'' max_j ||dF_j||^2 / 2
         #                    + 4 m K^2 eps_query) / (r sigma)
-        game, oracle, engine, at = _probe_setup(spec, 0.05)
+        game, oracle, _, at = _probe_setup(spec, 0.05)
         skel = oracle.skeleton
         basis = affine_hull_basis(skel)
         span = zeroorder._hull_span(basis)
@@ -431,8 +363,6 @@ class TestProbeGradient:
         ) / (r * sigma)
         err = np.linalg.norm(g_hat - g_true)
         assert err <= bound
-        # the sigma guard passes: the minimizer would use these gradients
-        assert sigma * np.sqrt(engine.delta) >= r
 
     @pytest.mark.parametrize(
         "spec", [*_PROBE_GAMES, InstanceSpec(topology="braess")], ids=lambda s: s.topology
@@ -455,7 +385,7 @@ class TestProbeGradient:
         r = zeroorder._probe_step(skel, oracle.eps_query)
         coords = zeroorder._probe_coordinates(span)
         before = oracle.query_count
-        _, _, (_, _, j_plus) = zeroorder._probe_model(oracle, at, span, basis, r, coords)
+        _, (_, _, j_plus) = zeroorder._probe_model(oracle, at, span, basis, r, coords)
         assert oracle.query_count - before == span.shape[1] < skel.m
         steps, d_flow, _ = zeroorder._probe(oracle, at, r, np.arange(skel.m))
         full = np.linalg.pinv(span.T @ (d_flow / steps)) @ span.T
@@ -467,34 +397,22 @@ class TestProbeGradient:
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         _, rep = compute_optimal_tolls(oracle, oracle.skeleton, OptConfig(epsilon=0.1))
         assert rep.status == "CONVERGED"
-        assert {r["gradient"] for r in rep.iteration_trace} == {"probe"}
         assert [r["gradient_queries"] for r in rep.iteration_trace] == [4] * len(
             rep.iteration_trace
         )
 
-    def test_small_sigma_falls_back_to_fd(self, braess, monkeypatch):
-        probe_model = zeroorder._probe_model
-        fd_gradient = zeroorder._fd_gradient
-        fd_calls = []
-
-        def forced(*args):
-            g_hat, _, model = probe_model(*args)
-            return g_hat, 1e-300, model
-
-        def fd_spy(*args):
-            fd_calls.append(args)
-            return fd_gradient(*args)
-
-        monkeypatch.setattr(zeroorder, "_probe_model", forced)
-        monkeypatch.setattr(zeroorder, "_fd_gradient", fd_spy)
-        oracle = EquilibriumOracle(braess, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        tolls, rep = compute_optimal_tolls(oracle, braess.skeleton(), OptConfig(epsilon=0.02))
+    def test_ill_conditioned_probes_still_converge_cheaply(self):
+        # m = 64 parallel links: iteration 2's probed columns of J have
+        # sigma 0.0188, and their gradient still serves the descent
+        game = generate(InstanceSpec(topology="parallel", links=64, seed=5))
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        cfg = OptConfig(epsilon=0.25, max_iterations=5)
+        tolls, rep = compute_optimal_tolls(oracle, oracle.skeleton, cfg)
         assert rep.status == "CONVERGED"
-        assert len(fd_calls) == len(rep.iteration_trace) > 0
-        assert {r["gradient"] for r in rep.iteration_trace} == {"fd"}
-        assert all(r["gradient_queries"] >= 5 for r in rep.iteration_trace)
-        induced = solve_equilibrium(braess, tolls).flow
-        assert total_latency(braess, induced) <= 1.5 + 2 * 0.02
+        assert rep.total_oracle_queries <= 400
+        induced = solve_equilibrium(game, tolls, EqConfig(accuracy=1e-10)).flow
+        opt = optimal_flow(game, gap=1e-10)[1]
+        assert total_latency(game, induced) <= opt + 2 * cfg.epsilon
 
     @pytest.mark.parametrize("spec", _PROBE_GAMES, ids=lambda s: s.topology)
     def test_predicted_start_sample_rechecked_by_independent_solve(
@@ -505,7 +423,7 @@ class TestProbeGradient:
         basis = affine_hull_basis(skel)
         span = zeroorder._hull_span(basis)
         r = zeroorder._probe_step(skel, oracle.eps_query)
-        _, _, engine.model = zeroorder._probe_model(oracle, at, span, basis, r)
+        _, engine.model = zeroorder._probe_model(oracle, at, span, basis, r)
         calls = []
         enforce = zeroorder.enforce_flow
 
@@ -690,7 +608,6 @@ class TestMinimize:
         assert [r["iteration"] for r in rep.iteration_trace] == [1, 2, 3]
         steps = [r["step"] for r in rep.iteration_trace]
         assert steps == [0.0625, 0.015625, 0.00390625]
-        assert [r["gradient"] for r in rep.iteration_trace] == ["probe"] * 3
         # one probe (d = 1), reused by the two stalled iterations at the same tolls
         assert [r["gradient_queries"] for r in rep.iteration_trace] == [1, 0, 0]
         assert rep.total_oracle_queries == 25
@@ -791,8 +708,10 @@ class TestComputeOptimalTolls:
     ):
         # a budget of exactly what the descent spends is enough: returning
         # the best sample's tolls takes no further query, and a budget
-        # reached but never refused is not a spent one (on pigou and
-        # fig1_l2 the last iteration is served from the cache alone)
+        # reached but never refused is not a spent one.  Every iteration
+        # queries (5 queries in iteration 2 on pigou and fig1_l2); the only
+        # cache hit there is iteration 1's mixed point, which equals the
+        # reference sample
         cfg = OptConfig(epsilon=0.02)
         for game in (pigou, fig1_l1, fig1_l2, braess):
             probe = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
