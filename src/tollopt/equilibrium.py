@@ -527,7 +527,10 @@ def _solve_paths(
     F = state.h @ state.N
     scale = max(1.0, abs(float(np.dot(_eval_poly_rows(A, F) + tau, F))))
     newton_tol = max(1e-13 * scale, 1e-15)
-    add_tol = 20 * newton_tol
+    # a path cheaper by add_tol moves the gap by up to add_tol per unit of
+    # demand, so past 0.5 * accuracy / sum(d) the solve would settle above
+    # the target
+    add_tol = min(20 * newton_tol, 0.5 * accuracy / demands.sum())
     iterations = 0
     rounds = 0
     settled = False  # the loop ended on a measured state

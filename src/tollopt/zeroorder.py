@@ -27,12 +27,17 @@ enforcement at the tolls J predicts, and an iteration whose enforced
 tolls repeat the last probed ones reuses that round with no query.  The
 gradient's error is O(K'' r) from curvature plus
 O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the smallest
-singular value of the probed columns of J on the hull span.  The
-equilibrium engine performs the Euclidean projections: one solve per
-commodity of a game whose Beckmann potential is the squared distance.  Descent stops on
-a small estimated gap, a persistent stall, the iteration cap or the
-budget.  The best sampled flow is tracked globally, so the reported cost
-never regresses, and its enforcing tolls are the returned tolls.
+singular value of the probed columns of J on the hull span.  On the
+hull span -2 J+ is the cost Hessian (exact for affine latencies), so each
+iteration samples one Newton candidate, the projection of the current
+flow plus the model's Newton step, and moves there only if its cost is
+more than delta/2 below the current one.  The equilibrium engine
+performs the Euclidean projections: one solve per commodity of a game
+whose Beckmann potential is the squared distance.  Descent stops on a
+small estimated gap, a candidate that is not accepted, the iteration cap
+or the budget.  The best sampled flow is tracked globally, so the
+reported cost never regresses, and its enforcing tolls are the returned
+tolls.
 """
 
 from __future__ import annotations
@@ -154,8 +159,8 @@ class SampleEngine:
     success is verified against the oracle.
 
     The warm starts pay: starting every enforcement at zero tolls instead
-    raised the queries of a whole optimize run from 44 to 274 on 8 affine
-    parallel links and from 23 to 66 on a 3x3 grid (the ``parallel-opt``
+    raised the queries of a whole optimize run from 40 to 1,486 on 8 affine
+    parallel links and from 21 to 35 on a 3x3 grid (the ``parallel-opt``
     and ``grid-opt`` benchmark workloads).
     """
 
@@ -445,12 +450,11 @@ def _probe_model(
     span: np.ndarray,
     basis: np.ndarray,
     r: float,
-    coords: np.ndarray | None = None,
+    coords: np.ndarray,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Probe the toll coordinates S = ``coords`` (by default
-    ``_probe_coordinates(span)``) around an enforced sample (``_probe``)
-    and return the fitted hull-basis gradient and the Jacobian model
-    (tau0, F0, J+).
+    """Probe the toll coordinates S = ``coords`` (``_probe_coordinates``)
+    around an enforced sample (``_probe``) and return the fitted hull-basis
+    gradient and the Jacobian model (tau0, F0, J+).
 
     J = dF/dtau is the Hessian of the concave dual V(tau) (see
     ``enforcement``), so it is symmetric with range in the aggregate hull
@@ -460,8 +464,6 @@ def _probe_model(
     J+ = span span[S]^T pinv(span^T J_S) span^T, which is
     span M^-1 span^T = pinv(span^T J) span^T.
     """
-    if coords is None:
-        coords = _probe_coordinates(span)
     steps, d_flow, d_cost = _probe(oracle, sample, r, coords)
     jac_span = span.T @ (d_flow / steps)
     model = (
@@ -496,15 +498,21 @@ def compute_optimal_tolls(
 ) -> tuple[TollVector, OptimizationReport]:
     """Minimize total latency; return the best sample's enforcing tolls.
 
-    Projected descent on toll-probe gradients tracks the globally best
-    sample.  Each ``iteration_trace`` entry records the queries the
-    gradient spent after the mixed point's enforcement
-    (``gradient_queries``).  It stops on an estimated-gap certificate, a
-    persistent stall, the iteration cap or the oracle's ``max_queries``
-    (a sample that needs a query past it ends the descent;
-    reaching it with every later sample cached does not); the report's
-    ``status`` says which.  A cyclic graph, a skeleton not the oracle's and
-    an epsilon finer than the oracle's accuracy can serve raise
+    Each descent iteration takes the gradient g and the Jacobian model of
+    its probe round, forms the hull-basis Hessian H = A (-2 J+) A^T with
+    A = ``basis.sum(axis=1)``, and samples one candidate, the projection
+    of f + lift(-pinv(H) g).  The candidate becomes the current flow only
+    if its cost is more than delta/2 below the current cost; the globally
+    best sample is tracked either way.  Each ``iteration_trace`` entry
+    records whether it was ``accepted`` and the queries the gradient spent
+    after the mixed point's enforcement (``gradient_queries``).  Descent
+    stops on an estimated-gap certificate (from iteration 2 on), on the
+    oracle's ``max_queries`` (a sample that needs a query past it ends the
+    descent; reaching it with every later sample cached does not), on a
+    candidate that is not accepted (a repeat of that iteration would
+    replay it bitwise), or at the iteration cap; the report's ``status``
+    says which.  A cyclic graph, a skeleton not the oracle's and an
+    epsilon finer than the oracle's accuracy can serve raise
     ``ValueError`` before any query.
 
     The best sample was enforced at tolerance delta / (4mK^2) with
@@ -523,6 +531,7 @@ def compute_optimal_tolls(
     if shortfall is not None:
         raise ValueError(f"epsilon {cfg.epsilon} is too small: {shortfall}")
     basis = affine_hull_basis(skeleton)
+    A = basis.sum(axis=1)  # the hull directions' aggregates
     span = _hull_span(basis)
     coords = _probe_coordinates(span)
     f_ref = reference_flow(skeleton)
@@ -536,19 +545,13 @@ def compute_optimal_tolls(
     best = engine.sample(f_ref)
     current = best
     status = "ITERATION_LIMIT"
-    alpha = 0.25
-    stall = 0
-    capped = False  # a sample needed a query past max_queries
     probed = None  # the last probe round: (tau0, g_hat, model)
     for it in range(1, cfg.max_iterations + 1):
-        if capped:
-            status = "BUDGET_EXHAUSTED"
-            break
         f = current.requested_flow
         mixed = FlowVector(  # interior mix toward the reference flow
             (1.0 - 1e-3) * f.per_commodity + 1e-3 * f_ref.per_commodity
         )
-        g_hat = np.zeros(basis.shape[0])  # no hull direction: nothing to probe
+        g_hat = newton = np.zeros(basis.shape[0])  # no hull direction: no probe
         grad_start = spent()
         try:
             if span.shape[1]:
@@ -559,58 +562,48 @@ def compute_optimal_tolls(
                     # equal tolls get bitwise-equal answers: reuse the round
                     probed = (tau0, *_probe_model(oracle, at, span, basis, r, coords))
                 _, g_hat, engine.model = probed
+                hessian = A @ (-2.0 * engine.model[2]) @ A.T
+                newton = -np.linalg.pinv(hessian, rcond=1e-10) @ g_hat
         except (OracleSampleFailed, OracleBudgetExceeded):
             status = "BUDGET_EXHAUSTED"
             break
         grad_queries = spent() - grad_start
-        G = _lift(basis, g_hat)
-        est_gap = _estimated_fw_gap(skeleton, G, f)
-        gnorm = float(np.linalg.norm(g_hat))
-        improved = False
-        tried: list[tuple[float, CostOracleSample]] = []
-        for a in (2.0 * alpha, alpha, 0.25 * alpha):
-            cand_pt = project_to_polytope(
-                skeleton, f.per_commodity - a * G
+        est_gap = _estimated_fw_gap(skeleton, _lift(basis, g_hat), f)
+        accepted = False
+        # unless the candidate is accepted, a repeat would replay this
+        # iteration bitwise: same current, cached mixed point, reused probe
+        # round, cached candidate
+        stop = "CONVERGED"
+        try:
+            cand = engine.sample(
+                project_to_polytope(skeleton, f.per_commodity + _lift(basis, newton))
             )
-            try:
-                cand = engine.sample(cand_pt)
-            except OracleSampleFailed:
-                continue
-            except OracleBudgetExceeded:
-                capped = True
-                break
-            tried.append((a, cand))
+        except OracleSampleFailed:
+            pass
+        except OracleBudgetExceeded:
+            stop = "BUDGET_EXHAUSTED"
+        else:
             if cand.observed_cost < best.observed_cost:
                 best = cand
-        if tried:
-            a_win, cand_win = min(tried, key=lambda t: t[1].observed_cost)
-            if cand_win.observed_cost < current.observed_cost + 0.5 * delta:
-                current = cand_win
-                alpha = max(min(a_win * 1.5, 4.0), 1e-4)
-                improved = True
-        if not improved:
-            alpha = max(alpha * 0.25, 1e-4)
-            stall += 1
-        else:
-            stall = 0
+            accepted = cand.observed_cost < current.observed_cost - 0.5 * delta
+            if accepted:
+                current, stop = cand, None
         trace.append(
             {
                 "iteration": it,
                 "cost": current.observed_cost,
                 "best_cost": best.observed_cost,
-                "step": alpha,
+                "accepted": accepted,
                 "estimated_gap": est_gap,
-                "grad_norm": gnorm,
+                "grad_norm": float(np.linalg.norm(g_hat)),
                 "gradient_queries": grad_queries,
                 "queries": spent(),
             }
         )
         if est_gap <= cfg.epsilon / 2.0 and it >= 2:
-            status = "CONVERGED"
-            break
-        if stall >= 3:
-            converged = est_gap <= cfg.epsilon or not capped
-            status = "CONVERGED" if converged else "BUDGET_EXHAUSTED"
+            stop = "CONVERGED"
+        if stop is not None:
+            status = stop
             break
     return best.enforcing_tolls, OptimizationReport(
         best_flow=best.requested_flow,

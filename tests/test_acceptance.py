@@ -32,6 +32,7 @@ from tollopt.zeroorder import (
     OptConfig,
     SampleEngine,
     _hull_span,
+    _probe_coordinates,
     _probe_model,
     _probe_step,
     affine_hull_basis,
@@ -274,7 +275,8 @@ def test_criterion_6_numerical_properties():
         f = FlowVector.single(split / split.sum())
         at = SampleEngine(oracle, OptConfig(epsilon=0.05).resolved_delta(skel)).sample(f)
         r = _probe_step(skel, oracle.eps_query)
-        g_est, _ = _probe_model(oracle, at, _hull_span(basis), basis, r)
+        span = _hull_span(basis)
+        g_est, _ = _probe_model(oracle, at, span, basis, r, _probe_coordinates(span))
         h = 1e-5
         marginal = np.array(
             [

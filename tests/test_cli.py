@@ -186,14 +186,14 @@ def test_optimize_spent_budget_emits_report_and_exits_4(runner, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(
         main,
-        ["optimize", "--topology", "pigou", "--max-queries", "5", "--out", str(out)],
+        ["optimize", "--topology", "pigou", "--max-queries", "4", "--out", str(out)],
     )
     assert result.exit_code == 4
     report = json.loads(out.read_text())
     assert validate_report(report)
     results = report["results"]
     assert results["optimizer_status"] == "BUDGET_EXHAUSTED"
-    assert results["optimizer_queries"] == report["oracle_queries"] <= 5
+    assert results["optimizer_queries"] == report["oracle_queries"] <= 4
     assert len(results["tolls"]) == 2
     assert results["gap_within_2eps"] is True
 

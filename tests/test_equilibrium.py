@@ -227,6 +227,29 @@ class TestSolveEquilibrium:
             solve_equilibrium(game, TollVector(rng.uniform(0.0, 0.5, game.m)))
             assert steps == [] and len(runs) <= 3
 
+    def test_cheaper_path_admitted_below_the_gap_target(self):
+        # at these tolls the solve's cost scale |c.F| is about 67, so a
+        # cheaper path was admitted only when it saved 20 * 1e-13 |c.F|,
+        # 1.3e-10, above the oracle's 1.67e-11 gap target: the solve
+        # settled at gap 6.6e-11 and raised NoConvergence
+        game = generate(
+            InstanceSpec(topology="random_dag", n_vertices=6, degree=1, commodities=2, seed=4)
+        )
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        tau = TollVector(
+            np.array(
+                [
+                    9.85054105155272, 42.37144614844729, 11.604018108867495,
+                    21.72082611239363, 4.900051037318498, 9.801013998837789,
+                    4.900051037318498, 9.850541051552714,
+                ]
+            )
+        )
+        resp = oracle.query(tau)
+        tight = solve_equilibrium(game, tau, EqConfig(accuracy=1e-12))
+        diff = resp.aggregate_flow - tight.flow.aggregate
+        assert np.max(np.abs(diff)) <= 1e-9
+
 
 class TestSeededStart:
     SPECS = {

@@ -423,7 +423,8 @@ class TestProbeGradient:
         basis = affine_hull_basis(skel)
         span = zeroorder._hull_span(basis)
         r = zeroorder._probe_step(skel, oracle.eps_query)
-        _, engine.model = zeroorder._probe_model(oracle, at, span, basis, r)
+        coords = zeroorder._probe_coordinates(span)
+        _, engine.model = zeroorder._probe_model(oracle, at, span, basis, r, coords)
         calls = []
         enforce = zeroorder.enforce_flow
 
@@ -499,7 +500,7 @@ class TestProbeGradient:
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         _, rep = compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=0.02))
         assert rep.status == "CONVERGED"
-        assert [r["gradient_queries"] for r in rep.iteration_trace] == [0, 0]
+        assert [r["gradient_queries"] for r in rep.iteration_trace] == [0]
         assert rep.total_oracle_queries == oracle.query_count
 
     def test_budget_spent_during_probes_keeps_best_sample(self, monkeypatch):
@@ -575,12 +576,12 @@ class TestMinimize:
 
     def test_query_budget_flags_report(self, pigou):
         oracle = EquilibriumOracle(
-            pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=5
+            pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=4
         )
         _, rep = compute_optimal_tolls(oracle, pigou.skeleton(), OptConfig(epsilon=0.02))
         assert rep.status == "BUDGET_EXHAUSTED"
         assert rep.best_cost < float("inf")
-        assert rep.total_oracle_queries <= 5
+        assert rep.total_oracle_queries <= 4
 
     def test_iteration_cap_is_not_a_spent_budget(self):
         # no query budget is set, so the cap, not a budget, ends the run
@@ -593,8 +594,8 @@ class TestMinimize:
         assert rep.status == "ITERATION_LIMIT"
 
     def test_stall_stops_descent(self, fig1_l1, monkeypatch):
-        # uphill gradients and no gap certificate: every iteration fails to
-        # improve, the step shrinks 4x each time, and the third stall stops
+        # uphill gradients and no gap certificate: iteration 1's Newton
+        # candidate is not accepted, and a repeat would replay it bitwise
         fit_gradient = zeroorder._fit_gradient
         monkeypatch.setattr(
             zeroorder, "_fit_gradient", lambda *args: -fit_gradient(*args)
@@ -605,12 +606,51 @@ class TestMinimize:
         oracle = EquilibriumOracle(fig1_l1, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         _, rep = compute_optimal_tolls(oracle, fig1_l1.skeleton(), OptConfig(epsilon=0.1))
         assert rep.status == "CONVERGED"
-        assert [r["iteration"] for r in rep.iteration_trace] == [1, 2, 3]
-        steps = [r["step"] for r in rep.iteration_trace]
-        assert steps == [0.0625, 0.015625, 0.00390625]
-        # one probe (d = 1), reused by the two stalled iterations at the same tolls
-        assert [r["gradient_queries"] for r in rep.iteration_trace] == [1, 0, 0]
-        assert rep.total_oracle_queries == 25
+        assert [r["iteration"] for r in rep.iteration_trace] == [1]
+        assert [r["accepted"] for r in rep.iteration_trace] == [False]
+        # one probe (d = 1)
+        assert [r["gradient_queries"] for r in rep.iteration_trace] == [1]
+        assert rep.total_oracle_queries == 7
+
+    @pytest.mark.parametrize(
+        "spec, epsilon, max_queries",
+        [
+            (InstanceSpec(topology="pigou"), 0.02, None),
+            (InstanceSpec(topology="braess"), 0.02, None),
+            (InstanceSpec(topology="grid", width=3, height=3, seed=5), 0.1, None),
+            (
+                InstanceSpec(topology="random_dag", degree=3, commodities=2, seed=5),
+                0.05,
+                150,
+            ),
+        ],
+        ids=["pigou", "braess", "grid", "dag-s5"],
+    )
+    def test_accepted_candidates_drop_cost_by_half_delta(
+        self, spec, epsilon, max_queries
+    ):
+        # the descent walks downhill only: an accepted candidate lowers the
+        # current cost by more than delta / 2, any other leaves it alone
+        game = generate(spec)
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        cfg = OptConfig(epsilon=epsilon)
+        delta = cfg.resolved_delta(oracle.skeleton)
+        tolls, rep = compute_optimal_tolls(oracle, oracle.skeleton, cfg)
+        first = SampleEngine(
+            EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11), delta
+        ).sample(reference_flow(oracle.skeleton))
+        costs = [first.observed_cost] + [r["cost"] for r in rep.iteration_trace]
+        for before, entry in zip(costs, rep.iteration_trace):
+            if entry["accepted"]:
+                assert entry["cost"] < before - 0.5 * delta
+            else:
+                assert entry["cost"] == before
+        assert rep.status == "CONVERGED"
+        if max_queries is not None:
+            assert rep.total_oracle_queries <= max_queries
+        induced = solve_equilibrium(game, tolls, EqConfig(accuracy=1e-10)).flow
+        opt = optimal_flow(game, gap=1e-10)[1]
+        assert total_latency(game, induced) <= opt + 2 * cfg.epsilon
 
     @pytest.mark.parametrize(
         "spec",
@@ -708,10 +748,11 @@ class TestComputeOptimalTolls:
     ):
         # a budget of exactly what the descent spends is enough: returning
         # the best sample's tolls takes no further query, and a budget
-        # reached but never refused is not a spent one.  Every iteration
-        # queries (5 queries in iteration 2 on pigou and fig1_l2); the only
-        # cache hit there is iteration 1's mixed point, which equals the
-        # reference sample
+        # reached but never refused is not a spent one.  Pigou and fig1_l2
+        # end after iteration 1 at 5 queries, on a candidate that is not
+        # accepted; iteration 1's mixed point equals the reference sample
+        # and is a cache hit, and so is fig1_l1's last candidate, which
+        # equals its current flow
         cfg = OptConfig(epsilon=0.02)
         for game in (pigou, fig1_l1, fig1_l2, braess):
             probe = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
