@@ -348,10 +348,6 @@ class FlowVector:
     def k(self) -> int:
         return self.per_commodity.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.per_commodity.shape[1]
-
     @classmethod
     def zeros(cls, k: int, m: int) -> "FlowVector":
         return cls(np.zeros((max(k, 0), m)))

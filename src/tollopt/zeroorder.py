@@ -22,10 +22,9 @@ least-squares fit of the cost changes on the flow changes gives the
 gradient along every hull direction.  The same answers measure
 J = dF/dtau, the Hessian of enforcement's concave dual: symmetric, with
 range in the d-dimensional span, so d columns fix it there and the other
-m - d toll directions only shift the gauge.  Later samples start their
-enforcement at the tolls J predicts, and an iteration whose enforced
-tolls repeat the last probed ones reuses that round with no query.  The
-gradient's error is O(K'' r) from curvature plus
+m - d toll directions only shift the gauge.  Every iteration probes
+afresh, and later samples start their enforcement at the tolls J
+predicts.  The gradient's error is O(K'' r) from curvature plus
 O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the smallest
 singular value of the probed columns of J on the hull span.  On the
 hull span -2 J+ is the cost Hessian (exact for affine latencies), so each
@@ -135,14 +134,17 @@ class OptimizationReport:
     total_oracle_queries: int
     iteration_trace: tuple[dict, ...]
     # CONVERGED; ITERATION_LIMIT when cfg.max_iterations ends the descent;
-    # BUDGET_EXHAUSTED when the oracle's max_queries (or a failed sample) does
+    # BUDGET_EXHAUSTED when the oracle's max_queries (or a failed sample) does.
+    # CONVERGED also ends a run whose candidate is not accepted or cannot be
+    # enforced, whatever its estimated gap: only a last trace entry with
+    # estimated_gap <= epsilon / 2 (from iteration 2 on) certifies the stop.
     status: str
 
 
 class SampleEngine:
     """Caching zero-order value oracle built from toll enforcement.
 
-    Identical (rounded) flow requests reuse the previous sample.  Every
+    Identical (rounded) flow requests reuse their cached sample.  Every
     other request is enforced, and spends no other query: the cost is read
     from the answer the enforcement accepted.  While ``model`` holds a
     Jacobian model (tau0, F0, J+) from the minimizer's toll probes, a miss
@@ -150,13 +152,11 @@ class SampleEngine:
     clip(tau0 + J+ (f*_agg - F0), 0, T_max), capped at
     ``PREDICTED_START_STEPS_PER_EDGE * m`` iterations; if that does not
     succeed, an uncapped ``enforce_flow`` goes on from the best tolls it
-    found, or from the previous sample's enforcing tolls when the best
-    were the predicted ones (the search would replay itself from there).
-    Without a model, a miss runs ``enforce_flow`` from the previous
-    sample's enforcing tolls.  When ascent fails, ``enforce_flow`` falls
-    back to the paper's ellipsoid search over the whole toll box.  Start
-    tolls only save queries, never change what success means: every
-    success is verified against the oracle.
+    found.  Without a model (the minimizer's reference sample), a miss
+    runs ``enforce_flow`` from zero tolls.  When ascent fails,
+    ``enforce_flow`` falls back to the paper's ellipsoid search over the
+    whole toll box.  Start tolls only save queries, never change what
+    success means: every success is verified against the oracle.
 
     The warm starts pay: starting every enforcement at zero tolls instead
     raised the queries of a whole optimize run from 40 to 1,486 on 8 affine
@@ -177,7 +177,6 @@ class SampleEngine:
         except OverflowError:  # K**2 past the double range: no tolerance is left
             self.delta_enforce = 0.0
         self.cache: dict[tuple, CostOracleSample] = {}
-        self._last: CostOracleSample | None = None
         self.model: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def sample(self, f: FlowVector) -> CostOracleSample:
@@ -187,8 +186,7 @@ class SampleEngine:
         if hit is not None:
             return replace(hit, queries_spent=0)
         cfg = EnforcementConfig(delta=self.delta_enforce)
-        start = None if self._last is None else self._last.enforcing_tolls
-        spent = 0
+        start, spent = None, 0
         if self.model is not None:
             tau0, flow0, j_plus = self.model
             t_max = self.skeleton.constants.T_max
@@ -200,9 +198,7 @@ class SampleEngine:
                 replace(cfg, max_iterations=cap),
                 initial=TollVector(predicted),
             )
-            spent = result.queries_used
-            if not np.array_equal(result.tolls.values, predicted):
-                start = result.tolls  # from its own start, the search would replay
+            start, spent = result.tolls, result.queries_used
         if self.model is None or result.status is not EnforcementStatus.SUCCESS:
             result = enforce_flow(self.oracle, reduced, cfg, initial=start)
             spent += result.queries_used
@@ -219,7 +215,6 @@ class SampleEngine:
             response=result.response,
         )
         self.cache[key] = sample
-        self._last = sample
         return sample
 
 
@@ -509,9 +504,12 @@ def compute_optimal_tolls(
     stops on an estimated-gap certificate (from iteration 2 on), on the
     oracle's ``max_queries`` (a sample that needs a query past it ends the
     descent; reaching it with every later sample cached does not), on a
-    candidate that is not accepted (a repeat of that iteration would
-    replay it bitwise), or at the iteration cap; the report's ``status``
-    says which.  A cyclic graph, a skeleton not the oracle's and an
+    candidate that is not accepted or whose enforcement fails (a repeat
+    of that iteration would replay it bitwise), or at the iteration cap;
+    the report's ``status`` says which.  The certificate and a candidate
+    that is not accepted both end the run CONVERGED, so only a last
+    ``estimated_gap`` of at most epsilon / 2 (from iteration 2 on)
+    certifies the stop.  A cyclic graph, a skeleton not the oracle's and an
     epsilon finer than the oracle's accuracy can serve raise
     ``ValueError`` before any query.
 
@@ -545,7 +543,6 @@ def compute_optimal_tolls(
     best = engine.sample(f_ref)
     current = best
     status = "ITERATION_LIMIT"
-    probed = None  # the last probe round: (tau0, g_hat, model)
     for it in range(1, cfg.max_iterations + 1):
         f = current.requested_flow
         mixed = FlowVector(  # interior mix toward the reference flow
@@ -557,11 +554,7 @@ def compute_optimal_tolls(
             if span.shape[1]:
                 at = engine.sample(mixed)  # from the last probes' prediction
                 grad_start = spent()
-                tau0 = at.enforcing_tolls.values
-                if probed is None or not np.array_equal(probed[0], tau0):
-                    # equal tolls get bitwise-equal answers: reuse the round
-                    probed = (tau0, *_probe_model(oracle, at, span, basis, r, coords))
-                _, g_hat, engine.model = probed
+                g_hat, engine.model = _probe_model(oracle, at, span, basis, r, coords)
                 hessian = A @ (-2.0 * engine.model[2]) @ A.T
                 newton = -np.linalg.pinv(hessian, rcond=1e-10) @ g_hat
         except (OracleSampleFailed, OracleBudgetExceeded):
@@ -571,8 +564,8 @@ def compute_optimal_tolls(
         est_gap = _estimated_fw_gap(skeleton, _lift(basis, g_hat), f)
         accepted = False
         # unless the candidate is accepted, a repeat would replay this
-        # iteration bitwise: same current, cached mixed point, reused probe
-        # round, cached candidate
+        # iteration bitwise: same current, cached mixed point, the same d
+        # probes answered bitwise-equal, cached candidate
         stop = "CONVERGED"
         try:
             cand = engine.sample(

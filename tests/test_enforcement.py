@@ -9,7 +9,7 @@ import pytest
 from conftest import random_dag_game, random_parallel
 from tollopt import FlowVector, TollVector, solve_equilibrium
 from tollopt import enforcement
-from tollopt.ellipsoid import Ellipsoid
+from tollopt.ellipsoid import Ellipsoid, NumericBreakdown
 from tollopt.enforcement import (
     EnforcementConfig,
     EnforcementStatus,
@@ -19,7 +19,7 @@ from tollopt.enforcement import (
     enforce_flow,
     required_accuracy,
 )
-from tollopt.equilibrium import NoConvergence
+from tollopt.equilibrium import EqConfig, NoConvergence
 from tollopt.exact import marginal_cost_tolls, optimal_flow
 from tollopt.game import RoutingGame, has_positive_cycle
 from tollopt.instances import TOPOLOGIES, InstanceSpec, generate
@@ -436,6 +436,66 @@ class TestVolumeDecay:
         )
         t = len(volumes)
         assert volumes[-1] <= volumes[0] - (t - 1) / (2.0 * (game.m + 1)) + t * 1e-6
+
+
+class TestBreakdownRestart:
+    """A shape matrix that degenerates numerically restarts the cuts on a
+    ball around the best cut tolls, at most six times."""
+
+    def _run(self, pigou, monkeypatch, breakdowns):
+        log_volume = Ellipsoid.log_volume
+        raised, balls = [], []
+
+        def fake_log_volume(self):
+            if len(raised) < breakdowns:
+                raised.append(self)
+                raise NumericBreakdown("faked")
+            return log_volume(self)
+
+        ball = Ellipsoid.ball.__func__
+
+        def spy_ball(cls, center, radius):
+            balls.append((np.array(center, dtype=float), radius))
+            return ball(cls, center, radius)
+
+        monkeypatch.setattr(Ellipsoid, "log_volume", fake_log_volume)
+        monkeypatch.setattr(Ellipsoid, "ball", classmethod(spy_ball))
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        target = FlowVector.single([0.5, 0.5])
+        res = ellipsoid_search(oracle, target, EnforcementConfig(delta=1e-3))
+        # the first ball is the start, around the toll box
+        return oracle, target, res, len(raised), balls[1:]
+
+    def test_one_breakdown_restarts_around_best_cut(self, pigou, monkeypatch):
+        oracle, target, res, raised, restarts = self._run(pigou, monkeypatch, 1)
+        assert raised == 1
+        assert len(restarts) == 1
+        # only the first center was cut before the breakdown
+        first_tolls, first = oracle.query_log[0]
+        assert np.array_equal(restarts[0][0], first_tolls)
+        dev = np.abs(first.aggregate_flow - target.aggregate).max()
+        const = pigou.constants
+        radius = max(8.0 * pigou.m * const.K * dev, 1e3 * 1e-3)
+        full = 0.5 * const.T_max * math.sqrt(pigou.m)
+        assert restarts[0][1] == pytest.approx(min(radius, full))
+        assert res.status is EnforcementStatus.SUCCESS
+        induced = solve_equilibrium(pigou, res.tolls, EqConfig(accuracy=1e-12)).flow
+        assert np.abs(induced.aggregate - target.aggregate).max() <= 2e-3
+
+    def test_six_restarts_then_not_found(self, pigou, monkeypatch):
+        oracle, target, res, raised, restarts = self._run(pigou, monkeypatch, 1000)
+        assert raised == 7  # the seventh breakdown ends the search
+        assert len(restarts) == 6
+        assert res.status is EnforcementStatus.NOT_FOUND
+        assert res.response is None
+        assert res.queries_used == oracle.query_count == 7
+        devs = [
+            np.abs(resp.aggregate_flow - target.aggregate).max()
+            for _, resp in oracle.query_log
+        ]
+        best = int(np.argmin(devs))
+        assert res.achieved_deviation == devs[best]
+        assert np.array_equal(res.tolls.values, oracle.query_log[best][0])
 
 
 @pytest.mark.xfail(

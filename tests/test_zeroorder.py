@@ -29,12 +29,20 @@ from tollopt.oracle import EquilibriumOracle, OracleMode
 from tollopt.paths import dag_shortest_path
 from tollopt.zeroorder import (
     OptConfig,
+    OracleSampleFailed,
     SampleEngine,
     affine_hull_basis,
     compute_optimal_tolls,
     project_to_polytope,
     reference_flow,
 )
+
+
+def _not_found(oracle, target, cfg, initial=None):
+    """A stand-in for ``enforce_flow`` whose search always fails."""
+    return EnforcementResult(
+        TollVector.zeros(oracle.skeleton.m), 1.0, 0, EnforcementStatus.NOT_FOUND, 1, None
+    )
 
 
 class TestZeroOrderCostOracle:
@@ -81,29 +89,17 @@ class TestZeroOrderCostOracle:
         assert second.queries_spent == 0
         assert second.observed_cost == first.observed_cost
 
-    def test_misses_start_from_last_tolls(self):
-        # each cache miss after the first queries the previous sample's
-        # enforcing tolls first, however far apart the two flows lie: the
-        # last two jumps move a link by 0.65 and 0.7, so a warm ball of
-        # radius 4 m K |d_flow| would hold the whole box [0, 2 m K]^m
+    def test_misses_without_model_start_from_zero_tolls(self):
+        # without a Jacobian model every miss starts its enforcement at zero
+        # tolls, wherever the previous sample's tolls lie
         game = make_parallel([(0.2, 1.0), (0.5, 0.6), (0.1, 1.2)])
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         engine = SampleEngine(oracle, 0.01)
-        splits = [[0.2, 0.3, 0.5], [0.25, 0.3, 0.45], [0.2, 0.3, 0.5],
-                  [0.9, 0.05, 0.05], [0.1, 0.8, 0.1]]
-        last = None
-        misses = 0
-        for split in splits:
+        for split in ([0.2, 0.3, 0.5], [0.9, 0.05, 0.05], [0.1, 0.8, 0.1]):
             before = oracle.query_count
-            s = engine.sample(FlowVector.single(split))
-            if s.queries_spent == 0:
-                continue
-            if last is not None:
-                first_tolls, _ = oracle.query_log[before]
-                assert np.array_equal(first_tolls, last.enforcing_tolls.values)
-                misses += 1
-            last = s
-        assert misses == 3
+            assert engine.sample(FlowVector.single(split)).queries_spent > 0
+            first_tolls, _ = oracle.query_log[before]
+            assert np.array_equal(first_tolls, np.zeros(game.m))
 
     def test_misses_spend_only_enforcement_queries(self, monkeypatch):
         # the cost comes from the answer enforcement accepted, not from a
@@ -127,6 +123,17 @@ class TestZeroOrderCostOracle:
         assert len(results) == len(misses) == 3
         for sample, result in zip(misses, results):
             assert sample.queries_spent == result.queries_used
+
+    def test_failed_enforcement_raises_and_caches_nothing(self, pigou, monkeypatch):
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        engine = SampleEngine(oracle, 0.01)
+        f = FlowVector.single([0.5, 0.5])
+        with monkeypatch.context() as patch:
+            patch.setattr(zeroorder, "enforce_flow", _not_found)
+            with pytest.raises(OracleSampleFailed, match="best deviation 1.000e"):
+                engine.sample(f)
+        assert engine.cache == {}
+        assert engine.sample(f).queries_spent > 0  # nothing failed was kept
 
     def test_requested_flow_is_cycle_free(self, rng):
         # a flow with a circulation gets reduced before enforcement
@@ -447,16 +454,13 @@ class TestProbeGradient:
         dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
         assert dev <= 2.0 * engine.delta_enforce
 
-    @pytest.mark.parametrize("moved", [True, False])
-    def test_failed_predicted_start_hands_over_without_replay(self, moved, monkeypatch):
-        # the uncapped search goes on from the capped search's best tolls,
-        # or, when those are the predicted start it would only replay, from
-        # the previous sample's tolls
+    def test_failed_predicted_start_hands_over_its_best_tolls(self, monkeypatch):
+        # the uncapped search goes on from the capped search's best tolls
         game, oracle, engine, at = _probe_setup(_PROBE_GAMES[0], 0.05)
         skel = oracle.skeleton
         m, t_max = skel.m, skel.constants.T_max
         engine.model = (np.full(m, 0.5), at.response.aggregate_flow, np.zeros((m, m)))
-        best = np.full(m, 0.25) if moved else np.full(m, 0.5)
+        best = np.full(m, 0.25)
         calls = []
         enforce = zeroorder.enforce_flow
 
@@ -473,8 +477,7 @@ class TestProbeGradient:
         s = engine.sample(project_to_polytope(skel, f + 0.05 * affine_hull_basis(skel)[0]))
         assert [c[0] for c in calls] == [zeroorder.PREDICTED_START_STEPS_PER_EDGE * m, None]
         assert np.array_equal(calls[0][1], np.clip(np.full(m, 0.5), 0.0, t_max))
-        expected = best if moved else at.enforcing_tolls.values
-        assert np.array_equal(calls[1][1], expected)
+        assert np.array_equal(calls[1][1], best)
         induced = solve_equilibrium(game, s.enforcing_tolls, EqConfig(accuracy=1e-12))
         dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
         assert dev <= 2.0 * engine.delta_enforce
@@ -611,6 +614,36 @@ class TestMinimize:
         # one probe (d = 1)
         assert [r["gradient_queries"] for r in rep.iteration_trace] == [1]
         assert rep.total_oracle_queries == 7
+
+    def test_failed_candidate_ends_run_with_best_sample(self, pigou, monkeypatch):
+        # every enforcement after the reference sample fails; iteration 1's
+        # mixed point is the cached reference sample, so the candidate fails
+        enforce = zeroorder.enforce_flow
+        calls = []
+
+        def fail_after_first(*args, **kwargs):
+            calls.append(args[2].max_iterations)
+            if len(calls) == 1:
+                return enforce(*args, **kwargs)
+            return _not_found(*args, **kwargs)
+
+        cfg = OptConfig(epsilon=0.02)
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        with monkeypatch.context() as patch:
+            patch.setattr(zeroorder, "enforce_flow", fail_after_first)
+            tolls, rep = compute_optimal_tolls(oracle, oracle.skeleton, cfg)
+        # the capped search from the prediction, then the uncapped one
+        assert calls[1:] == [zeroorder.PREDICTED_START_STEPS_PER_EDGE * pigou.m, None]
+        assert rep.status == "CONVERGED"
+        assert [r["accepted"] for r in rep.iteration_trace] == [False]
+        assert [r["gradient_queries"] for r in rep.iteration_trace] == [1]
+        first = SampleEngine(
+            EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11),
+            cfg.resolved_delta(oracle.skeleton),
+        ).sample(reference_flow(oracle.skeleton))
+        assert rep.best_cost == first.observed_cost
+        assert np.array_equal(tolls.values, first.enforcing_tolls.values)
+        assert np.array_equal(rep.final_tolls.values, tolls.values)
 
     @pytest.mark.parametrize(
         "spec, epsilon, max_queries",
