@@ -251,9 +251,10 @@ def _search(
     """``dual_steps`` dual-ascent steps from ``start`` (default zero tolls),
     then central cuts from ``initial`` (default the ball around the box).
     Each iteration queries its point, the dual tolls or the ellipsoid's
-    center (a center outside the toll box gets a box cut and no query),
-    keeps the strictly best deviation, stops on success, reports one
-    record and takes its phase's step.
+    center (a center outside the toll box gets a box cut and no query, and
+    the center of a restart ball reuses its stored answer), keeps the
+    strictly best deviation, stops on success, reports one record and takes
+    its phase's step.
     """
     _check_inputs(oracle, f_star, cfg.delta)
     const = oracle.skeleton.constants
@@ -278,9 +279,12 @@ def _search(
     # a constant added to every toll of a parallel-link game).  When it
     # degenerates numerically, restart from a small ball around the best
     # tolls of the ellipsoid phase; success remains oracle-verified, so
-    # restarts only speed things up or honestly fail.
+    # restarts only speed things up or honestly fail.  A restart ball is
+    # centred on those tolls, so its first cut reuses their stored answer
+    # instead of querying them again.
     restarts_left = 6
-    cut_tau, cut_dev = None, float("inf")
+    cut_tau, cut_dev, cut_g = None, float("inf"), None
+    reuse = None
     full_radius = 0.5 * t_max * math.sqrt(m)
     for it in range(1, limit + 1):
         dual = it <= dual_steps
@@ -295,8 +299,11 @@ def _search(
             cut_type, dev = "box", None
         else:
             point = tau if dual else np.clip(c, 0.0, t_max)
-            resp = oracle.query(TollVector(point))
-            g = resp.aggregate_flow - target
+            if reuse is None:
+                resp = oracle.query(TollVector(point))
+                g = resp.aggregate_flow - target
+            else:
+                g, reuse = reuse, None
             dev = float(np.abs(g).max())
             if dev < best_dev:
                 best_tau, best_dev = point, dev
@@ -315,7 +322,7 @@ def _search(
             ellipsoid = log_vol = None
         else:
             if dev is not None and dev < cut_dev:
-                cut_tau, cut_dev = point, dev
+                cut_tau, cut_dev, cut_g = point, dev, g
             try:
                 ellipsoid = E = E.update(g)
                 log_vol = E.log_volume()
@@ -326,6 +333,7 @@ def _search(
                 radius *= 16.0 ** (6 - restarts_left)
                 restarts_left -= 1
                 E = Ellipsoid.ball(cut_tau, min(radius, full_radius))
+                reuse = cut_g
                 continue
         if on_iteration is not None:
             record = EnforcementTraceRecord(it, cut_type, c, dev, log_vol, ellipsoid)

@@ -14,7 +14,9 @@ works in path space with column generation:
    first general-graph solve (``zero_toll_paths``); it is a function of
    the game alone, so every answer stays a function of (game, tolls).
    The cold solve is the same solver started from the all-or-nothing
-   assignment at zero load;
+   assignment at zero load.  Which of those paths the seed admits is a
+   function of the game and the paths, so the game keeps each admitted
+   start;
 2. Newton iterations on the working paths then solve the equilibrium
    conditions (all used paths of a commodity equally cheap, demands met)
    to near machine precision, with ratio tests keeping path flows
@@ -27,6 +29,14 @@ works in path space with column generation:
    so paths the seed lacks are still generated.  The working set is one
    table, built once per solve and changed in place: a row per path, its
    edge and commodity incidence, and the path flows.
+
+Each flow state is evaluated once: the aggregate F = h N, the edge costs
+l(F) + tau and the path costs are computed together and shared by the
+Newton residual, the gap measurement (``measure``) and path admission.
+The Newton matrix's commodity blocks are built once per working set, and
+on games whose latencies are all affine, where its slope block is
+constant too, the whole matrix is.  None of this changes an answer by a
+bit: it only skips recomputing what is already known.
 
 Parallel links with strictly increasing latencies skip the path machinery:
 one level solve (a threshold sweep on chord models, then bracketed Newton
@@ -77,6 +87,10 @@ MAX_ITERATIONS = 6000
 #: Duality-gap target of the untolled solve that seeds a game's path set.
 SEED_ACCURACY = 1e-10
 
+#: Cap on the admitted start working sets a game keeps
+#: (``RoutingGame._zero_toll_starts``).
+MAX_STARTS = 4096
+
 #: One working path: (commodity, edge ids).
 _Row = tuple[int, tuple[int, ...]]
 
@@ -102,16 +116,24 @@ class EquilibriumResult:
 
 
 def _eval_poly_rows(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for j in range(A.shape[1] - 1, -1, -1):
-        acc = acc * x + A[:, j]
+    """Row-wise l(x) by Horner from the top coefficient column; at every
+    finite x it equals ``PolyLatency.value`` bitwise."""
+    acc = A[:, -1].copy()
+    for j in range(A.shape[1] - 2, -1, -1):
+        acc *= x
+        acc += A[:, j]
     return acc
 
 
 def _eval_slope_rows(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for j in range(A.shape[1] - 1, 0, -1):
-        acc = acc * x + j * A[:, j]
+    """Row-wise l'(x), the same way; equals ``PolyLatency.slope`` bitwise."""
+    r = A.shape[1] - 1
+    if r == 0:
+        return np.zeros_like(x)
+    acc = r * A[:, r]
+    for j in range(r - 1, 0, -1):
+        acc *= x
+        acc += j * A[:, j]
     return acc
 
 
@@ -195,17 +217,31 @@ def _path_rows(rows: list[_Row], m: int, k: int) -> np.ndarray:
     return M
 
 
+#: One flow state's evaluation: the aggregate F = h N, the edge costs
+#: l(F) + tau and the path costs N (l(F) + tau).
+_Eval = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class _PathState:
     """The working set of one solve: one row per (commodity, path), their
     ``_path_rows`` matrix ``M`` with halves ``N`` (edges) and ``E``
     (commodities), and the path flows ``h``.  Built once per solve, then
-    changed in place."""
+    changed in place; ``M`` is built from ``rows`` unless given, and so is
+    the Newton matrix (``kkt``)."""
 
-    def __init__(self, game: RoutingGame, rows: Iterable[_Row], h: np.ndarray) -> None:
+    def __init__(
+        self,
+        game: RoutingGame,
+        rows: Iterable[_Row],
+        h: np.ndarray,
+        M: np.ndarray | None = None,
+        kkt: np.ndarray | None = None,
+    ) -> None:
         self.m, self.k = game.m, game.k
         self.rows = list(rows)
-        self.M = _path_rows(self.rows, self.m, self.k)
+        self.M = _path_rows(self.rows, self.m, self.k) if M is None else M
         self.h = np.array(h, dtype=float)
+        self._kkt = kkt
 
     @property
     def N(self) -> np.ndarray:
@@ -215,14 +251,40 @@ class _PathState:
     def E(self) -> np.ndarray:
         return self.M[:, self.m :]
 
+    def evaluate(self, A: np.ndarray, tau: np.ndarray) -> _Eval:
+        """The current flow state's ``_Eval``."""
+        N = self.N
+        F = self.h @ N
+        costs = _eval_poly_rows(A, F) + tau
+        return F, costs, N @ costs
+
+    def kkt(self, A: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """The Newton matrix [[N diag(l'(F)) N^T, -E], [E^T, 0]] at loads
+        ``F``.  Its -E / E^T blocks are built once per working set, and when
+        every latency is affine (table width 2) the slope block is constant,
+        so the whole matrix is."""
+        P = len(self.rows)
+        J = self._kkt
+        if J is None:
+            self._kkt = J = np.zeros((P + self.k, P + self.k))
+            J[:P, P:] = -self.E
+            J[P:, :P] = self.E.T
+        elif A.shape[1] <= 2:
+            return J
+        N = self.N
+        J[:P, :P] = (N * _eval_slope_rows(A, F)) @ N.T
+        return J
+
     def narrow(self, keep: np.ndarray) -> None:
         self.rows = [row for row, kept in zip(self.rows, keep) if kept]
         self.M, self.h = self.M[keep], self.h[keep]
+        self._kkt = None
 
     def append(self, rows: list[_Row], h: np.ndarray) -> None:
         self.rows += rows
         self.M = np.vstack([self.M, _path_rows(rows, self.m, self.k)])
         self.h = np.concatenate([self.h, h])
+        self._kkt = None
 
     def spans(self, r: int, basis: np.ndarray) -> bool:
         """Whether the rows in the mask ``basis`` span row ``r``.  Adding a
@@ -237,7 +299,7 @@ class _PathState:
             y = np.linalg.solve(B @ B.T, B @ row)
         except np.linalg.LinAlgError:  # a tie step brought in a spanned path
             return False
-        return float(np.max(np.abs(row - y @ B))) <= 1e-9
+        return float(abs(row - y @ B).max()) <= 1e-9
 
     def admit(self, first: int) -> bool:
         """Keep each row from ``first`` on only if the rows kept before it
@@ -245,7 +307,8 @@ class _PathState:
         keep = np.arange(len(self.rows)) < first
         for r in range(first, len(self.rows)):
             keep[r] = self.rows[r] not in self.rows[:r] and not self.spans(r, keep)
-        self.narrow(keep)
+        if not keep.all():
+            self.narrow(keep)
         return len(self.rows) > first
 
     def prune(self, cut: float, demands: np.ndarray) -> bool:
@@ -270,11 +333,13 @@ def _newton_round(
     tau: np.ndarray,
     demands: np.ndarray,
     tol: float,
-) -> tuple[bool, int]:
+    at: _Eval | None = None,
+) -> tuple[bool, int, _Eval]:
     """Equilibrate the working paths: equal cost per commodity, demands met.
 
     Runs at most 40 Newton iterations on ``state`` in place and returns
-    (converged, inner_iterations).  A ratio test keeps path flows
+    (converged, inner_iterations, the final state's ``_Eval``); ``at`` is
+    the entry state's, if the caller holds it.  A ratio test keeps path flows
     nonnegative, and a path at zero flow that is strictly dearer than its
     commodity's level leaves the set, on entry and after every step.  From
     the third iteration on, a step that cuts the residual by less than 10%
@@ -285,77 +350,79 @@ def _newton_round(
     rounding floor, just above ``tol``.
     """
     k = len(demands)
-    N, E, h = state.N, state.E, state.h
+    E, h = state.E, state.h
     P = len(h)
-    c = N @ (_eval_poly_rows(A, h @ N) + tau)
+    if at is None:
+        at = state.evaluate(A, tau)
+    c = at[2]
     lam = np.zeros(k)
     for i in range(k):
         mask = E[:, i] > 0
         w = h[mask]
-        lam[i] = float(np.dot(w, c[mask]) / w.sum()) if w.sum() > 0 else float(c[mask].min())
+        total = w.sum()
+        lam[i] = float(np.dot(w, c[mask]) / total) if total > 0 else float(c[mask].min())
 
-    def residual(hv: np.ndarray, lamv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cv = N @ (_eval_poly_rows(A, hv @ N) + tau)
-        r = np.concatenate([cv - E @ lamv, E.T @ hv - demands])
-        return r, cv
+    def residual() -> np.ndarray:
+        return np.concatenate([at[2] - E @ lam, E.T @ h - demands])
 
-    r, c = residual(h, lam)
-    best_norm = float(np.max(np.abs(r)))
+    r = residual()
+    best_norm = float(abs(r).max())
     it = 0
     progress = True
-    pinned = np.zeros(P, dtype=bool)
+    pinned = None  # the rows at zero flow that the last step would push negative
     while True:
         # paths at zero flow that are strictly too expensive (r[:P] is
         # c - lam per path), or that the last step would have pushed
         # negative, leave the set
-        drop = pinned if pinned.any() else (h == 0.0) & (r[:P] > 10 * tol)
+        drop = pinned if pinned is not None else (h == 0.0) & (r[:P] > 10 * tol)
         if drop.any():
             state.narrow(~drop)
-            N, E, h = state.N, state.E, state.h
+            E, h = state.E, state.h
             P = len(h)
-            r, c = residual(h, lam)
-            best_norm = float(np.max(np.abs(r)))
-            pinned = np.zeros(P, dtype=bool)
+            at = state.evaluate(A, tau)
+            r = residual()
+            best_norm = float(abs(r).max())
+            pinned = None
             progress = True
         elif not progress and best_norm > tol and it >= 3:
             # three iterations without real progress: hand back to CG
-            return False, it
+            return False, it, at
         if best_norm <= tol or it >= 40:
             break
         it += 1
-        J = np.zeros((P + k, P + k))
-        J[:P, :P] = (N * _eval_slope_rows(A, h @ N)) @ N.T
-        J[:P, P:] = -E
-        J[P:, :P] = E.T
+        J = state.kkt(A, at[0])
         try:
             step = np.linalg.solve(J, -r)
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         dh, dlam = step[:P], step[P:]
-        pinned = (h == 0.0) & (dh < 0.0)
+        falling = dh < 0.0
+        pinned = (h == 0.0) & falling
         if pinned.any():
             continue
+        pinned = None
         # ratio test: the first path to empty bounds the step, and is
         # emptied exactly
-        shrink = np.flatnonzero((dh < 0.0) & (h + dh < 0.0))
+        shrink = (falling & (h + dh < 0.0)).nonzero()[0]
         alpha = 1.0
         if shrink.size:
             ratios = h[shrink] / -dh[shrink]
-            block = shrink[np.argmin(ratios)]
-            alpha = float(ratios.min())
+            j = ratios.argmin()
+            block, alpha = shrink[j], float(ratios[j])
         state.h = h = np.maximum(h + alpha * dh, 0.0)
         if shrink.size:
             h[block] = 0.0
         lam = lam + alpha * dlam
-        r, c = residual(h, lam)
-        norm_new = float(np.max(np.abs(r)))
+        at = state.evaluate(A, tau)
+        r = residual()
+        norm_new = float(abs(r).max())
         if norm_new >= best_norm * 0.999999 and alpha < 1e-12:
             break
         progress = norm_new < best_norm * 0.9
         best_norm = min(best_norm, norm_new)
-    return best_norm <= tol, it
+    return best_norm <= tol, it, at
 
 
 def _is_strict_parallel(game: RoutingGame) -> bool:
@@ -460,13 +527,14 @@ def _shortest_paths(
     one Dijkstra run per distinct source."""
     skel = game.skeleton()
     vi = skel.vertex_index
+    cost_list = costs.tolist()
     best: list[tuple[int, ...]] = []
     dist = np.zeros(game.k)
     by_source: dict[int, tuple[list[float], list[int]]] = {}
     for i, com in enumerate(game.commodities):
         si, ti = vi[com.source], vi[com.sink]
         if si not in by_source:
-            by_source[si] = dijkstra(skel.adjacency_out, costs, si)
+            by_source[si] = dijkstra(skel.adjacency_out, cost_list, si)
         d, pred = by_source[si]
         best.append(_trace(pred, skel.tails, si, ti))
         dist[i] = d[ti]
@@ -476,33 +544,45 @@ def _shortest_paths(
 def _solve_paths(
     game: RoutingGame, tau: np.ndarray, accuracy: float, start: SeedPaths | None
 ) -> tuple[_PathState, np.ndarray, np.ndarray, float, int]:
-    """The general path solver; returns (state, costs, dist, gap, iterations).
+    """The general path solver; returns (state, path costs, dist, gap,
+    iterations), the path costs being ``N (l(F) + tau)`` at the final state.
 
     With ``start`` None the working set starts as the all-or-nothing
-    assignment at zero load.  Otherwise it starts as the ``start`` paths
-    with their flows, plus each commodity's all-or-nothing path at zero
-    flow where the working paths do not span it.  It does not raise when
-    the gap stays above ``accuracy``.
+    assignment at zero load.  Otherwise ``start`` is ``game.zero_toll_paths``
+    and the working set starts as those paths with their flows, plus each
+    commodity's all-or-nothing path at zero flow where the working paths do
+    not span it.  It does not raise when the gap stays above ``accuracy``.
     """
     A = game.latency_table.coeffs
     k = game.k
     demands = np.array([c.demand for c in game.commodities])
-    init_paths, _ = _shortest_paths(game, _eval_poly_rows(A, np.zeros(game.m)) + tau)
+    init = tuple(enumerate(_shortest_paths(game, A[:, 0] + tau)[0]))
     if start is None:
-        state = _PathState(game, enumerate(init_paths), demands)
+        state = _PathState(game, init, demands)
     else:
-        rows, h = start
-        state = _PathState(
-            game, [*rows, *enumerate(init_paths)], np.concatenate([h, np.zeros(k)])
-        )
-        state.admit(len(rows))
+        # the admitted start is a function of the game and ``init``, so the
+        # game keeps it read-only: rows, flows, matrix and, when every
+        # latency is affine, its constant Newton matrix
+        starts = game._zero_toll_starts
+        known = starts.get(init)
+        if known is None:
+            rows, h = start
+            new = _PathState(game, [*rows, *init], np.concatenate([h, np.zeros(k)]))
+            new.admit(len(rows))
+            J = new.kkt(A, new.h @ new.N) if A.shape[1] <= 2 else None
+            for a in (new.h, new.M, J):
+                if a is not None:
+                    a.flags.writeable = False
+            known = tuple(new.rows), new.h, new.M, J
+            if len(starts) < MAX_STARTS:
+                starts[init] = known
+        state = _PathState(game, *known)
 
-    def measure() -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]], np.ndarray, float]:
-        F = state.h @ state.N
-        costs = _eval_poly_rows(A, F) + tau
+    def measure(at: _Eval) -> tuple[list[tuple[int, ...]], np.ndarray, float]:
+        F, costs, _ = at
         best, dist = _shortest_paths(game, costs)
         gap = max(0.0, float(np.dot(costs, F)) - float(np.dot(demands, dist)))
-        return F, costs, best, dist, gap
+        return best, dist, gap
 
     def cg_step(F: np.ndarray, best: list[tuple[int, ...]]) -> bool:
         """Conditional-gradient step toward the all-or-nothing assignment
@@ -524,8 +604,11 @@ def _solve_paths(
         state.prune(1e-16 * float(demands.max()), demands)
         return True
 
-    F = state.h @ state.N
-    scale = max(1.0, abs(float(np.dot(_eval_poly_rows(A, F) + tau, F))))
+    # ``at`` is the current state's evaluation, or None once the state
+    # changed without one
+    at: _Eval | None = state.evaluate(A, tau)
+    F, costs, _ = at
+    scale = max(1.0, abs(float(np.dot(costs, F))))
     newton_tol = max(1e-13 * scale, 1e-15)
     # a path cheaper by add_tol moves the gap by up to add_tol per unit of
     # demand, so past 0.5 * accuracy / sum(d) the solve would settle above
@@ -536,17 +619,17 @@ def _solve_paths(
     settled = False  # the loop ended on a measured state
     while rounds < 60 and iterations < MAX_ITERATIONS:
         rounds += 1
-        ok, inner = _newton_round(state, A, tau, demands, newton_tol)
+        ok, inner, at = _newton_round(state, A, tau, demands, newton_tol, at)
         iterations += max(inner, 1)
-        F, costs, best, dist, gap = measure()
-        if not ok and gap > accuracy and cg_step(F, best):
+        best, dist, gap = measure(at)
+        if not ok and gap > accuracy and cg_step(at[0], best):
             # Newton stalled: shift flow by conditional gradient
             iterations += 1
+            at = None
             continue
         # each commodity's cheapest used path against its shortest one
         lam = [math.inf] * k
-        path_costs = (state.N @ costs).tolist()
-        for (i, _), c, hv in zip(state.rows, path_costs, state.h.tolist()):
+        for (i, _), c, hv in zip(state.rows, at[2].tolist(), state.h.tolist()):
             if hv > 0.0:
                 lam[i] = min(lam[i], c)
         fresh = [(i, best[i]) for i in range(k) if lam[i] - dist[i] > add_tol]
@@ -554,14 +637,17 @@ def _solve_paths(
         if fresh:
             state.append(fresh, np.zeros(len(fresh)))
             added = state.admit(len(state.rows) - len(fresh))
+            if added:  # otherwise the state holds its old rows and flows
+                at = None
         if not added and (gap <= accuracy or ok):
             # at the target, or equilibrated with no better path left
             # (the gap is then numerical noise)
             settled = True
             break
     if state.prune(0.0, demands) or not settled:
-        F, costs, _, dist, gap = measure()
-    return state, costs, dist, gap, iterations
+        at = state.evaluate(A, tau)
+        _, dist, gap = measure(at)
+    return state, at[2], dist, gap, iterations
 
 
 def zero_toll_paths(game: RoutingGame) -> SeedPaths:
@@ -593,25 +679,23 @@ def solve_equilibrium(
     tau = tolls.values if tolls is not None else np.zeros(game.m)
     if len(tau) != game.m:
         raise ValueError("toll vector length does not match the game")
-    k = game.k
-    if k == 0:
+    if game.k == 0:
         return EquilibriumResult(FlowVector.zeros(0, game.m), 0.0, 0.0, 0)
     if _is_strict_parallel(game):
         return _solve_parallel_strict(game, tau)
-    state, costs, dist, gap, iterations = _solve_paths(
+    state, path_costs, dist, gap, iterations = _solve_paths(
         game, tau, cfg.accuracy, game.zero_toll_paths
     )
-    excess = (state.N @ costs - state.E @ dist).tolist()
-    violation = max([0.0] + [x for x, hv in zip(excess, state.h.tolist()) if hv > 0.0])
     if gap > cfg.accuracy:
         raise NoConvergence(
             f"duality gap {gap:.3e} above target {cfg.accuracy:.3e} "
             f"after {iterations} iterations"
         )
+    excess = path_costs - state.E @ dist
     return EquilibriumResult(
         flow=FlowVector((state.E.T * state.h) @ state.N),
         beckmann_gap=gap,
-        wardrop_violation=violation,
+        wardrop_violation=max([0.0, *excess[state.h > 0.0].tolist()]),
         iterations=iterations,
     )
 

@@ -194,6 +194,12 @@ class RoutingGame:
 
         return zero_toll_paths(self)
 
+    @cached_property
+    def _zero_toll_starts(self) -> dict:
+        """The general-graph solves' admitted start working sets, keyed by
+        the all-or-nothing rows offered to the seed; filled as they run."""
+        return {}
+
 
 @dataclass(frozen=True, eq=False)
 class LatencyTable:

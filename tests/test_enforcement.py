@@ -488,7 +488,9 @@ class TestBreakdownRestart:
         assert len(restarts) == 6
         assert res.status is EnforcementStatus.NOT_FOUND
         assert res.response is None
-        assert res.queries_used == oracle.query_count == 7
+        # every restart ball is centred on the one queried point, whose
+        # stored answer its first cut reuses
+        assert res.queries_used == oracle.query_count == 1
         devs = [
             np.abs(resp.aggregate_flow - target.aggregate).max()
             for _, resp in oracle.query_log
@@ -496,6 +498,13 @@ class TestBreakdownRestart:
         best = int(np.argmin(devs))
         assert res.achieved_deviation == devs[best]
         assert np.array_equal(res.tolls.values, oracle.query_log[best][0])
+
+    @pytest.mark.parametrize("breakdowns", [1, 3, 1000])
+    def test_no_tolls_are_queried_twice(self, pigou, monkeypatch, breakdowns):
+        oracle, _, _, raised, restarts = self._run(pigou, monkeypatch, breakdowns)
+        assert len(restarts) == min(raised, 6) >= 1
+        logged = [tolls.tobytes() for tolls, _ in oracle.query_log]
+        assert len(set(logged)) == len(logged)
 
 
 @pytest.mark.xfail(

@@ -17,6 +17,7 @@ from tollopt import (
     EqConfig,
     FlowVector,
     Infeasible,
+    PolyLatency,
     TollVector,
     beckmann_potential,
     derive_constants,
@@ -49,6 +50,72 @@ class TestBeckmannPotential:
     def test_infeasible_rejected(self, pigou):
         with pytest.raises(Infeasible):
             beckmann_potential(pigou, TollVector.zeros(2), FlowVector.single([0.2, 0.2]))
+
+
+class TestEvalKernels:
+    """The solver's row-wise Horner kernels against ``PolyLatency``."""
+
+    # degrees 0 to 3; the table pads the lower-degree rows with zeros
+    LATENCIES = [
+        (0.7,),
+        (0.2, 1.3),
+        (0.0, 0.5, 0.25),
+        (0.1, 0.0, 0.0, 2.0),
+        (1.5, 0.3, 0.0, 0.4),
+        (0.35, 0.9, 1.1, 0.0),
+    ]
+
+    def test_match_poly_latency_bitwise(self, rng):
+        game = make_parallel(self.LATENCIES)
+        A = game.latency_table.coeffs
+        assert A.shape == (len(self.LATENCIES), 4)
+        lats = [e.latency for e in game.edges]
+        for x in [np.zeros(game.m), rng.uniform(0.0, 2.0, game.m), np.full(game.m, 1e3)]:
+            value = np.array([lat.value(float(xe)) for lat, xe in zip(lats, x)])
+            slope = np.array([lat.slope(float(xe)) for lat, xe in zip(lats, x)])
+            assert equilibrium._eval_poly_rows(A, x).tobytes() == value.tobytes()
+            assert equilibrium._eval_slope_rows(A, x).tobytes() == slope.tobytes()
+        # zero-load costs are the constant column
+        zero = equilibrium._eval_poly_rows(A, np.zeros(game.m))
+        assert zero.tobytes() == A[:, 0].tobytes()
+
+    def test_width_one_table_returns_a_fresh_array(self):
+        game = make_parallel([(0.7,), (1.2,)])
+        A = game.latency_table.coeffs
+        assert A.shape == (2, 1) and not A.flags.writeable
+        x = np.array([0.3, 0.7])
+        value = equilibrium._eval_poly_rows(A, x)
+        assert not np.shares_memory(value, A)
+        value += 1.0  # writable, and the table keeps its coefficients
+        assert np.array_equal(A[:, 0], [0.7, 1.2])
+        slope = equilibrium._eval_slope_rows(A, x)
+        assert np.array_equal(slope, [0.0, 0.0]) and not np.shares_memory(slope, A)
+
+    @pytest.mark.parametrize("cubic", [False, True])
+    def test_newton_matrix_follows_the_loads(self, rng, cubic):
+        # one path per link, so the slope block is diag(l'(F)); the affine
+        # matrix is built once per working set, the cubic one per call
+        lats = [(0.2, 1.3), (0.5, 0.4), (0.1, 0.9)]
+        if cubic:
+            lats[1] = (0.5, 0.4, 0.0, 2.0)
+        game = make_parallel(lats)
+        A = game.latency_table.coeffs
+        rows = [(0, (e,)) for e in range(3)]
+        state = equilibrium._PathState(game, rows, np.full(3, 1 / 3))
+        for keep in (None, np.array([True, False, True])):
+            if keep is not None:
+                state.narrow(keep)
+                lats = [lat for lat, kept in zip(lats, keep) if kept]
+            P = len(lats)
+            for F in rng.uniform(0.0, 1.0, (2, 3)):
+                slopes = [
+                    PolyLatency(lat).slope(float(F[e]))
+                    for lat, (_, (e,)) in zip(lats, state.rows)
+                ]
+                expected = np.zeros((P + 1, P + 1))
+                expected[:P, :P] = np.diag(slopes)
+                expected[:P, P], expected[P, :P] = -1.0, 1.0
+                assert np.array_equal(state.kkt(A, F), expected)
 
 
 class TestSolveEquilibrium:
@@ -116,6 +183,18 @@ class TestSolveEquilibrium:
             cases.append((game, tau, solve_equilibrium(game, tau)))
         for _ in range(10):  # the general solver's quadratic line search
             game = random_parallel(int(rng.integers(2, 6)), rng, quadratic=True)
+            tau = TollVector(rng.uniform(0.0, 2.0, game.m))
+            cases.append((game, tau, solve_equilibrium(game, tau)))
+        for _ in range(10):  # affine: one Newton matrix per working set
+            game = random_parallel(int(rng.integers(2, 6)), rng)
+            tau = TollVector(rng.uniform(0.0, 2.0, game.m))
+            cases.append((game, tau, solve_equilibrium(game, tau)))
+        for _ in range(10):  # one cubic edge: a Newton matrix per iteration
+            m = int(rng.integers(2, 6))
+            lats = [e.latency.coeffs for e in random_parallel(m, rng).edges]
+            j = int(rng.integers(m))
+            lats[j] = (*lats[j], 0.0, round(float(rng.uniform(0.3, 1.5)), 6))
+            game = make_parallel(lats)
             tau = TollVector(rng.uniform(0.0, 2.0, game.m))
             cases.append((game, tau, solve_equilibrium(game, tau)))
         monkeypatch.setattr(equilibrium, "_is_strict_parallel", lambda game: False)
@@ -275,6 +354,29 @@ class TestSeededStart:
         b = solve_equilibrium(second, tau)
         assert np.array_equal(a.flow.per_commodity, b.flow.per_commodity)
         assert a.beckmann_gap == b.beckmann_gap
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_kept_starts_give_the_same_bits(self, name):
+        # the game keeps each admitted start; solves that reuse one answer
+        # as a fresh copy of the game that admits it anew
+        spec = self.SPECS[name]
+        rng = np.random.default_rng(12)
+        game = generate(spec)
+        tolls = [TollVector(rng.uniform(0.0, 2.0, game.m)) for _ in range(8)]
+        warm = [solve_equilibrium(game, t) for t in tolls + tolls]
+        starts = game._zero_toll_starts
+        assert 1 <= len(starts) <= len(tolls)
+        affine = game.latency_table.coeffs.shape[1] == 2
+        for _, h, M, J in starts.values():
+            assert not h.flags.writeable and not M.flags.writeable
+            assert (J is not None) == affine  # an affine game's constant Newton matrix
+            assert J is None or not J.flags.writeable
+        for i, t in enumerate(tolls):
+            cold = solve_equilibrium(generate(spec), t)
+            for res in (warm[i], warm[i + len(tolls)]):
+                assert np.array_equal(res.flow.per_commodity, cold.flow.per_commodity)
+                assert res.beckmann_gap == cold.beckmann_gap
+                assert res.wardrop_violation == cold.wardrop_violation
 
     def test_cold_solve_runs_once_per_game(self, monkeypatch):
         cold = []
