@@ -11,11 +11,16 @@ V(tau) = min_f Phi(f) + tau . f over feasible flows.  V is a minimum of
 functions affine in tau, so it is concave, and by Danskin's theorem its
 gradient is the aggregate equilibrium flow F(tau).  Enforcing f* is
 therefore maximizing the concave dual V(tau) - tau . f*, whose gradient
-F(tau) - f* costs one oracle query.  Each step moves
-tau <- clip(tau + eta (F(tau) - f*), 0, T_max) with eta = 1/K first and
-the Barzilai-Borwein step s.s / (-s.y) afterwards (s, y: the last changes
-in tau and in the gradient; concavity makes s.y <= 0, and the old eta is
-kept when s.y >= 0).
+g = F(tau) - f* costs one oracle query.  Each step moves
+tau <- clip(tau + H g, 0, T_max), with H the limited-memory BFGS inverse
+Hessian of -V (L-BFGS; Liu & Nocedal, 1989): it keeps the last
+``LBFGS_MEMORY`` secant pairs s = tau - tau_prev, y = g_prev - g with
+s.y > 0 (concavity makes s.y >= 0) and takes H0 = (s.y / y.y) I from
+the newest.  With no pair, as at the first step, H = 1/K.  An answer whose
+deviation is worse than the best so far clears the memory before its own
+pair enters, and a toll that its gradient holds at a bound (at 0 with
+g < 0, at T_max with g > 0) is left out of the step, so stale curvature
+cannot push the tolls against the box again and again.
 
 Ellipsoid search.  The cut comes from monotonicity of the latency
 functions: if the oracle answers a query tau with equilibrium flow f,
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,6 +79,9 @@ __all__ = [
 #: Dual-ascent queries per edge before ``enforce_flow`` falls back to the
 #: ellipsoid search.
 DUAL_QUERIES_PER_EDGE = 20
+
+#: Secant pairs the dual phase's L-BFGS step keeps.
+LBFGS_MEMORY = 5
 
 
 class TargetInfeasible(ValueError):
@@ -124,6 +133,7 @@ class EnforcementResult:
     status: EnforcementStatus
     iterations: int
     response: OracleResponse | None  # answer accepted at tolls (SUCCESS only)
+    answer: OracleResponse | None = None  # answer at tolls; None if none was queried
 
 
 @dataclass(frozen=True)
@@ -199,10 +209,11 @@ def enforce_flow(
     cfg: EnforcementConfig,
     on_iteration: Callable[[EnforcementTraceRecord], None] | None = None,
     initial: TollVector | None = None,
+    answer: OracleResponse | None = None,
 ) -> EnforcementResult:
     """Search for tolls inducing the target flow within 2*delta.
 
-    Runs dual ascent on V(tau) - tau . f* (concave; its gradient
+    Runs L-BFGS dual ascent on V(tau) - tau . f* (concave; its gradient
     F(tau) - f* is one query, by Danskin's theorem; see the module
     docstring) from the start tolls ``initial`` clipped to the toll box,
     or from zero tolls.  After ``DUAL_QUERIES_PER_EDGE * m`` queries
@@ -213,12 +224,14 @@ def enforce_flow(
     and ellipsoid iterations together; ``queries_used``, ``iterations``
     and the returned tolls (the best seen) cover both phases.  Each dual
     step that does not succeed is reported to ``on_iteration`` with
-    ``cut_type="dual"`` and no ellipsoid.
+    ``cut_type="dual"`` and no ellipsoid.  ``answer``, the oracle's
+    answer at ``initial`` (an earlier search's ``answer``), is used in
+    place of querying the start tolls again.
 
     The target must be feasible and per-commodity acyclic.
     """
     dual_steps = DUAL_QUERIES_PER_EDGE * oracle.skeleton.m
-    return _search(oracle, f_star, cfg, on_iteration, dual_steps, initial, None)
+    return _search(oracle, f_star, cfg, on_iteration, dual_steps, initial, answer, None)
 
 
 def ellipsoid_search(
@@ -236,7 +249,7 @@ def ellipsoid_search(
     toll box); a smaller start is a pure accelerator, since success is
     always verified against the oracle.
     """
-    return _search(oracle, f_star, cfg, on_iteration, 0, None, initial)
+    return _search(oracle, f_star, cfg, on_iteration, 0, None, None, initial)
 
 
 def _search(
@@ -246,15 +259,16 @@ def _search(
     on_iteration: Callable[[EnforcementTraceRecord], None] | None,
     dual_steps: int,
     start: TollVector | None,
+    start_answer: OracleResponse | None,
     initial: Ellipsoid | None,
 ) -> EnforcementResult:
     """``dual_steps`` dual-ascent steps from ``start`` (default zero tolls),
     then central cuts from ``initial`` (default the ball around the box).
     Each iteration queries its point, the dual tolls or the ellipsoid's
-    center (a center outside the toll box gets a box cut and no query, and
-    the center of a restart ball reuses its stored answer), keeps the
-    strictly best deviation, stops on success, reports one record and takes
-    its phase's step.
+    center (a center outside the toll box gets a box cut and no query; the
+    start with ``start_answer`` and the center of a restart ball reuse their
+    stored answer), keeps the strictly best deviation, stops on success,
+    reports one record and takes its phase's step.
     """
     _check_inputs(oracle, f_star, cfg.delta)
     const = oracle.skeleton.constants
@@ -268,11 +282,12 @@ def _search(
     box_tol = 1e-12 * max(1.0, t_max)
     log_vol_floor = unit_ball_log_volume(m) + m * math.log(delta / (4.0 * m * const.K))
     queries_before = oracle.query_count
-    best_tau, best_dev = None, float("inf")
+    best_tau, best_dev, best_resp = None, float("inf"), None
     status = EnforcementStatus.NOT_FOUND
 
     tau = np.zeros(m) if start is None else np.clip(start.values, 0.0, t_max)
-    eta, prev_tau, prev_g = 1.0 / const.K, None, None
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
+    prev_tau = prev_g = None
     E = initial
     # The shape matrix cannot represent extreme anisotropy (the enforcing
     # set may be unbounded along toll directions no cut ever shrinks, e.g.
@@ -283,8 +298,8 @@ def _search(
     # centred on those tolls, so its first cut reuses their stored answer
     # instead of querying them again.
     restarts_left = 6
-    cut_tau, cut_dev, cut_g = None, float("inf"), None
-    reuse = None
+    cut_tau, cut_dev, cut_resp = None, float("inf"), None
+    reuse = start_answer
     full_radius = 0.5 * t_max * math.sqrt(m)
     for it in range(1, limit + 1):
         dual = it <= dual_steps
@@ -301,28 +316,36 @@ def _search(
             point = tau if dual else np.clip(c, 0.0, t_max)
             if reuse is None:
                 resp = oracle.query(TollVector(point))
-                g = resp.aggregate_flow - target
             else:
-                g, reuse = reuse, None
+                resp, reuse = reuse, None
+            g = resp.aggregate_flow - target
             dev = float(np.abs(g).max())
             if dev < best_dev:
-                best_tau, best_dev = point, dev
+                best_tau, best_dev, best_resp = point, dev, resp
             if dev <= threshold:
                 status = EnforcementStatus.SUCCESS
                 break
             cut_type = "dual" if dual else "separation"
-        if dual:  # a Barzilai-Borwein step
+        if dual:  # an L-BFGS step on the concave dual
+            if dev > best_dev:  # worse than the best: forget the old curvature
+                pairs.clear()
             if prev_tau is not None:
-                s, y = tau - prev_tau, g - prev_g
+                s, y = tau - prev_tau, prev_g - g
                 sy = float(s @ y)
-                if sy < 0.0:
-                    eta = float(s @ s) / -sy
+                if sy > 0.0:
+                    pairs.append((s, y, 1.0 / sy))
             prev_tau, prev_g = tau, g
-            tau = np.clip(tau + eta * g, 0.0, t_max)
+            if pairs:  # a toll held at a bound by its gradient stays there
+                held = ((tau <= 0.0) & (g < 0.0)) | ((tau >= t_max) & (g > 0.0))
+                step = _lbfgs_direction(pairs, np.where(held, 0.0, g))
+                step[held] = 0.0
+            else:
+                step = g / const.K
+            tau = np.clip(tau + step, 0.0, t_max)
             ellipsoid = log_vol = None
         else:
             if dev is not None and dev < cut_dev:
-                cut_tau, cut_dev, cut_g = point, dev, g
+                cut_tau, cut_dev, cut_resp = point, dev, resp
             try:
                 ellipsoid = E = E.update(g)
                 log_vol = E.log_volume()
@@ -333,7 +356,7 @@ def _search(
                 radius *= 16.0 ** (6 - restarts_left)
                 restarts_left -= 1
                 E = Ellipsoid.ball(cut_tau, min(radius, full_radius))
-                reuse = cut_g
+                reuse = cut_resp
                 continue
         if on_iteration is not None:
             record = EnforcementTraceRecord(it, cut_type, c, dev, log_vol, ellipsoid)
@@ -349,4 +372,23 @@ def _search(
         status=status,
         iterations=it,
         response=resp if status is EnforcementStatus.SUCCESS else None,
+        answer=best_resp,
     )
+
+
+def _lbfgs_direction(pairs, g: np.ndarray) -> np.ndarray:
+    """H g, with H the L-BFGS inverse Hessian of the negated dual built from
+    the secant pairs (s, y, 1 / s.y), oldest first, by the two-loop
+    recursion (Liu & Nocedal, 1989), scaled by H0 = (s.y / y.y) I of the
+    newest pair.  Here y = g_prev - g, so s.y > 0 on the concave dual."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    _, y, rho = pairs[-1]
+    r = q / (rho * float(y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        r += (a - rho * float(y @ r)) * s
+    return r

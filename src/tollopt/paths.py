@@ -139,21 +139,23 @@ def shortest_path(game, edge_costs, s: str, t: str) -> tuple[tuple[int, ...], fl
     return _trace(pred, skel.tails, vi[s], ti), dist[ti]
 
 
-def dag_distances(skel, costs, source: int) -> tuple[list[float], list[int]]:
+def dag_distances(skel, costs, source: int | None) -> tuple[list[float], list[int]]:
     """Single-source distances on an acyclic graph; costs may be negative.
 
     Relaxes the edges in the skeleton's topological order and returns
-    (dist, pred_edge) as ``dijkstra`` does.  Raises ``ValueError`` on a
-    graph with a directed cycle.
+    (dist, pred_edge) as ``dijkstra`` does.  With ``source`` None every
+    vertex starts at distance 0, as if a free edge joined a virtual source
+    to each.  Raises ``ValueError`` on a graph with a directed cycle.
     """
     order = skel.topological_order
     if order is None:
         raise ValueError("graph is not acyclic")
     adj = skel.adjacency_out
     costs = np.asarray(costs, dtype=float).tolist()
-    dist = [float("inf")] * len(adj)
+    dist = [float("inf") if source is not None else 0.0] * len(adj)
     pred = [-1] * len(adj)
-    dist[source] = 0.0
+    if source is not None:
+        dist[source] = 0.0
     for v in order:
         if dist[v] == float("inf"):
             continue

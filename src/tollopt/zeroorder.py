@@ -24,7 +24,7 @@ J = dF/dtau, the Hessian of enforcement's concave dual: symmetric, with
 range in the d-dimensional span, so d columns fix it there and the other
 m - d toll directions only shift the gauge.  Every iteration probes
 afresh, and later samples start their enforcement at the tolls J
-predicts.  The gradient's error is O(K'' r) from curvature plus
+predicts, moved along the gauge so that none is negative.  The gradient's error is O(K'' r) from curvature plus
 O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the smallest
 singular value of the probed columns of J on the hull span.  On the
 hull span -2 J+ is the cost Hessian (exact for affine latencies), so each
@@ -149,18 +149,21 @@ class SampleEngine:
     from the answer the enforcement accepted.  While ``model`` holds a
     Jacobian model (tau0, F0, J+) from the minimizer's toll probes, a miss
     first runs ``enforce_flow`` from the predicted tolls
-    clip(tau0 + J+ (f*_agg - F0), 0, T_max), capped at
-    ``PREDICTED_START_STEPS_PER_EDGE * m`` iterations; if that does not
-    succeed, an uncapped ``enforce_flow`` goes on from the best tolls it
-    found.  Without a model (the minimizer's reference sample), a miss
-    runs ``enforce_flow`` from zero tolls.  When ascent fails,
+    clip(shift(tau0 + J+ (f*_agg - F0)), 0, T_max), capped at
+    ``PREDICTED_START_STEPS_PER_EDGE * m`` iterations.  The shift
+    (``_gauge_shift``) lifts a prediction with negative tolls to
+    nonnegative ones that induce the same flow, so clipping does not
+    change the flow it aims at.  If the capped search does not succeed,
+    an uncapped ``enforce_flow`` goes on from its best tolls and reuses
+    the answer there.  Without a model (the minimizer's reference sample),
+    a miss runs ``enforce_flow`` from zero tolls.  When ascent fails,
     ``enforce_flow`` falls back to the paper's ellipsoid search over the
     whole toll box.  Start tolls only save queries, never change what
     success means: every success is verified against the oracle.
 
     The warm starts pay: starting every enforcement at zero tolls instead
-    raised the queries of a whole optimize run from 40 to 1,486 on 8 affine
-    parallel links and from 21 to 35 on a 3x3 grid (the ``parallel-opt``
+    raised the queries of a whole optimize run from 30 to 154 on 8 affine
+    parallel links and from 15 to 25 on a 3x3 grid (the ``parallel-opt``
     and ``grid-opt`` benchmark workloads).
     """
 
@@ -186,21 +189,23 @@ class SampleEngine:
         if hit is not None:
             return replace(hit, queries_spent=0)
         cfg = EnforcementConfig(delta=self.delta_enforce)
-        start, spent = None, 0
+        skel = self.skeleton
+        start, answer, spent = None, None, 0
         if self.model is not None:
             tau0, flow0, j_plus = self.model
-            t_max = self.skeleton.constants.T_max
-            predicted = np.clip(tau0 + j_plus @ (reduced.aggregate - flow0), 0.0, t_max)
-            cap = PREDICTED_START_STEPS_PER_EDGE * self.skeleton.m
+            predicted = _gauge_shift(skel, tau0 + j_plus @ (reduced.aggregate - flow0))
             result = enforce_flow(
                 self.oracle,
                 reduced,
-                replace(cfg, max_iterations=cap),
-                initial=TollVector(predicted),
+                replace(cfg, max_iterations=PREDICTED_START_STEPS_PER_EDGE * skel.m),
+                initial=TollVector(np.clip(predicted, 0.0, skel.constants.T_max)),
             )
-            start, spent = result.tolls, result.queries_used
+            # the uncapped search goes on from the best tolls and their answer
+            start, answer, spent = result.tolls, result.answer, result.queries_used
         if self.model is None or result.status is not EnforcementStatus.SUCCESS:
-            result = enforce_flow(self.oracle, reduced, cfg, initial=start)
+            result = enforce_flow(
+                self.oracle, reduced, cfg, initial=start, answer=answer
+            )
             spent += result.queries_used
         if result.status is not EnforcementStatus.SUCCESS:
             raise OracleSampleFailed(
@@ -216,6 +221,19 @@ class SampleEngine:
         )
         self.cache[key] = sample
         return sample
+
+
+def _gauge_shift(skel: GameSkeleton, tau: np.ndarray) -> np.ndarray:
+    """tau + pi(tail) - pi(head), with pi(v) = min(0, min over the edges e
+    into v of pi(tail_e) + tau_e) taken in topological order.
+
+    The shifted tolls are nonnegative, and every path of a commodity gains
+    the same pi(source) - pi(sink), so they induce the same flow as tau
+    (Johnson's reweighting).  A nonnegative tau has pi = 0 and is returned
+    unchanged, so only a prediction with negative tolls moves.
+    """
+    pi = np.array(dag_distances(skel, tau, None)[0])
+    return tau + pi[list(skel.tails)] - pi[list(skel.heads)]
 
 
 # ---------------------------------------------------------------------------

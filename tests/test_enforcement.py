@@ -361,6 +361,88 @@ class TestDualAscent:
         assert params[4] == "initial"
 
 
+def _cubic_links_target():
+    """Degree-3 parallel links and the equilibrium at tolls drawn from [0, 1];
+    a cold dual ascent takes nine queries there and fills its memory."""
+    game = generate(InstanceSpec(topology="parallel", links=8, degree=3, seed=2))
+    tau = np.random.default_rng(7).uniform(0.0, 1.0, game.m)
+    return game, solve_equilibrium(game, TollVector(tau)).flow
+
+
+class TestLbfgsStep:
+    def _spy(self, monkeypatch, oracle):
+        """Record (queries so far, the secant pairs) at each L-BFGS step."""
+        direction = enforcement._lbfgs_direction
+        steps = []
+
+        def spy(pairs, g):
+            kept = [(s.copy(), y.copy()) for s, y, _ in pairs]
+            steps.append((oracle.query_count, kept))
+            return direction(pairs, g)
+
+        monkeypatch.setattr(enforcement, "_lbfgs_direction", spy)
+        return steps
+
+    def test_memory_keeps_the_newest_pairs(self, monkeypatch):
+        game, target = _cubic_links_target()
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_ONLY, eps_query=1e-10)
+        steps = self._spy(monkeypatch, oracle)
+        res = enforce_flow(oracle, target, EnforcementConfig(delta=1e-3))
+        assert res.status is EnforcementStatus.SUCCESS
+        sizes = [len(pairs) for _, pairs in steps]
+        assert max(sizes) == enforcement.LBFGS_MEMORY
+        assert sizes.count(enforcement.LBFGS_MEMORY) >= 2
+        # a full memory drops its oldest pair for the newest
+        for (_, before), (_, after) in zip(steps, steps[1:]):
+            if len(before) == len(after) == enforcement.LBFGS_MEMORY:
+                assert all(np.array_equal(a[0], b[0]) for a, b in zip(before[1:], after))
+        assert all(float(s @ y) > 0.0 for _, pairs in steps for s, y in pairs)
+
+    def test_pair_without_curvature_is_skipped(self, pigou, monkeypatch):
+        # the second query is answered with the first answer, so s.y = 0:
+        # no pair is kept and the second step is the 1/K gradient step again
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, eps_query=1e-9)
+        query = oracle.query
+        answers = []
+
+        def repeat_first(tolls):
+            answers.append(query(tolls))
+            return answers[0] if len(answers) == 2 else answers[-1]
+
+        monkeypatch.setattr(oracle, "query", repeat_first)
+        steps = self._spy(monkeypatch, oracle)
+        target = FlowVector.single([0.5, 0.5])
+        enforce_flow(oracle, target, EnforcementConfig(delta=1e-3, max_iterations=3))
+        const = pigou.skeleton().constants
+        g = answers[0].aggregate_flow - target.aggregate
+        queried = [tolls for tolls, _ in oracle.query_log]
+        assert np.array_equal(queried[1], np.clip(g / const.K, 0.0, const.T_max))
+        assert np.array_equal(queried[2], np.clip(queried[1] + g / const.K, 0.0, const.T_max))
+        assert all(count == 3 for count, _ in steps)  # no L-BFGS step before
+
+    def test_worse_answer_clears_the_memory(self, monkeypatch):
+        # the fifth query is answered with the first, worse than the best
+        # deviation so far: the memory restarts from at most the newest pair
+        game, target = _cubic_links_target()
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_ONLY, eps_query=1e-10)
+        query = oracle.query
+        answers = []
+
+        def first_again(tolls):
+            answers.append(query(tolls))
+            return answers[0] if len(answers) == 5 else answers[-1]
+
+        monkeypatch.setattr(oracle, "query", first_again)
+        steps = self._spy(monkeypatch, oracle)
+        res = enforce_flow(oracle, target, EnforcementConfig(delta=1e-3))
+        assert res.status is EnforcementStatus.SUCCESS
+        devs = [np.abs(a.aggregate_flow - target.aggregate).max() for a in answers[:4]]
+        assert devs[0] > min(devs[1:])
+        sizes = dict((count, len(pairs)) for count, pairs in steps)
+        assert sizes[4] == 3
+        assert sizes.get(5, 0) <= 1 and sizes[6] <= 2
+
+
 class TestCutValidity:
     def test_witness_tolls_stay_inside(self, rng):
         # targets drawn as equilibria of known random tolls: the witness

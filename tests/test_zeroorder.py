@@ -19,6 +19,7 @@ from conftest import (
 )
 from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
 from tollopt import FlowVector, equilibrium, solve_equilibrium, total_latency, zeroorder
+from tollopt.ellipsoid import Ellipsoid
 from tollopt.enforcement import EnforcementResult, EnforcementStatus
 from tollopt.equilibrium import EqConfig
 from tollopt.exact import optimal_flow
@@ -38,7 +39,7 @@ from tollopt.zeroorder import (
 )
 
 
-def _not_found(oracle, target, cfg, initial=None):
+def _not_found(oracle, target, cfg, initial=None, answer=None):
     """A stand-in for ``enforce_flow`` whose search always fails."""
     return EnforcementResult(
         TollVector.zeros(oracle.skeleton.m), 1.0, 0, EnforcementStatus.NOT_FOUND, 1, None
@@ -445,8 +446,10 @@ class TestProbeGradient:
         target = project_to_polytope(skel, f + 0.05 * basis[0])
         s = engine.sample(target)
         tau0, flow0, j_plus = engine.model
-        predicted = np.clip(tau0 + j_plus @ (s.requested_flow.aggregate - flow0), 0.0,
-                            skel.constants.T_max)
+        shifted = zeroorder._gauge_shift(
+            skel, tau0 + j_plus @ (s.requested_flow.aggregate - flow0)
+        )
+        predicted = np.clip(shifted, 0.0, skel.constants.T_max)
         assert len(calls) == 1  # the capped search from the prediction succeeded
         assert calls[0][0] == zeroorder.PREDICTED_START_STEPS_PER_EDGE * skel.m
         assert np.array_equal(calls[0][1].values, predicted)
@@ -464,13 +467,13 @@ class TestProbeGradient:
         calls = []
         enforce = zeroorder.enforce_flow
 
-        def spy(oracle_, target, cfg, initial=None):
+        def spy(oracle_, target, cfg, initial=None, answer=None):
             calls.append((cfg.max_iterations, initial.values.copy()))
             if cfg.max_iterations is not None:  # the capped search fails
                 return EnforcementResult(
                     TollVector(best), 1.0, 0, EnforcementStatus.NOT_FOUND, 1, None
                 )
-            return enforce(oracle_, target, cfg, initial=initial)
+            return enforce(oracle_, target, cfg, initial=initial, answer=answer)
 
         monkeypatch.setattr(zeroorder, "enforce_flow", spy)
         f = at.requested_flow.per_commodity
@@ -479,6 +482,34 @@ class TestProbeGradient:
         assert np.array_equal(calls[0][1], np.clip(np.full(m, 0.5), 0.0, t_max))
         assert np.array_equal(calls[1][1], best)
         induced = solve_equilibrium(game, s.enforcing_tolls, EqConfig(accuracy=1e-12))
+        dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
+        assert dev <= 2.0 * engine.delta_enforce
+
+    def test_failed_predicted_start_hands_over_its_answer(self, pigou, monkeypatch):
+        # a capped search of two queries fails from zero tolls; the uncapped
+        # one goes on from its best tolls with their stored answer, so no
+        # tolls are queried twice
+        monkeypatch.setattr(zeroorder, "PREDICTED_START_STEPS_PER_EDGE", 1)
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        engine = SampleEngine(oracle, 0.01)
+        engine.model = (np.zeros(2), np.array([1.0, 0.0]), np.zeros((2, 2)))
+        calls = []
+        enforce = zeroorder.enforce_flow
+
+        def spy(*args, **kwargs):
+            result = enforce(*args, **kwargs)
+            calls.append((args[2].max_iterations, kwargs.get("answer"), result))
+            return result
+
+        monkeypatch.setattr(zeroorder, "enforce_flow", spy)
+        s = engine.sample(FlowVector.single([0.5, 0.5]))
+        (cap, _, capped), (uncapped_cap, answer, _) = calls
+        assert (cap, uncapped_cap) == (2, None)
+        assert capped.status is EnforcementStatus.NOT_FOUND
+        logged = [tolls.tobytes() for tolls, _ in oracle.query_log]
+        assert len(set(logged)) == len(logged) == s.queries_spent
+        assert answer is capped.answer is not None
+        induced = solve_equilibrium(pigou, s.enforcing_tolls, EqConfig(accuracy=1e-12))
         dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
         assert dev <= 2.0 * engine.delta_enforce
 
@@ -533,6 +564,80 @@ class TestProbeGradient:
         assert oracle.query_count == rep.total_oracle_queries == budget
         assert rep.best_cost == first.observed_cost
         assert np.array_equal(tolls.values, first.enforcing_tolls.values)
+
+
+_GAUGE_GAMES = [
+    InstanceSpec(topology="parallel", links=8, seed=5),
+    InstanceSpec(topology="grid", width=3, height=3, seed=5),
+    InstanceSpec(topology="random_dag", n_vertices=6, degree=3, commodities=2, seed=6),
+]
+
+
+class TestGaugeShift:
+    @pytest.mark.parametrize("spec", _GAUGE_GAMES, ids=lambda s: s.topology)
+    def test_shift_is_a_nonnegative_potential_difference(self, spec):
+        skel = generate(spec).skeleton()
+        tau = np.random.default_rng(3).uniform(-1.0, 1.0, skel.m)
+        shifted = zeroorder._gauge_shift(skel, tau)
+        assert shifted.min() >= 0.0
+        # pi(v) = min(0, min over edges into v of pi(tail) + tau), by hand
+        pi = np.zeros(len(skel.vertices))
+        for v in skel.topological_order:
+            for e in range(skel.m):
+                if skel.heads[e] == v:
+                    pi[v] = min(pi[v], pi[skel.tails[e]] + tau[e])
+        tails, heads = list(skel.tails), list(skel.heads)
+        assert np.allclose(shifted - tau, pi[tails] - pi[heads], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", _GAUGE_GAMES, ids=lambda s: s.topology)
+    def test_nonnegative_tolls_are_unchanged(self, spec):
+        skel = generate(spec).skeleton()
+        tau = np.random.default_rng(4).uniform(0.0, 1.0, skel.m)
+        tau[::3] = 0.0
+        assert np.array_equal(zeroorder._gauge_shift(skel, tau), tau)
+
+    @pytest.mark.parametrize("spec", _GAUGE_GAMES, ids=lambda s: s.topology)
+    def test_shifted_tolls_induce_the_same_flow(self, spec):
+        # tau = base + phi(tail) - phi(head) has negative entries, and its
+        # shift is a gauge of the nonnegative base
+        game = generate(spec)
+        skel = game.skeleton()
+        rng = np.random.default_rng(5)
+        base = rng.uniform(0.0, 1.0, skel.m)
+        phi = rng.uniform(-2.0, 2.0, len(skel.vertices))
+        tau = base + phi[list(skel.tails)] - phi[list(skel.heads)]
+        assert tau.min() < 0.0
+        shifted = zeroorder._gauge_shift(skel, tau)
+        cfg = EqConfig(accuracy=1e-12)
+        at_shift = solve_equilibrium(game, TollVector(shifted), cfg).flow.aggregate
+        at_base = solve_equilibrium(game, TollVector(base), cfg).flow.aggregate
+        assert np.max(np.abs(at_shift - at_base)) <= 1e-8
+
+
+@pytest.mark.parametrize("seed, budget", [(6, 200), (12, 320)])
+def test_dag_mixed_points_enforce_without_fallback(seed, budget, monkeypatch):
+    # both runs' iteration-2 mixed points used to fall back to the
+    # ellipsoid (2,245 and 3,533 queries)
+    updates = []
+    update = Ellipsoid.update
+
+    def counted(self, g):
+        updates.append(1)
+        return update(self, g)
+
+    monkeypatch.setattr(Ellipsoid, "update", counted)
+    game = generate(
+        InstanceSpec(topology="random_dag", n_vertices=6, degree=3, commodities=2, seed=seed)
+    )
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+    cfg = OptConfig(epsilon=0.05)
+    tolls, rep = compute_optimal_tolls(oracle, oracle.skeleton, cfg)
+    assert updates == []
+    assert rep.total_oracle_queries <= budget
+    logged = [tau.tobytes() for tau, _ in oracle.query_log]
+    assert len(set(logged)) == len(logged)
+    induced = solve_equilibrium(game, tolls, EqConfig(accuracy=1e-10)).flow
+    assert total_latency(game, induced) <= optimal_flow(game, gap=1e-10)[1] + 2 * cfg.epsilon
 
 
 class TestReferenceFlow:
@@ -613,7 +718,7 @@ class TestMinimize:
         assert [r["accepted"] for r in rep.iteration_trace] == [False]
         # one probe (d = 1)
         assert [r["gradient_queries"] for r in rep.iteration_trace] == [1]
-        assert rep.total_oracle_queries == 7
+        assert rep.total_oracle_queries == 6
 
     def test_failed_candidate_ends_run_with_best_sample(self, pigou, monkeypatch):
         # every enforcement after the reference sample fails; iteration 1's
