@@ -20,7 +20,12 @@ the newest.  With no pair, as at the first step, H = 1/K.  An answer whose
 deviation is worse than the best so far clears the memory before its own
 pair enters, and a toll that its gradient holds at a bound (at 0 with
 g < 0, at T_max with g > 0) is left out of the step, so stale curvature
-cannot push the tolls against the box again and again.
+cannot push the tolls against the box again and again.  After
+``DUAL_RESTART_PER_EDGE * m`` steps without success the ascent restarts
+once: it goes back to the best tolls so far, reuses their stored answer
+and empties its memory, so its next step is g/K from there.  It does not
+restart while the best tolls are still the start, since it would then
+replay its own steps.
 
 Ellipsoid search.  The cut comes from monotonicity of the latency
 functions: if the oracle answers a query tau with equilibrium flow f,
@@ -41,7 +46,7 @@ minus the oracle's accuracy promise, so the true deviation is at most
 2*delta.  Without knowledge of the latencies there is no certified
 infeasibility test; the search reports NOT_FOUND once the ellipsoid's
 volume falls below a floor or the iteration cap is reached.  The worst case of
-``enforce_flow`` is therefore 20m dual queries plus the paper's bound.
+``enforce_flow`` is therefore 25m dual queries plus the paper's bound.
 """
 
 from __future__ import annotations
@@ -76,9 +81,13 @@ __all__ = [
     "DUAL_QUERIES_PER_EDGE",
 ]
 
-#: Dual-ascent queries per edge before ``enforce_flow`` falls back to the
+#: Dual-ascent steps per edge before ``enforce_flow`` falls back to the
 #: ellipsoid search.
-DUAL_QUERIES_PER_EDGE = 20
+DUAL_QUERIES_PER_EDGE = 25
+
+#: Dual steps per edge after which a search that has not succeeded
+#: restarts from its best tolls with an empty L-BFGS memory.
+DUAL_RESTART_PER_EDGE = 5
 
 #: Secant pairs the dual phase's L-BFGS step keeps.
 LBFGS_MEMORY = 5
@@ -133,7 +142,6 @@ class EnforcementResult:
     status: EnforcementStatus
     iterations: int
     response: OracleResponse | None  # answer accepted at tolls (SUCCESS only)
-    answer: OracleResponse | None = None  # answer at tolls; None if none was queried
 
 
 @dataclass(frozen=True)
@@ -209,29 +217,27 @@ def enforce_flow(
     cfg: EnforcementConfig,
     on_iteration: Callable[[EnforcementTraceRecord], None] | None = None,
     initial: TollVector | None = None,
-    answer: OracleResponse | None = None,
 ) -> EnforcementResult:
     """Search for tolls inducing the target flow within 2*delta.
 
     Runs L-BFGS dual ascent on V(tau) - tau . f* (concave; its gradient
     F(tau) - f* is one query, by Danskin's theorem; see the module
     docstring) from the start tolls ``initial`` clipped to the toll box,
-    or from zero tolls.  After ``DUAL_QUERIES_PER_EDGE * m`` queries
-    without success it runs ``ellipsoid_search`` from the ball around the
-    whole toll box, whatever the start, so the worst case is 20m queries
-    plus the paper's bound.  Success is always
-    verified against the oracle.  ``cfg.max_iterations`` caps dual steps
-    and ellipsoid iterations together; ``queries_used``, ``iterations``
-    and the returned tolls (the best seen) cover both phases.  Each dual
-    step that does not succeed is reported to ``on_iteration`` with
-    ``cut_type="dual"`` and no ellipsoid.  ``answer``, the oracle's
-    answer at ``initial`` (an earlier search's ``answer``), is used in
-    place of querying the start tolls again.
+    or from zero tolls.  After ``DUAL_RESTART_PER_EDGE * m`` steps without
+    success the ascent restarts once from its best tolls, unless those are
+    still the start.  After ``DUAL_QUERIES_PER_EDGE * m`` steps without
+    success it runs ``ellipsoid_search`` from the ball around the whole
+    toll box, whatever the start, so the worst case is 25m queries plus
+    the paper's bound.  Success is always verified against the oracle.
+    ``cfg.max_iterations`` caps dual steps and ellipsoid iterations
+    together; ``queries_used``, ``iterations`` and the returned tolls (the
+    best seen) cover both phases.  Each dual step that does not succeed is
+    reported to ``on_iteration`` with ``cut_type="dual"`` and no ellipsoid.
 
     The target must be feasible and per-commodity acyclic.
     """
     dual_steps = DUAL_QUERIES_PER_EDGE * oracle.skeleton.m
-    return _search(oracle, f_star, cfg, on_iteration, dual_steps, initial, answer, None)
+    return _search(oracle, f_star, cfg, on_iteration, dual_steps, initial, None)
 
 
 def ellipsoid_search(
@@ -249,7 +255,7 @@ def ellipsoid_search(
     toll box); a smaller start is a pure accelerator, since success is
     always verified against the oracle.
     """
-    return _search(oracle, f_star, cfg, on_iteration, 0, None, None, initial)
+    return _search(oracle, f_star, cfg, on_iteration, 0, None, initial)
 
 
 def _search(
@@ -259,16 +265,15 @@ def _search(
     on_iteration: Callable[[EnforcementTraceRecord], None] | None,
     dual_steps: int,
     start: TollVector | None,
-    start_answer: OracleResponse | None,
     initial: Ellipsoid | None,
 ) -> EnforcementResult:
     """``dual_steps`` dual-ascent steps from ``start`` (default zero tolls),
     then central cuts from ``initial`` (default the ball around the box).
     Each iteration queries its point, the dual tolls or the ellipsoid's
     center (a center outside the toll box gets a box cut and no query; the
-    start with ``start_answer`` and the center of a restart ball reuse their
-    stored answer), keeps the strictly best deviation, stops on success,
-    reports one record and takes its phase's step.
+    best tolls of a dual restart and the center of a restart ball reuse
+    their stored answer), keeps the strictly best deviation, stops on
+    success, reports one record and takes its phase's step.
     """
     _check_inputs(oracle, f_star, cfg.delta)
     const = oracle.skeleton.constants
@@ -285,7 +290,7 @@ def _search(
     best_tau, best_dev, best_resp = None, float("inf"), None
     status = EnforcementStatus.NOT_FOUND
 
-    tau = np.zeros(m) if start is None else np.clip(start.values, 0.0, t_max)
+    tau = first = np.zeros(m) if start is None else np.clip(start.values, 0.0, t_max)
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     prev_tau = prev_g = None
     E = initial
@@ -299,10 +304,14 @@ def _search(
     # instead of querying them again.
     restarts_left = 6
     cut_tau, cut_dev, cut_resp = None, float("inf"), None
-    reuse = start_answer
+    reuse = None
     full_radius = 0.5 * t_max * math.sqrt(m)
     for it in range(1, limit + 1):
         dual = it <= dual_steps
+        if dual and it == DUAL_RESTART_PER_EDGE * m + 1 and best_tau is not first:
+            tau, reuse = best_tau, best_resp
+            pairs.clear()
+            prev_tau = prev_g = None
         if E is None and not dual:  # built only when the search reaches its cuts
             E = Ellipsoid.circumscribing_box(np.zeros(m), np.full(m, t_max))
         c = tau if dual else E.center  # dual tolls never leave the box
@@ -372,7 +381,6 @@ def _search(
         status=status,
         iterations=it,
         response=resp if status is EnforcementStatus.SUCCESS else None,
-        answer=best_resp,
     )
 
 

@@ -82,11 +82,6 @@ __all__ = [
 ]
 
 
-#: Iterations per edge of an enforcement from Jacobian-predicted tolls,
-#: before an uncapped search takes over.
-PREDICTED_START_STEPS_PER_EDGE = 5
-
-
 class OracleSampleFailed(RuntimeError):
     """Toll enforcement could not realize a requested flow."""
 
@@ -148,18 +143,17 @@ class SampleEngine:
     other request is enforced, and spends no other query: the cost is read
     from the answer the enforcement accepted.  While ``model`` holds a
     Jacobian model (tau0, F0, J+) from the minimizer's toll probes, a miss
-    first runs ``enforce_flow`` from the predicted tolls
-    clip(shift(tau0 + J+ (f*_agg - F0)), 0, T_max), capped at
-    ``PREDICTED_START_STEPS_PER_EDGE * m`` iterations.  The shift
+    runs one ``enforce_flow`` from the predicted tolls
+    clip(shift(tau0 + J+ (f*_agg - F0)), 0, T_max).  The shift
     (``_gauge_shift``) lifts a prediction with negative tolls to
     nonnegative ones that induce the same flow, so clipping does not
-    change the flow it aims at.  If the capped search does not succeed,
-    an uncapped ``enforce_flow`` goes on from its best tolls and reuses
-    the answer there.  Without a model (the minimizer's reference sample),
-    a miss runs ``enforce_flow`` from zero tolls.  When ascent fails,
-    ``enforce_flow`` falls back to the paper's ellipsoid search over the
-    whole toll box.  Start tolls only save queries, never change what
-    success means: every success is verified against the oracle.
+    change the flow it aims at.  Without a model (the minimizer's
+    reference sample), a miss runs ``enforce_flow`` from zero tolls.  A
+    search that has not succeeded after 5m steps restarts once from its
+    best tolls, and when ascent fails, it falls back to the paper's
+    ellipsoid search over the whole toll box.  Start tolls only save
+    queries, never change what success means: every success is verified
+    against the oracle.
 
     The warm starts pay: starting every enforcement at zero tolls instead
     raised the queries of a whole optimize run from 30 to 154 on 8 affine
@@ -171,7 +165,6 @@ class SampleEngine:
         if oracle.mode is not OracleMode.FLOW_AND_COST:
             raise ValueError("the cost oracle needs FLOW_AND_COST mode")
         self.oracle = oracle
-        self.delta = float(delta)
         skel = oracle.skeleton
         const = skel.constants
         self.skeleton = skel
@@ -190,23 +183,12 @@ class SampleEngine:
             return replace(hit, queries_spent=0)
         cfg = EnforcementConfig(delta=self.delta_enforce)
         skel = self.skeleton
-        start, answer, spent = None, None, 0
+        start = None
         if self.model is not None:
             tau0, flow0, j_plus = self.model
             predicted = _gauge_shift(skel, tau0 + j_plus @ (reduced.aggregate - flow0))
-            result = enforce_flow(
-                self.oracle,
-                reduced,
-                replace(cfg, max_iterations=PREDICTED_START_STEPS_PER_EDGE * skel.m),
-                initial=TollVector(np.clip(predicted, 0.0, skel.constants.T_max)),
-            )
-            # the uncapped search goes on from the best tolls and their answer
-            start, answer, spent = result.tolls, result.answer, result.queries_used
-        if self.model is None or result.status is not EnforcementStatus.SUCCESS:
-            result = enforce_flow(
-                self.oracle, reduced, cfg, initial=start, answer=answer
-            )
-            spent += result.queries_used
+            start = TollVector(np.clip(predicted, 0.0, skel.constants.T_max))
+        result = enforce_flow(self.oracle, reduced, cfg, initial=start)
         if result.status is not EnforcementStatus.SUCCESS:
             raise OracleSampleFailed(
                 f"no tolls found for the requested flow "
@@ -216,7 +198,7 @@ class SampleEngine:
             requested_flow=reduced,
             enforcing_tolls=result.tolls,
             observed_cost=float(result.response.total_cost),
-            queries_spent=spent,
+            queries_spent=result.queries_used,
             response=result.response,
         )
         self.cache[key] = sample

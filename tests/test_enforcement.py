@@ -24,7 +24,7 @@ from tollopt.exact import marginal_cost_tolls, optimal_flow
 from tollopt.game import RoutingGame, has_positive_cycle
 from tollopt.instances import TOPOLOGIES, InstanceSpec, generate
 from tollopt.oracle import ACCURACY_FLOOR, EquilibriumOracle, OracleMode
-from tollopt.zeroorder import OptConfig
+from tollopt.zeroorder import OptConfig, SampleEngine, reference_flow
 
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
@@ -441,6 +441,90 @@ class TestLbfgsStep:
         sizes = dict((count, len(pairs)) for count, pairs in steps)
         assert sizes[4] == 3
         assert sizes.get(5, 0) <= 1 and sizes[6] <= 2
+
+
+def _reference_sample(degree, seed):
+    """The minimizer's cold reference sample on a 6-vertex two-commodity
+    DAG: a fresh oracle, the reference flow and its enforcement config."""
+    spec = InstanceSpec(
+        topology="random_dag", n_vertices=6, degree=degree, commodities=2, seed=seed
+    )
+    oracle = EquilibriumOracle(generate(spec), OracleMode.FLOW_AND_COST, eps_query=1e-11)
+    delta = OptConfig(epsilon=0.05).resolved_delta(oracle.skeleton)
+    cfg = EnforcementConfig(delta=SampleEngine(oracle, delta).delta_enforce)
+    return oracle, reference_flow(oracle.skeleton), cfg
+
+
+def _deviations(oracle, target):
+    return [np.abs(r.aggregate_flow - target.aggregate).max() for _, r in oracle.query_log]
+
+
+class TestDualRestart:
+    """After 5m dual steps without success the ascent goes back once to its
+    best tolls, with their stored answer and an empty L-BFGS memory."""
+
+    def test_resumes_from_moved_best_tolls(self, monkeypatch):
+        # degree-1 DAG seed 4: the best of the first 5m answers is the 30th
+        oracle, target, cfg = _reference_sample(1, 4)
+        restart = enforcement.DUAL_RESTART_PER_EDGE * oracle.skeleton.m
+        records, lbfgs_steps = [], []
+        direction = enforcement._lbfgs_direction
+
+        def spy(pairs, g):
+            lbfgs_steps.append(len(records) + 1)  # the iteration taking the step
+            return direction(pairs, g)
+
+        monkeypatch.setattr(enforcement, "_lbfgs_direction", spy)
+        res = enforce_flow(oracle, target, cfg, records.append)
+        assert res.status is EnforcementStatus.SUCCESS
+        devs = _deviations(oracle, target)
+        best = int(np.argmin(devs[:restart]))
+        assert best > 0
+        best_tolls, best_answer = oracle.query_log[best]
+        # iteration 5m + 1 reuses the best answer instead of querying again
+        resumed = records[restart]
+        assert resumed.iteration == restart + 1
+        assert np.array_equal(resumed.center, best_tolls)
+        assert resumed.deviation == devs[best]
+        assert res.queries_used == res.iterations - 1
+        logged = [tolls.tobytes() for tolls, _ in oracle.query_log]
+        assert len(set(logged)) == len(logged)
+        # with no memory, its step is g/K from the best tolls
+        assert restart + 1 not in lbfgs_steps
+        const = oracle.skeleton.constants
+        g = best_answer.aggregate_flow - target.aggregate
+        expected = np.clip(best_tolls + g / const.K, 0.0, const.T_max)
+        assert np.array_equal(oracle.query_log[restart][0], expected)
+
+    def test_no_restart_while_best_is_the_start(self):
+        # DAG seed 13: no answer beats the one at zero tolls within 5m steps;
+        # a restart there would replay the search's own steps
+        oracle, target, cfg = _reference_sample(3, 13)
+        restart = enforcement.DUAL_RESTART_PER_EDGE * oracle.skeleton.m
+        res = enforce_flow(oracle, target, cfg)
+        assert res.status is EnforcementStatus.SUCCESS
+        devs = _deviations(oracle, target)
+        assert int(np.argmin(devs[:restart])) == 0
+        assert res.queries_used == res.iterations == 61
+        logged = [tolls.tobytes() for tolls, _ in oracle.query_log]
+        assert len(set(logged)) == len(logged) == 61
+
+    def test_cap_of_at_most_5m_never_restarts(self):
+        # capped at 5m or less the search stops before its restart: its queries are
+        # the uncapped search's first 5m, one per iteration
+        oracle, target, cfg = _reference_sample(1, 4)
+        restart = enforcement.DUAL_RESTART_PER_EDGE * oracle.skeleton.m
+        enforce_flow(oracle, target, cfg)
+        uncapped = [tolls.tobytes() for tolls, _ in oracle.query_log]
+        for cap in (restart - 1, restart):
+            capped_oracle, _, _ = _reference_sample(1, 4)
+            res = enforce_flow(
+                capped_oracle, target, EnforcementConfig(cfg.delta, max_iterations=cap)
+            )
+            assert res.status is EnforcementStatus.NOT_FOUND
+            assert res.queries_used == res.iterations == cap
+            logged = [tolls.tobytes() for tolls, _ in capped_oracle.query_log]
+            assert logged == uncapped[:cap]
 
 
 class TestCutValidity:
