@@ -18,7 +18,8 @@ from conftest import (
     random_parallel,
 )
 from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
-from tollopt import FlowVector, equilibrium, solve_equilibrium, total_latency, zeroorder
+from tollopt import FlowVector, enforcement, equilibrium, solve_equilibrium, total_latency
+from tollopt import zeroorder
 from tollopt.ellipsoid import Ellipsoid
 from tollopt.enforcement import EnforcementResult, EnforcementStatus
 from tollopt.equilibrium import EqConfig
@@ -454,6 +455,62 @@ class TestProbeGradient:
         assert calls[0][0] is None
         assert np.array_equal(calls[0][1].values, predicted)
         induced = solve_equilibrium(game, s.enforcing_tolls, EqConfig(accuracy=1e-12))
+        dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
+        assert dev <= 2.0 * engine.delta_enforce
+
+    def test_failed_predicted_start_hands_over_its_best_tolls(self, monkeypatch):
+        # one search from the prediction; with a restart after m dual steps it
+        # goes on from the best of those m tolls, not from the prediction
+        monkeypatch.setattr(enforcement, "DUAL_RESTART_PER_EDGE", 1)
+        game, oracle, engine, at = _probe_setup(_PROBE_GAMES[0], 0.05)
+        skel = oracle.skeleton
+        m, t_max = skel.m, skel.constants.T_max
+        engine.model = (np.full(m, 0.5), at.response.aggregate_flow, np.zeros((m, m)))
+        calls, records = [], []
+        enforce = zeroorder.enforce_flow
+
+        def spy(oracle_, target, cfg, on_iteration=None, initial=None):
+            calls.append((cfg.max_iterations, initial.values.copy()))
+            return enforce(oracle_, target, cfg, records.append, initial=initial)
+
+        monkeypatch.setattr(zeroorder, "enforce_flow", spy)
+        f = at.requested_flow.per_commodity
+        s = engine.sample(project_to_polytope(skel, f + 0.05 * affine_hull_basis(skel)[0]))
+        assert len(calls) == 1 and calls[0][0] is None
+        assert np.array_equal(calls[0][1], np.clip(np.full(m, 0.5), 0.0, t_max))
+        best = int(np.argmin([r.deviation for r in records[:m]]))
+        assert best > 0
+        resumed = records[m]
+        assert resumed.iteration == m + 1
+        assert np.array_equal(resumed.center, records[best].center)
+        assert resumed.deviation == records[best].deviation
+        induced = solve_equilibrium(game, s.enforcing_tolls, EqConfig(accuracy=1e-12))
+        dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
+        assert dev <= 2.0 * engine.delta_enforce
+
+    def test_failed_predicted_start_hands_over_its_answer(self, pigou, monkeypatch):
+        # two dual steps fail from zero tolls; the search goes on from their
+        # best tolls with the stored answer, so no tolls are queried twice
+        monkeypatch.setattr(enforcement, "DUAL_RESTART_PER_EDGE", 1)
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        engine = SampleEngine(oracle, 0.01)
+        engine.model = (np.zeros(2), np.array([1.0, 0.0]), np.zeros((2, 2)))
+        records = []
+        enforce = zeroorder.enforce_flow
+
+        def spy(oracle_, target, cfg, on_iteration=None, initial=None):
+            return enforce(oracle_, target, cfg, records.append, initial=initial)
+
+        monkeypatch.setattr(zeroorder, "enforce_flow", spy)
+        s = engine.sample(FlowVector.single([0.5, 0.5]))
+        first, second, resumed = records[:3]
+        assert second.deviation < first.deviation
+        assert resumed.iteration == 3
+        assert np.array_equal(resumed.center, second.center)
+        assert resumed.deviation == second.deviation
+        logged = [tolls.tobytes() for tolls, _ in oracle.query_log]
+        assert len(set(logged)) == len(logged) == s.queries_spent
+        induced = solve_equilibrium(pigou, s.enforcing_tolls, EqConfig(accuracy=1e-12))
         dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
         assert dev <= 2.0 * engine.delta_enforce
 
