@@ -25,7 +25,10 @@ Exit codes are one map, by exception class, that every command runs in:
 
 ``enforce --trace`` writes one JSON line per enforcement step (a dual
 step or an ellipsoid cut), ``optimize --trace`` one per descent
-iteration, with the queries its gradient spent (``gradient_queries``).
+iteration, with the queries its gradient spent (``gradient_queries``)
+and its Newton decrement (``decrement``).  The ``optimize`` report puts
+the query-only ``gap_bound`` (the decrement that stopped the run, or
+null) next to the full-knowledge ``gap``.
 ``--out`` files open while the options are parsed, and ``--trace`` files
 before the first query, so a path that cannot be written exits 3 before
 any solve.  Every command is deterministic given --seed and emits a
@@ -236,6 +239,7 @@ def _pipeline_on_game(
         "best_sampled_cost": report.best_cost,
         "induced_equilibrium_cost": induced_cost,
         "gap": gap,
+        "gap_bound": report.gap_bound,
         "gap_within_2eps": bool(gap <= 2 * cfg.epsilon + 1e-12),
         "tolls": list(tolls.values),
         "optimizer_status": report.status,

@@ -33,10 +33,11 @@ flow plus the model's Newton step, and moves there only if its cost is
 more than delta/2 below the current one.  The equilibrium engine
 performs the Euclidean projections: one solve per commodity of a game
 whose Beckmann potential is the squared distance.  Descent stops on a
-small estimated gap, a candidate that is not accepted, the iteration cap
-or the budget.  The best sampled flow is tracked globally, so the
-reported cost never regresses, and its enforcing tolls are the returned
-tolls.
+Newton decrement of at most epsilon/2, computed from each probe round
+before its candidate is sampled, on a small estimated gap, on a
+candidate that is not accepted, at the iteration cap or on the budget.
+The best sampled flow is tracked globally, so the reported cost never
+regresses, and its enforcing tolls are the returned tolls.
 """
 
 from __future__ import annotations
@@ -128,12 +129,14 @@ class OptimizationReport:
     final_tolls: TollVector
     total_oracle_queries: int
     iteration_trace: tuple[dict, ...]
-    # CONVERGED; ITERATION_LIMIT when cfg.max_iterations ends the descent;
+    # CONVERGED when a certificate ends the descent: the Newton decrement
+    # (gap_bound) or, from iteration 2 on, estimated_gap <= epsilon / 2;
+    # STALLED when a candidate is not accepted or cannot be enforced;
+    # ITERATION_LIMIT when cfg.max_iterations ends the descent;
     # BUDGET_EXHAUSTED when the oracle's max_queries (or a failed sample) does.
-    # CONVERGED also ends a run whose candidate is not accepted or cannot be
-    # enforced, whatever its estimated gap: only a last trace entry with
-    # estimated_gap <= epsilon / 2 (from iteration 2 on) certifies the stop.
     status: str
+    # the Newton decrement beta <= epsilon / 2 that stopped the run, else None
+    gap_bound: float | None = None
 
 
 class SampleEngine:
@@ -156,9 +159,11 @@ class SampleEngine:
     against the oracle.
 
     The warm starts pay: starting every enforcement at zero tolls instead
-    raised the queries of a whole optimize run from 30 to 154 on 8 affine
-    parallel links and from 15 to 25 on a 3x3 grid (the ``parallel-opt``
-    and ``grid-opt`` benchmark workloads).
+    raised the queries of a whole optimize run from 165 to 1,689 on 64
+    affine parallel links (seed 5, epsilon 0.25) and from 104 to 395 on
+    a degree-3, two-commodity 6-vertex DAG (seed 2, epsilon 0.05).  The
+    ``parallel-opt`` and ``grid-opt`` benchmark runs stop on the Newton
+    decrement before any sample needs a start.
     """
 
     def __init__(self, oracle: EquilibriumOracle, delta: float):
@@ -446,10 +451,10 @@ def _probe_model(
     basis: np.ndarray,
     r: float,
     coords: np.ndarray,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Probe the toll coordinates S = ``coords`` (``_probe_coordinates``)
-    around an enforced sample (``_probe``) and return the fitted hull-basis
-    gradient and the Jacobian model (tau0, F0, J+).
+    around an enforced sample (``_probe``) and return two fitted hull-basis
+    gradients and the Jacobian model (tau0, F0, J+).
 
     J = dF/dtau is the Hessian of the concave dual V(tau) (see
     ``enforcement``), so it is symmetric with range in the aggregate hull
@@ -458,15 +463,23 @@ def _probe_model(
     other m - d toll directions only shift the gauge.
     J+ = span span[S]^T pinv(span^T J_S) span^T, which is
     span M^-1 span^T = pinv(span^T J) span^T.
+
+    The first gradient fits the raw cost changes, a forward difference
+    biased by each probe's curvature.  The second fits the cost changes
+    minus the model's curvature term 1/2 dF_j^T (-2 J+) dF_j, so it
+    estimates the gradient at F0 itself; it feeds only the Newton
+    decrement, because the descent steps along the first.
     """
     steps, d_flow, d_cost = _probe(oracle, sample, r, coords)
     jac_span = span.T @ (d_flow / steps)
-    model = (
-        sample.enforcing_tolls.values,
-        sample.response.aggregate_flow,
-        span @ span[coords].T @ np.linalg.pinv(jac_span) @ span.T,
+    j_plus = span @ span[coords].T @ np.linalg.pinv(jac_span) @ span.T
+    model = (sample.enforcing_tolls.values, sample.response.aggregate_flow, j_plus)
+    curvature = -np.einsum("ij,ik,kj->j", d_flow, j_plus, d_flow)
+    gradients = (
+        _fit_gradient(d_flow, d_cost, span, basis),
+        _fit_gradient(d_flow, d_cost - curvature, span, basis),
     )
-    return _fit_gradient(d_flow, d_cost, span, basis), model
+    return gradients, model
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +511,35 @@ def compute_optimal_tolls(
     A = ``basis.sum(axis=1)``, and samples one candidate, the projection
     of f + lift(-pinv(H) g).  The candidate becomes the current flow only
     if its cost is more than delta/2 below the current cost; the globally
-    best sample is tracked either way.  Each ``iteration_trace`` entry
-    records whether it was ``accepted`` and the queries the gradient spent
-    after the mixed point's enforcement (``gradient_queries``).  Descent
-    stops on an estimated-gap certificate (from iteration 2 on), on the
-    oracle's ``max_queries`` (a sample that needs a query past it ends the
-    descent; reaching it with every later sample cached does not), on a
-    candidate that is not accepted or whose enforcement fails (a repeat
-    of that iteration would replay it bitwise), or at the iteration cap;
-    the report's ``status`` says which.  The certificate and a candidate
-    that is not accepted both end the run CONVERGED, so only a last
-    ``estimated_gap`` of at most epsilon / 2 (from iteration 2 on)
-    certifies the stop.  A cyclic graph, a skeleton not the oracle's and an
-    epsilon finer than the oracle's accuracy can serve raise
-    ``ValueError`` before any query.
+    best sample is tracked either way.
+
+    Before the candidate, the probe round's Newton decrement
+    beta = 1/2 g_c^T pinv(H) g_c + 2mK^2 eps_query bounds the probed
+    sample's cost minus OPT from the answers alone.  g_c is the gradient
+    fitted to the cost changes minus each probe's curvature term
+    1/2 dF_j^T (-2 J+) dF_j, which removes the forward-difference bias of
+    g; the step keeps g.  The second term covers the answers' error.  For
+    affine latencies -2 J+ is the cost Hessian on the hull span and the
+    cost is quadratic, so beta bounds the gap.  For degree > 1 the true
+    Hessian is -2 J+ plus diag(F l''), which the model misses: beta is
+    then a local bound that holds only while that part stays small over
+    the region between the sample and the optimum.  The estimated
+    Frank-Wolfe gap, which needs only convexity, remains the global
+    certificate.
+
+    Each ``iteration_trace`` entry records whether its candidate was
+    ``accepted``, its ``decrement`` beta, and the queries the gradient
+    spent after the mixed point's enforcement (``gradient_queries``).
+    Descent stops CONVERGED on beta <= epsilon / 2, without sampling the
+    candidate, with beta as the report's ``gap_bound``, or on an
+    ``estimated_gap`` of at most epsilon / 2 (from iteration 2 on);
+    BUDGET_EXHAUSTED on the oracle's ``max_queries`` (a sample that needs
+    a query past it ends the descent; reaching it with every later sample
+    cached does not); STALLED on a candidate that is not accepted or
+    whose enforcement fails (a repeat of that iteration would replay it
+    bitwise); ITERATION_LIMIT at the iteration cap.  A cyclic graph, a
+    skeleton not the oracle's and an epsilon finer than the oracle's
+    accuracy can serve raise ``ValueError`` before any query.
 
     The best sample was enforced at tolerance delta / (4mK^2) with
     delta = epsilon / (8 N^2), tighter than epsilon / (4mK^2), and its
@@ -543,44 +571,51 @@ def compute_optimal_tolls(
     best = engine.sample(f_ref)
     current = best
     status = "ITERATION_LIMIT"
+    gap_bound = None
+    slack = 2.0 * skeleton.m * skeleton.constants.K**2 * oracle.eps_query
     for it in range(1, cfg.max_iterations + 1):
         f = current.requested_flow
         mixed = FlowVector(  # interior mix toward the reference flow
             (1.0 - 1e-3) * f.per_commodity + 1e-3 * f_ref.per_commodity
         )
         g_hat = newton = np.zeros(basis.shape[0])  # no hull direction: no probe
+        decrement = slack
         grad_start = spent()
         try:
             if span.shape[1]:
                 at = engine.sample(mixed)  # from the last probes' prediction
                 grad_start = spent()
-                g_hat, engine.model = _probe_model(oracle, at, span, basis, r, coords)
-                hessian = A @ (-2.0 * engine.model[2]) @ A.T
-                newton = -np.linalg.pinv(hessian, rcond=1e-10) @ g_hat
+                (g_hat, g_c), engine.model = _probe_model(oracle, at, span, basis, r, coords)
+                h_pinv = np.linalg.pinv(A @ (-2.0 * engine.model[2]) @ A.T, rcond=1e-10)
+                newton = -h_pinv @ g_hat
+                decrement += 0.5 * float(g_c @ h_pinv @ g_c)
         except (OracleSampleFailed, OracleBudgetExceeded):
             status = "BUDGET_EXHAUSTED"
             break
         grad_queries = spent() - grad_start
         est_gap = _estimated_fw_gap(skeleton, _lift(basis, g_hat), f)
         accepted = False
-        # unless the candidate is accepted, a repeat would replay this
-        # iteration bitwise: same current, cached mixed point, the same d
-        # probes answered bitwise-equal, cached candidate
-        stop = "CONVERGED"
-        try:
-            cand = engine.sample(
-                project_to_polytope(skeleton, f.per_commodity + _lift(basis, newton))
-            )
-        except OracleSampleFailed:
-            pass
-        except OracleBudgetExceeded:
-            stop = "BUDGET_EXHAUSTED"
+        # STALLED unless the candidate is accepted: a repeat would replay
+        # this iteration bitwise (same current, cached mixed point, the
+        # same d probes answered bitwise-equal, cached candidate)
+        stop = "STALLED"
+        if decrement <= cfg.epsilon / 2.0:
+            stop, gap_bound = "CONVERGED", decrement
         else:
-            if cand.observed_cost < best.observed_cost:
-                best = cand
-            accepted = cand.observed_cost < current.observed_cost - 0.5 * delta
-            if accepted:
-                current, stop = cand, None
+            try:
+                cand = engine.sample(
+                    project_to_polytope(skeleton, f.per_commodity + _lift(basis, newton))
+                )
+            except OracleSampleFailed:
+                pass
+            except OracleBudgetExceeded:
+                stop = "BUDGET_EXHAUSTED"
+            else:
+                if cand.observed_cost < best.observed_cost:
+                    best = cand
+                accepted = cand.observed_cost < current.observed_cost - 0.5 * delta
+                if accepted:
+                    current, stop = cand, None
         trace.append(
             {
                 "iteration": it,
@@ -588,6 +623,7 @@ def compute_optimal_tolls(
                 "best_cost": best.observed_cost,
                 "accepted": accepted,
                 "estimated_gap": est_gap,
+                "decrement": decrement,
                 "grad_norm": float(np.linalg.norm(g_hat)),
                 "gradient_queries": grad_queries,
                 "queries": spent(),
@@ -605,4 +641,5 @@ def compute_optimal_tolls(
         total_oracle_queries=spent(),
         iteration_trace=tuple(trace),
         status=status,
+        gap_bound=gap_bound,
     )

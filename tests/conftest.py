@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
+from tollopt.instances import InstanceSpec, generate
 
 
 def make_parallel(latencies, demand=1.0):
@@ -31,6 +32,38 @@ def make_braess(demand=1.0):
     return validate_game(
         RoutingGame(("s", "v", "w", "t"), edges, (Commodity("s", "t", demand),))
     )
+
+
+def criterion_5_cases():
+    """(name, game, epsilon) of the affine end-to-end acceptance set."""
+    rng = np.random.default_rng(17)
+    cases = [
+        (name, generate(InstanceSpec(topology=name)), 0.02)
+        for name in ("pigou", "fig1_l2", "braess")
+    ]
+    for i in range(6):
+        m = int(rng.integers(3, 7))
+        cases.append((f"parallel{m}-{i}", random_parallel(m, rng), 0.02))
+    for i, (w, h) in enumerate([(2, 2), (2, 2), (3, 2), (3, 2)]):
+        spec = InstanceSpec(topology="grid", width=w, height=h, seed=100 + i)
+        cases.append((f"grid{w}x{h}-{i}", generate(spec), 0.02))
+    return cases
+
+
+def criterion_8_cases():
+    """(name, game, epsilon) of the beyond-affine end-to-end acceptance set:
+    cubic parallel links, a 3x3 grid and a two-commodity cubic DAG."""
+    specs = [
+        (InstanceSpec(topology="parallel", links=8, degree=3, seed=1), 0.05),
+        (InstanceSpec(topology="grid", width=3, height=3, seed=5), 0.1),
+        (
+            InstanceSpec(
+                topology="random_dag", n_vertices=5, degree=3, commodities=2, seed=1
+            ),
+            0.05,
+        ),
+    ]
+    return [(spec.topology, generate(spec), eps) for spec, eps in specs]
 
 
 def make_cyclic():

@@ -10,7 +10,13 @@ import time
 import numpy as np
 
 from closedforms import parallel_equilibrium
-from conftest import make_braess, random_dag_game, random_parallel
+from conftest import (
+    criterion_5_cases,
+    criterion_8_cases,
+    make_braess,
+    random_dag_game,
+    random_parallel,
+)
 from tollopt import (
     FlowVector,
     TollVector,
@@ -26,7 +32,6 @@ from tollopt.enforcement import (
 )
 from tollopt.exact import marginal_cost_tolls, optimal_flow
 from tollopt.game import has_positive_cycle
-from tollopt.instances import InstanceSpec, generate
 from tollopt.oracle import EquilibriumOracle, OracleMode
 from tollopt.zeroorder import (
     OptConfig,
@@ -187,28 +192,11 @@ def test_criterion_4_oracle_accuracy():
 def test_criterion_5_end_to_end():
     """compute_optimal_tolls reaches OPT + 2*eps on the full test set."""
     eps = 0.02
-    rng = np.random.default_rng(17)
     start = time.perf_counter()
-    cases = [
-        ("pigou", generate(InstanceSpec(topology="pigou"))),
-        ("fig1_l2", generate(InstanceSpec(topology="fig1_l2"))),
-        ("braess", generate(InstanceSpec(topology="braess"))),
-    ]
-    for i in range(6):
-        m = int(rng.integers(3, 7))
-        cases.append((f"parallel{m}-{i}", random_parallel(m, rng)))
-    for i, (w, h) in enumerate([(2, 2), (2, 2), (3, 2), (3, 2)]):
-        cases.append(
-            (
-                f"grid{w}x{h}-{i}",
-                generate(
-                    InstanceSpec(topology="grid", width=w, height=h, seed=100 + i)
-                ),
-            )
-        )
+    cases = criterion_5_cases()
     gaps = []
     ok = True
-    for name, game in cases:
+    for name, game, _ in cases:
         _, opt = optimal_flow(game)
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         tolls, _ = compute_optimal_tolls(
@@ -276,7 +264,8 @@ def test_criterion_6_numerical_properties():
         at = SampleEngine(oracle, OptConfig(epsilon=0.05).resolved_delta(skel)).sample(f)
         r = _probe_step(skel, oracle.eps_query)
         span = _hull_span(basis)
-        g_est, _ = _probe_model(oracle, at, span, basis, r, _probe_coordinates(span))
+        # the raw and the curvature-corrected fit
+        gradients, _ = _probe_model(oracle, at, span, basis, r, _probe_coordinates(span))
         h = 1e-5
         marginal = np.array(
             [
@@ -286,7 +275,7 @@ def test_criterion_6_numerical_properties():
         )
         expected = basis.sum(axis=1) @ marginal
         K2 = 6 * game.constants.K  # crude curvature bound
-        if np.max(np.abs(g_est - expected)) > max(1e-4, K2 * h):
+        if max(np.max(np.abs(g - expected)) for g in gradients) > max(1e-4, K2 * h):
             grad_ok = False
 
     # query-count trend (informational, recorded in the bench report)
@@ -371,28 +360,17 @@ def test_criterion_7_enforcement_by_dual_ascent():
 def test_criterion_8_end_to_end_beyond_affine():
     """compute_optimal_tolls reaches OPT + 2*eps on cubic parallel links, a
     3x3 grid and a two-commodity cubic DAG."""
-    cases = [
-        (InstanceSpec(topology="parallel", links=8, degree=3, seed=1), 0.05),
-        (InstanceSpec(topology="grid", width=3, height=3, seed=5), 0.1),
-        (
-            InstanceSpec(
-                topology="random_dag", n_vertices=5, degree=3, commodities=2, seed=1
-            ),
-            0.05,
-        ),
-    ]
     start = time.perf_counter()
     ok = True
     details = []
-    for spec, eps in cases:
-        game = generate(spec)
+    for name, game, eps in criterion_8_cases():
         _, opt = optimal_flow(game)
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         tolls, _ = compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=eps))
         gap = total_latency(game, solve_equilibrium(game, tolls).flow) - opt
         ok = ok and gap <= 2 * eps + 1e-12
         details.append(
-            f"{spec.topology} gap {gap:.4f}/{2 * eps} in {oracle.query_count} queries"
+            f"{name} gap {gap:.4f}/{2 * eps} in {oracle.query_count} queries"
         )
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120.0

@@ -634,6 +634,29 @@ def test_optimize_trace_says_where_gradient_queries_went(runner, tmp_path):
     assert records[-1]["queries"] == report["results"]["optimizer_queries"]
 
 
+def test_optimize_reports_the_decrement_bound(runner, tmp_path):
+    # the query-only bound sits next to the full-knowledge gap: the Newton
+    # decrement of the trace entry that stopped the run, and null otherwise
+    trace = tmp_path / "trace.jsonl"
+    result = runner.invoke(
+        main,
+        ["optimize", "--topology", "parallel", "--links", "8", "--seed", "5",
+         "--epsilon", "0.25", "--trace", str(trace)],
+    )
+    assert result.exit_code == 0
+    results = json.loads(result.output)["results"]
+    keys = list(results)
+    assert keys.index("gap_bound") == keys.index("gap") + 1
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert results["optimizer_status"] == "CONVERGED"
+    assert results["gap_bound"] == records[-1]["decrement"] <= 0.25 / 2
+    spent = runner.invoke(
+        main, ["optimize", "--topology", "pigou", "--max-queries", "4"]
+    )
+    assert spent.exit_code == 4
+    assert json.loads(spent.output)["results"]["gap_bound"] is None
+
+
 def test_overflowing_costs_exit_3_before_any_solve(runner, tmp_path, monkeypatch):
     # demand 1e300 on 4 links: K is finite but the solver's gap target,
     # 1e-12 (1 + K sum_d sqrt(m)), is not

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    criterion_5_cases,
+    criterion_8_cases,
     make_braess,
     make_cyclic,
     make_parallel,
@@ -37,6 +39,13 @@ from tollopt.zeroorder import (
     compute_optimal_tolls,
     project_to_polytope,
     reference_flow,
+)
+
+
+#: Degree-3 two-commodity DAG whose iteration-1 Newton decrement at
+#: epsilon 0.05 (about 2.9) is far above epsilon / 2.
+_UNCERTIFIED_DAG = InstanceSpec(
+    topology="random_dag", n_vertices=6, degree=3, commodities=2, seed=1
 )
 
 
@@ -694,18 +703,20 @@ class TestMinimize:
         assert rep.total_oracle_queries <= 4
 
     def test_iteration_cap_is_not_a_spent_budget(self):
-        # no query budget is set, so the cap, not a budget, ends the run
-        game = generate(InstanceSpec(topology="grid", width=3, height=3, seed=5))
+        # no query budget is set, so the cap, not a budget, ends the run;
+        # iteration 1's Newton decrement (about 2.9) certifies nothing
+        game = generate(_UNCERTIFIED_DAG)
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         _, rep = compute_optimal_tolls(
-            oracle, game.skeleton(), OptConfig(epsilon=0.1, max_iterations=1)
+            oracle, game.skeleton(), OptConfig(epsilon=0.05, max_iterations=1)
         )
         assert [r["iteration"] for r in rep.iteration_trace] == [1]
         assert rep.status == "ITERATION_LIMIT"
 
     def test_stall_stops_descent(self, fig1_l1, monkeypatch):
-        # uphill gradients and no gap certificate: iteration 1's Newton
-        # candidate is not accepted, and a repeat would replay it bitwise
+        # uphill gradients and no gap certificate (iteration 1's Newton
+        # decrement is the true gap 0.25): iteration 1's Newton candidate is
+        # not accepted, and a repeat would replay it bitwise
         fit_gradient = zeroorder._fit_gradient
         monkeypatch.setattr(
             zeroorder, "_fit_gradient", lambda *args: -fit_gradient(*args)
@@ -715,16 +726,19 @@ class TestMinimize:
         )
         oracle = EquilibriumOracle(fig1_l1, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         _, rep = compute_optimal_tolls(oracle, fig1_l1.skeleton(), OptConfig(epsilon=0.1))
-        assert rep.status == "CONVERGED"
+        assert rep.status == "STALLED"
+        assert rep.gap_bound is None
         assert [r["iteration"] for r in rep.iteration_trace] == [1]
         assert [r["accepted"] for r in rep.iteration_trace] == [False]
         # one probe (d = 1)
         assert [r["gradient_queries"] for r in rep.iteration_trace] == [1]
         assert rep.total_oracle_queries == 6
 
-    def test_failed_candidate_ends_run_with_best_sample(self, pigou, monkeypatch):
+    def test_failed_candidate_ends_run_with_best_sample(self, monkeypatch):
         # every enforcement after the reference sample fails; iteration 1's
-        # mixed point is the cached reference sample, so the candidate fails
+        # mixed point is the cached reference sample, its Newton decrement
+        # (about 2.9) certifies nothing, so the candidate is sampled and fails
+        game = generate(_UNCERTIFIED_DAG)
         enforce = zeroorder.enforce_flow
         calls = []
 
@@ -734,18 +748,19 @@ class TestMinimize:
                 return enforce(*args, **kwargs)
             return _not_found(*args, **kwargs)
 
-        cfg = OptConfig(epsilon=0.02)
-        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        cfg = OptConfig(epsilon=0.05)
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         with monkeypatch.context() as patch:
             patch.setattr(zeroorder, "enforce_flow", fail_after_first)
             tolls, rep = compute_optimal_tolls(oracle, oracle.skeleton, cfg)
         # one uncapped search from the prediction
         assert calls[1:] == [None]
-        assert rep.status == "CONVERGED"
+        assert rep.status == "STALLED"
         assert [r["accepted"] for r in rep.iteration_trace] == [False]
-        assert [r["gradient_queries"] for r in rep.iteration_trace] == [1]
+        # d = 3 probes
+        assert [r["gradient_queries"] for r in rep.iteration_trace] == [3]
         first = SampleEngine(
-            EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11),
+            EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11),
             cfg.resolved_delta(oracle.skeleton),
         ).sample(reference_flow(oracle.skeleton))
         assert rep.best_cost == first.observed_cost
@@ -753,24 +768,32 @@ class TestMinimize:
         assert np.array_equal(rep.final_tolls.values, tolls.values)
 
     @pytest.mark.parametrize(
-        "spec, epsilon, max_queries",
+        "spec, epsilon, max_queries, status",
         [
-            (InstanceSpec(topology="pigou"), 0.02, None),
-            (InstanceSpec(topology="braess"), 0.02, None),
-            (InstanceSpec(topology="grid", width=3, height=3, seed=5), 0.1, None),
+            (InstanceSpec(topology="pigou"), 0.02, None, "CONVERGED"),
+            (InstanceSpec(topology="braess"), 0.02, None, "CONVERGED"),
+            (
+                InstanceSpec(topology="grid", width=3, height=3, seed=5),
+                0.1,
+                None,
+                "CONVERGED",
+            ),
             (
                 InstanceSpec(topology="random_dag", degree=3, commodities=2, seed=5),
                 0.05,
                 150,
+                "STALLED",
             ),
         ],
         ids=["pigou", "braess", "grid", "dag-s5"],
     )
     def test_accepted_candidates_drop_cost_by_half_delta(
-        self, spec, epsilon, max_queries
+        self, spec, epsilon, max_queries, status
     ):
         # the descent walks downhill only: an accepted candidate lowers the
-        # current cost by more than delta / 2, any other leaves it alone
+        # current cost by more than delta / 2, any other leaves it alone.
+        # DAG seed 5's last candidate is not accepted while both of its
+        # certificates still read above epsilon / 2
         game = generate(spec)
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         cfg = OptConfig(epsilon=epsilon)
@@ -785,7 +808,7 @@ class TestMinimize:
                 assert entry["cost"] < before - 0.5 * delta
             else:
                 assert entry["cost"] == before
-        assert rep.status == "CONVERGED"
+        assert rep.status == status
         if max_queries is not None:
             assert rep.total_oracle_queries <= max_queries
         induced = solve_equilibrium(game, tolls, EqConfig(accuracy=1e-10)).flow
@@ -820,6 +843,50 @@ class TestMinimize:
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         with pytest.raises(ValueError):
             compute_optimal_tolls(oracle, braess.skeleton(), OptConfig(epsilon=0.02))
+
+
+_CERTIFIED_CASES = criterion_5_cases() + criterion_8_cases()
+
+
+class TestNewtonDecrement:
+    @pytest.mark.parametrize(
+        "game, epsilon",
+        [case[1:] for case in _CERTIFIED_CASES],
+        ids=[case[0] for case in _CERTIFIED_CASES],
+    )
+    def test_decrement_bounds_the_probed_samples_gap(self, game, epsilon, monkeypatch):
+        # every iteration's decrement is at least the cost of the sample its
+        # probes surround minus OPT
+        probe_model = zeroorder._probe_model
+        costs = []
+
+        def spy(oracle, sample, *args):
+            costs.append(sample.observed_cost)
+            return probe_model(oracle, sample, *args)
+
+        monkeypatch.setattr(zeroorder, "_probe_model", spy)
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        _, rep = compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=epsilon))
+        opt = optimal_flow(game, gap=1e-10)[1]
+        betas = [r["decrement"] for r in rep.iteration_trace]
+        assert len(betas) == len(costs) > 0
+        for beta, cost in zip(betas, costs):
+            assert beta >= cost - opt
+
+    def test_parallel_links_stop_on_the_decrement(self):
+        # 8 affine links: iteration 1's probes certify the gap, so neither a
+        # candidate nor a second probe round is paid for
+        game = generate(InstanceSpec(topology="parallel", links=8, seed=5))
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        cfg = OptConfig(epsilon=0.25, max_iterations=5)
+        tolls, rep = compute_optimal_tolls(oracle, oracle.skeleton, cfg)
+        assert rep.total_oracle_queries <= 21
+        assert rep.status == "CONVERGED"
+        assert rep.gap_bound == rep.iteration_trace[-1]["decrement"] <= cfg.epsilon / 2
+        assert not rep.iteration_trace[-1]["accepted"]
+        induced = solve_equilibrium(game, tolls, EqConfig(accuracy=1e-10)).flow
+        opt = optimal_flow(game, gap=1e-10)[1]
+        assert total_latency(game, induced) <= opt + 2 * cfg.epsilon
 
 
 class TestOptConfig:
@@ -889,10 +956,10 @@ class TestComputeOptimalTolls:
         # a budget of exactly what the descent spends is enough: returning
         # the best sample's tolls takes no further query, and a budget
         # reached but never refused is not a spent one.  Pigou and fig1_l2
-        # end after iteration 1 at 5 queries, on a candidate that is not
-        # accepted; iteration 1's mixed point equals the reference sample
-        # and is a cache hit, and so is fig1_l1's last candidate, which
-        # equals its current flow
+        # end after iteration 1 at 5 queries, on a Newton decrement that
+        # needs no candidate; iteration 1's mixed point equals the
+        # reference sample and is a cache hit.  Fig1_l1 and braess end on
+        # the decrement at iteration 2
         cfg = OptConfig(epsilon=0.02)
         for game in (pigou, fig1_l1, fig1_l2, braess):
             probe = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
