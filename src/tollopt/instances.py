@@ -57,8 +57,10 @@ class InstanceSpec:
             raise BadSpec("degree must be at least 1")
         if not 0.0 <= self.density <= 1.0:  # True for NaN
             raise BadSpec(f"density must lie in [0, 1], got {self.density}")
-        if self.coeff_bound <= 0:
-            raise BadSpec("coefficient bound must be positive")
+        if not 0.0 < self.coeff_bound < math.inf:  # False for NaN
+            raise BadSpec(
+                f"coefficient bound must be positive and finite, got {self.coeff_bound}"
+            )
         if self.topology == "parallel" and self.links < 2:
             raise BadSpec("parallel needs at least 2 links")
         if self.topology == "grid" and (self.width < 2 or self.height < 2):

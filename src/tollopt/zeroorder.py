@@ -9,42 +9,44 @@ cost error of at most delta.
 
 On top of that delta-accurate value oracle the minimizer runs projected
 descent in the affine hull of the polytope, whose directions are an
-orthonormal basis of the per-commodity conservation null spaces.  Each
-iteration pulls the current flow toward a strictly positive reference
-flow, enforces that mixed point at tolls tau0, and queries the oracle at
-tau0 + r e_j for the d toll coordinates j whose rows of the aggregate
-hull span are independent, chosen once per run (regression-model
-derivative-free optimization on a determined sample set; Conn,
-Scheinberg & Vicente, 2009, ch. 4).  Every answer is a (flow, cost) pair
-near the mixed point, accurate to the oracle's promise and needing no
-enforcement, and the cost depends on the aggregate flow only: a
-least-squares fit of the cost changes on the flow changes gives the
-gradient along every hull direction.  The same answers measure
-J = dF/dtau, the Hessian of enforcement's concave dual: symmetric, with
-range in the d-dimensional span, so d columns fix it there and the other
-m - d toll directions only shift the gauge.  Every iteration probes
-afresh, and later samples start their enforcement at the tolls J
-predicts, moved along the gauge so that none is negative.  The gradient's error is O(K'' r) from curvature plus
+orthonormal basis of the per-commodity conservation null spaces.  Every
+flow it samples is mixed toward a strictly positive reference flow, so
+every enforced sample is interior.  Each iteration queries the oracle at
+tau0 + r e_j around the current sample's enforcing tolls tau0, for the d
+toll coordinates j whose rows of the aggregate hull span are independent,
+chosen once per run (regression-model derivative-free optimization on a
+determined sample set; Conn, Scheinberg & Vicente, 2009, ch. 4).  Every
+answer is a (flow, cost) pair near the current sample, accurate to the
+oracle's promise and needing no enforcement, and the cost depends on the
+aggregate flow only: a least-squares fit of the cost changes on the flow
+changes gives the gradient along every hull direction.  The same answers
+measure J = dF/dtau, the Hessian of enforcement's concave dual:
+symmetric, with range in the d-dimensional span, so d columns fix it
+there and the other m - d toll directions only shift the gauge.  Every
+iteration probes afresh, and later samples start their enforcement at
+the tolls J predicts, moved along the gauge so that none is negative.
+The gradient's error is O(K'' r) from curvature plus
 O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the smallest
 singular value of the probed columns of J on the hull span.  On the
 hull span -2 J+ is the cost Hessian (exact for affine latencies), so each
-iteration samples one Newton candidate, the projection of the current
-flow plus the model's Newton step, and moves there only if its cost is
-more than delta/2 below the current one.  The equilibrium engine
-performs the Euclidean projections: one solve per commodity of a game
-whose Beckmann potential is the squared distance.  Descent stops on a
-Newton decrement of at most epsilon/2, computed from each probe round
-before its candidate is sampled, on a small estimated gap, on a
-candidate that is not accepted, at the iteration cap or on the budget.
-The best sampled flow is tracked globally, so the reported cost never
-regresses, and its enforcing tolls are the returned tolls.
+iteration enforces one Newton candidate, the projection of the current
+flow plus the model's Newton step, mixed toward the reference flow with
+weight 1e-3, and moves there only if its cost is more than delta/2 below
+the current one.  The equilibrium engine performs the Euclidean
+projections: one solve per commodity of a game whose Beckmann potential
+is the squared distance.  Descent stops on a Newton decrement of at most
+epsilon/2, computed from each probe round before its candidate is
+sampled, on a small estimated gap, on a candidate that is not accepted,
+at the iteration cap or on the budget.  The best sampled flow is tracked
+globally, so the reported cost never regresses, and its enforcing tolls
+are the returned tolls.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +96,7 @@ class OptConfig:
 
     The value-oracle error delta is epsilon / (8 N^2) where N = mk, a
     fixed polynomial factor below the optimality target.  It sets the
-    enforcement tolerance.  Gradient points mix in the reference flow
+    enforcement tolerance.  Newton candidates mix in the reference flow
     with weight 1e-3.  The query budget is the oracle's ``max_queries``.
     """
 
@@ -133,25 +135,24 @@ class OptimizationReport:
     # (gap_bound) or, from iteration 2 on, estimated_gap <= epsilon / 2;
     # STALLED when a candidate is not accepted or cannot be enforced;
     # ITERATION_LIMIT when cfg.max_iterations ends the descent;
-    # BUDGET_EXHAUSTED when the oracle's max_queries (or a failed sample) does.
+    # BUDGET_EXHAUSTED when the oracle's max_queries does.
     status: str
     # the Newton decrement beta <= epsilon / 2 that stopped the run, else None
     gap_bound: float | None = None
 
 
 class SampleEngine:
-    """Caching zero-order value oracle built from toll enforcement.
+    """Zero-order value oracle built from toll enforcement.
 
-    Identical (rounded) flow requests reuse their cached sample.  Every
-    other request is enforced, and spends no other query: the cost is read
+    Every request is enforced, and spends no other query: the cost is read
     from the answer the enforcement accepted.  While ``model`` holds a
-    Jacobian model (tau0, F0, J+) from the minimizer's toll probes, a miss
-    runs one ``enforce_flow`` from the predicted tolls
+    Jacobian model (tau0, F0, J+) from the minimizer's toll probes, a
+    request runs one ``enforce_flow`` from the predicted tolls
     clip(shift(tau0 + J+ (f*_agg - F0)), 0, T_max).  The shift
     (``_gauge_shift``) lifts a prediction with negative tolls to
     nonnegative ones that induce the same flow, so clipping does not
     change the flow it aims at.  Without a model (the minimizer's
-    reference sample), a miss runs ``enforce_flow`` from zero tolls.  A
+    reference sample), it runs ``enforce_flow`` from zero tolls.  A
     search that has not succeeded after 5m steps restarts once from its
     best tolls, and when ascent fails, it falls back to the paper's
     ellipsoid search over the whole toll box.  Start tolls only save
@@ -159,8 +160,8 @@ class SampleEngine:
     against the oracle.
 
     The warm starts pay: starting every enforcement at zero tolls instead
-    raised the queries of a whole optimize run from 165 to 1,689 on 64
-    affine parallel links (seed 5, epsilon 0.25) and from 104 to 395 on
+    raised the queries of a whole optimize run from 164 to 1,665 on 64
+    affine parallel links (seed 5, epsilon 0.25) and from 82 to 455 on
     a degree-3, two-commodity 6-vertex DAG (seed 2, epsilon 0.05).  The
     ``parallel-opt`` and ``grid-opt`` benchmark runs stop on the Newton
     decrement before any sample needs a start.
@@ -177,15 +178,10 @@ class SampleEngine:
             self.delta_enforce = delta / (4.0 * skel.m * const.K**2)
         except OverflowError:  # K**2 past the double range: no tolerance is left
             self.delta_enforce = 0.0
-        self.cache: dict[tuple, CostOracleSample] = {}
         self.model: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def sample(self, f: FlowVector) -> CostOracleSample:
         reduced = acyclic_reduce(self.skeleton, f)
-        key = tuple(np.round(reduced.per_commodity, 12).ravel())
-        hit = self.cache.get(key)
-        if hit is not None:
-            return replace(hit, queries_spent=0)
         cfg = EnforcementConfig(delta=self.delta_enforce)
         skel = self.skeleton
         start = None
@@ -199,15 +195,13 @@ class SampleEngine:
                 f"no tolls found for the requested flow "
                 f"(best deviation {result.achieved_deviation:.3e})"
             )
-        sample = CostOracleSample(
+        return CostOracleSample(
             requested_flow=reduced,
             enforcing_tolls=result.tolls,
             observed_cost=float(result.response.total_cost),
             queries_spent=result.queries_used,
             response=result.response,
         )
-        self.cache[key] = sample
-        return sample
 
 
 def _gauge_shift(skel: GameSkeleton, tau: np.ndarray) -> np.ndarray:
@@ -506,16 +500,21 @@ def compute_optimal_tolls(
 ) -> tuple[TollVector, OptimizationReport]:
     """Minimize total latency; return the best sample's enforcing tolls.
 
-    Each descent iteration takes the gradient g and the Jacobian model of
-    its probe round, forms the hull-basis Hessian H = A (-2 J+) A^T with
-    A = ``basis.sum(axis=1)``, and samples one candidate, the projection
-    of f + lift(-pinv(H) g).  The candidate becomes the current flow only
-    if its cost is more than delta/2 below the current cost; the globally
-    best sample is tracked either way.
+    Each descent iteration probes around the current sample, the last one
+    accepted (the reference sample at first), takes the gradient g and the
+    Jacobian model of that probe round, forms the hull-basis Hessian
+    H = A (-2 J+) A^T with A = ``basis.sum(axis=1)``, and samples one
+    candidate, the projection of f + lift(-pinv(H) g) mixed toward the
+    reference flow with weight 1e-3.  The candidate becomes the current
+    flow only if its cost is more than delta/2 below the current cost;
+    the globally best sample is tracked either way.  A candidate that is
+    not accepted ends the run, so every probe round surrounds the best
+    sample so far.
 
     Before the candidate, the probe round's Newton decrement
     beta = 1/2 g_c^T pinv(H) g_c + 2mK^2 eps_query bounds the probed
-    sample's cost minus OPT from the answers alone.  g_c is the gradient
+    sample's cost minus OPT from the answers alone, and so the gap of the
+    sample whose tolls a decrement stop returns.  g_c is the gradient
     fitted to the cost changes minus each probe's curvature term
     1/2 dF_j^T (-2 J+) dF_j, which removes the forward-difference bias of
     g; the step keeps g.  The second term covers the answers' error.  For
@@ -528,15 +527,14 @@ def compute_optimal_tolls(
     certificate.
 
     Each ``iteration_trace`` entry records whether its candidate was
-    ``accepted``, its ``decrement`` beta, and the queries the gradient
-    spent after the mixed point's enforcement (``gradient_queries``).
-    Descent stops CONVERGED on beta <= epsilon / 2, without sampling the
-    candidate, with beta as the report's ``gap_bound``, or on an
-    ``estimated_gap`` of at most epsilon / 2 (from iteration 2 on);
-    BUDGET_EXHAUSTED on the oracle's ``max_queries`` (a sample that needs
-    a query past it ends the descent; reaching it with every later sample
-    cached does not); STALLED on a candidate that is not accepted or
-    whose enforcement fails (a repeat of that iteration would replay it
+    ``accepted``, its ``decrement`` beta, and the d queries of its probe
+    round (``gradient_queries``).  Descent stops CONVERGED on
+    beta <= epsilon / 2, without sampling the candidate, with beta as the
+    report's ``gap_bound``, or on an ``estimated_gap`` of at most
+    epsilon / 2 (from iteration 2 on); BUDGET_EXHAUSTED on the oracle's
+    ``max_queries`` (a query past it ends the descent; reaching it does
+    not); STALLED on a candidate that is not accepted or whose
+    enforcement fails (a repeat of that iteration would replay it
     bitwise); ITERATION_LIMIT at the iteration cap.  A cyclic graph, a
     skeleton not the oracle's and an epsilon finer than the oracle's
     accuracy can serve raise ``ValueError`` before any query.
@@ -575,37 +573,33 @@ def compute_optimal_tolls(
     slack = 2.0 * skeleton.m * skeleton.constants.K**2 * oracle.eps_query
     for it in range(1, cfg.max_iterations + 1):
         f = current.requested_flow
-        mixed = FlowVector(  # interior mix toward the reference flow
-            (1.0 - 1e-3) * f.per_commodity + 1e-3 * f_ref.per_commodity
-        )
         g_hat = newton = np.zeros(basis.shape[0])  # no hull direction: no probe
         decrement = slack
-        grad_start = spent()
         try:
             if span.shape[1]:
-                at = engine.sample(mixed)  # from the last probes' prediction
-                grad_start = spent()
-                (g_hat, g_c), engine.model = _probe_model(oracle, at, span, basis, r, coords)
+                probed = _probe_model(oracle, current, span, basis, r, coords)
+                (g_hat, g_c), engine.model = probed
                 h_pinv = np.linalg.pinv(A @ (-2.0 * engine.model[2]) @ A.T, rcond=1e-10)
                 newton = -h_pinv @ g_hat
                 decrement += 0.5 * float(g_c @ h_pinv @ g_c)
-        except (OracleSampleFailed, OracleBudgetExceeded):
+        except OracleBudgetExceeded:
             status = "BUDGET_EXHAUSTED"
             break
-        grad_queries = spent() - grad_start
         est_gap = _estimated_fw_gap(skeleton, _lift(basis, g_hat), f)
         accepted = False
         # STALLED unless the candidate is accepted: a repeat would replay
-        # this iteration bitwise (same current, cached mixed point, the
-        # same d probes answered bitwise-equal, cached candidate)
+        # this iteration bitwise (same current, the same d probes answered
+        # bitwise-equal, the same candidate enforced from the same start)
         stop = "STALLED"
         if decrement <= cfg.epsilon / 2.0:
             stop, gap_bound = "CONVERGED", decrement
         else:
+            target = project_to_polytope(skeleton, f.per_commodity + _lift(basis, newton))
+            # the reference mix keeps every usable edge loaded, so the probes
+            # around this sample identify the gradient on all of them
+            mixed = (1.0 - 1e-3) * target.per_commodity + 1e-3 * f_ref.per_commodity
             try:
-                cand = engine.sample(
-                    project_to_polytope(skeleton, f.per_commodity + _lift(basis, newton))
-                )
+                cand = engine.sample(FlowVector(mixed))
             except OracleSampleFailed:
                 pass
             except OracleBudgetExceeded:
@@ -625,7 +619,7 @@ def compute_optimal_tolls(
                 "estimated_gap": est_gap,
                 "decrement": decrement,
                 "grad_norm": float(np.linalg.norm(g_hat)),
-                "gradient_queries": grad_queries,
+                "gradient_queries": len(coords),  # one query per probe
                 "queries": spent(),
             }
         )

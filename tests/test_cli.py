@@ -398,6 +398,8 @@ def test_optimize_cyclic_instance_exits_3(runner, tmp_path):
          "--n-vertices", "5"],
         # K is finite, K^2 is not
         ["optimize", "--topology", "parallel", "--links", "4", "--demand", "1e300"],
+        ["gen", "--topology", "parallel", "--coeff-bound", "nan"],
+        ["gen", "--topology", "parallel", "--coeff-bound", "inf"],
     ],
 )
 def test_invalid_number_exits_3(runner, tmp_path, monkeypatch, args):
@@ -620,7 +622,8 @@ def test_optimize_on_instance_file(runner, tmp_path):
 
 
 def test_optimize_trace_says_where_gradient_queries_went(runner, tmp_path):
-    # pigou: d = 1, so each iteration probes one link around the mixed point
+    # pigou: d = 1, so each iteration probes one link around the last
+    # accepted sample
     trace = tmp_path / "trace.jsonl"
     result = runner.invoke(
         main,

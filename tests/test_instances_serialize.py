@@ -78,6 +78,9 @@ class TestGenerate:
         for density in (float("nan"), -1.0, 2.0, float("inf")):
             with pytest.raises(BadSpec, match="density"):
                 InstanceSpec(topology="random_dag", density=density)
+        for bound in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(BadSpec, match="coefficient bound"):
+                InstanceSpec(topology="parallel", coeff_bound=bound)
 
 
 class TestSerialize:

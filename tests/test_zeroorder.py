@@ -89,19 +89,8 @@ class TestZeroOrderCostOracle:
             exact = total_latency(game, s.requested_flow)
             assert abs(s.observed_cost - exact) <= delta
 
-    def test_cache_reuses_samples(self, pigou):
-        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-        engine = SampleEngine(oracle, 0.01)
-        f = FlowVector.single([0.5, 0.5])
-        first = engine.sample(f)
-        count = oracle.query_count
-        second = engine.sample(f)
-        assert oracle.query_count == count
-        assert second.queries_spent == 0
-        assert second.observed_cost == first.observed_cost
-
     def test_misses_without_model_start_from_zero_tolls(self):
-        # without a Jacobian model every miss starts its enforcement at zero
+        # without a Jacobian model every sample starts its enforcement at zero
         # tolls, wherever the previous sample's tolls lie
         game = make_parallel([(0.2, 1.0), (0.5, 0.6), (0.1, 1.2)])
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
@@ -126,13 +115,13 @@ class TestZeroOrderCostOracle:
         game = make_parallel([(0.2, 1.0), (0.5, 0.6), (0.1, 1.2)])
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         engine = SampleEngine(oracle, 0.01)
-        misses = []
+        samples = []
         for split in ([0.2, 0.3, 0.5], [0.25, 0.3, 0.45], [0.9, 0.05, 0.05]):
             before = oracle.query_count
-            misses.append(engine.sample(FlowVector.single(split)))
-            assert misses[-1].queries_spent == oracle.query_count - before
-        assert len(results) == len(misses) == 3
-        for sample, result in zip(misses, results):
+            samples.append(engine.sample(FlowVector.single(split)))
+            assert samples[-1].queries_spent == oracle.query_count - before
+        assert len(results) == len(samples) == 3
+        for sample, result in zip(samples, results):
             assert sample.queries_spent == result.queries_used
 
     def test_failed_enforcement_raises_and_caches_nothing(self, pigou, monkeypatch):
@@ -143,7 +132,6 @@ class TestZeroOrderCostOracle:
             patch.setattr(zeroorder, "enforce_flow", _not_found)
             with pytest.raises(OracleSampleFailed, match="best deviation 1.000e"):
                 engine.sample(f)
-        assert engine.cache == {}
         assert engine.sample(f).queries_spent > 0  # nothing failed was kept
 
     def test_requested_flow_is_cycle_free(self, rng):
@@ -346,7 +334,7 @@ def _curvature(game) -> float:
 
 
 def _probe_setup(spec, epsilon):
-    """A fresh oracle, its engine, and the enforced mixed reference point."""
+    """A fresh oracle, its engine, and the enforced reference sample."""
     game = generate(spec)
     oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
     skel = oracle.skeleton
@@ -626,9 +614,11 @@ class TestGaugeShift:
 
 @pytest.mark.parametrize("seed, budget", [(6, 200), (12, 320), (7, 200), (13, 340)])
 def test_dag_mixed_points_enforce_without_fallback(seed, budget, monkeypatch):
-    # seeds 6 and 12's iteration-2 mixed points used to fall back to the
-    # ellipsoid (2,245 and 3,533 queries); seeds 7 and 13 have enforcements
-    # that succeed only after the dual restart from their best tolls
+    # every sample after the reference one is a Newton candidate mixed
+    # toward the reference flow.  Seeds 6 and 12's iteration-1 mixed
+    # candidates used to fall back to the ellipsoid (2,245 and 3,533
+    # queries); seeds 7 and 13's succeed only after the dual restart from
+    # their best tolls
     updates = []
     update = Ellipsoid.update
 
@@ -649,6 +639,29 @@ def test_dag_mixed_points_enforce_without_fallback(seed, budget, monkeypatch):
     assert len(set(logged)) == len(logged)
     induced = solve_equilibrium(game, tolls, EqConfig(accuracy=1e-10)).flow
     assert total_latency(game, induced) <= optimal_flow(game, gap=1e-10)[1] + 2 * cfg.epsilon
+
+
+def test_one_enforcement_per_descent_iteration(monkeypatch):
+    # the reference sample, then one enforcement per iteration that samples
+    # its candidate: the probes surround the last accepted sample, which is
+    # already enforced and interior
+    enforce = zeroorder.enforce_flow
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return enforce(*args, **kwargs)
+
+    monkeypatch.setattr(zeroorder, "enforce_flow", counted)
+    game = generate(
+        InstanceSpec(topology="random_dag", n_vertices=6, degree=3, commodities=2, seed=4)
+    )
+    oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+    _, rep = compute_optimal_tolls(oracle, oracle.skeleton, OptConfig(epsilon=0.05))
+    # every iteration but a decrement stop samples its candidate
+    sampled = len(rep.iteration_trace) - (rep.gap_bound is not None)
+    assert len(calls) == 1 + sampled
+    assert rep.total_oracle_queries <= 72
 
 
 class TestReferenceFlow:
@@ -735,9 +748,9 @@ class TestMinimize:
         assert rep.total_oracle_queries == 6
 
     def test_failed_candidate_ends_run_with_best_sample(self, monkeypatch):
-        # every enforcement after the reference sample fails; iteration 1's
-        # mixed point is the cached reference sample, its Newton decrement
-        # (about 2.9) certifies nothing, so the candidate is sampled and fails
+        # every enforcement after the reference sample fails; iteration 1
+        # probes around the reference sample, its Newton decrement (about
+        # 2.9) certifies nothing, so the candidate is sampled and fails
         game = generate(_UNCERTIFIED_DAG)
         enforce = zeroorder.enforce_flow
         calls = []
@@ -856,7 +869,9 @@ class TestNewtonDecrement:
     )
     def test_decrement_bounds_the_probed_samples_gap(self, game, epsilon, monkeypatch):
         # every iteration's decrement is at least the cost of the sample its
-        # probes surround minus OPT
+        # probes surround minus OPT.  A candidate that is not accepted ends
+        # the run, so the sample probed last is the best one, and a
+        # decrement stop bounds the gap of the sample whose tolls return
         probe_model = zeroorder._probe_model
         costs = []
 
@@ -872,6 +887,9 @@ class TestNewtonDecrement:
         assert len(betas) == len(costs) > 0
         for beta, cost in zip(betas, costs):
             assert beta >= cost - opt
+        if rep.gap_bound is not None:
+            assert costs[-1] == rep.best_cost
+            assert rep.gap_bound >= rep.best_cost - opt
 
     def test_parallel_links_stop_on_the_decrement(self):
         # 8 affine links: iteration 1's probes certify the gap, so neither a
@@ -957,9 +975,8 @@ class TestComputeOptimalTolls:
         # the best sample's tolls takes no further query, and a budget
         # reached but never refused is not a spent one.  Pigou and fig1_l2
         # end after iteration 1 at 5 queries, on a Newton decrement that
-        # needs no candidate; iteration 1's mixed point equals the
-        # reference sample and is a cache hit.  Fig1_l1 and braess end on
-        # the decrement at iteration 2
+        # needs no candidate; iteration 1 probes around the reference
+        # sample.  Fig1_l1 and braess end on the decrement at iteration 2
         cfg = OptConfig(epsilon=0.02)
         for game in (pigou, fig1_l1, fig1_l2, braess):
             probe = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
