@@ -290,8 +290,8 @@ def run_bench(
     if any(m < 2 for m in sizes):
         raise ValueError("sizes must be at least 2")
     enforce_cfg = EnforcementConfig(delta=delta_enforce)
-    iterations = 60 if opt_iterations is None else opt_iterations
-    opt_cfg = OptConfig(epsilon=epsilon, max_iterations=iterations)
+    cap = {} if opt_iterations is None else {"max_iterations": opt_iterations}
+    opt_cfg = OptConfig(epsilon=epsilon, **cap)  # no cap given: OptConfig's default
     enforce_counts: list[int] = []
     optimize_counts: list[int] = []
     for idx, m in enumerate(sizes):

@@ -17,29 +17,15 @@ toll coordinates j whose rows of the aggregate hull span are independent,
 chosen once per run (regression-model derivative-free optimization on a
 determined sample set; Conn, Scheinberg & Vicente, 2009, ch. 4).  Every
 answer is a (flow, cost) pair near the current sample, accurate to the
-oracle's promise and needing no enforcement, and the cost depends on the
-aggregate flow only: a least-squares fit of the cost changes on the flow
-changes gives the gradient along every hull direction.  The same answers
-measure J = dF/dtau, the Hessian of enforcement's concave dual:
-symmetric, with range in the d-dimensional span, so d columns fix it
-there and the other m - d toll directions only shift the gauge.  Every
-iteration probes afresh, and later samples start their enforcement at
-the tolls J predicts, moved along the gauge so that none is negative.
-The gradient's error is O(K'' r) from curvature plus
-O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the smallest
-singular value of the probed columns of J on the hull span.  On the
-hull span -2 J+ is the cost Hessian (exact for affine latencies), so each
-iteration enforces one Newton candidate, the projection of the current
-flow plus the model's Newton step, mixed toward the reference flow with
-weight 1e-3, and moves there only if its cost is more than delta/2 below
-the current one.  The equilibrium engine performs the Euclidean
-projections: one solve per commodity of a game whose Beckmann potential
-is the squared distance.  Descent stops on a Newton decrement of at most
-epsilon/2, computed from each probe round before its candidate is
-sampled, on a small estimated gap, on a candidate that is not accepted,
-at the iteration cap or on the budget.  The best sampled flow is tracked
-globally, so the reported cost never regresses, and its enforcing tolls
-are the returned tolls.
+oracle's promise and needing no enforcement.  A ``JacobianModel`` fits
+each probe round's answers: the gradient along every hull direction,
+J = dF/dtau, the Newton step and decrement, and the tolls from which the
+next sample's enforcement starts.  The gradient's error is O(K'' r) from
+curvature plus O(2mK^2 eps_query / (r sigma)) from the answers, with
+sigma the smallest singular value of the probed columns of J on the hull
+span.  ``compute_optimal_tolls`` says how the descent steps and stops.
+The equilibrium engine performs the Euclidean projections: one solve per
+commodity of a game whose Beckmann potential is the squared distance.
 """
 
 from __future__ import annotations
@@ -82,6 +68,7 @@ __all__ = [
     "reference_flow",
     "compute_optimal_tolls",
     "SampleEngine",
+    "JacobianModel",
 ]
 
 
@@ -145,15 +132,11 @@ class SampleEngine:
     """Zero-order value oracle built from toll enforcement.
 
     Every request is enforced, and spends no other query: the cost is read
-    from the answer the enforcement accepted.  While ``model`` holds a
-    Jacobian model (tau0, F0, J+) from the minimizer's toll probes, a
-    request runs one ``enforce_flow`` from the predicted tolls
-    clip(shift(tau0 + J+ (f*_agg - F0)), 0, T_max).  The shift
-    (``_gauge_shift``) lifts a prediction with negative tolls to
-    nonnegative ones that induce the same flow, so clipping does not
-    change the flow it aims at.  Without a model (the minimizer's
-    reference sample), it runs ``enforce_flow`` from zero tolls.  A
-    search that has not succeeded after 5m steps restarts once from its
+    from the answer the enforcement accepted.  Given a ``JacobianModel``, a
+    request runs one ``enforce_flow`` from the model's predicted tolls
+    (``JacobianModel.start_tolls``); without one (the minimizer's reference
+    sample), from zero tolls.  The engine keeps no state between requests.
+    A search that has not succeeded after 5m steps restarts once from its
     best tolls, and when ascent fails, it falls back to the paper's
     ellipsoid search over the whole toll box.  Start tolls only save
     queries, never change what success means: every success is verified
@@ -178,17 +161,14 @@ class SampleEngine:
             self.delta_enforce = delta / (4.0 * skel.m * const.K**2)
         except OverflowError:  # K**2 past the double range: no tolerance is left
             self.delta_enforce = 0.0
-        self.model: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def sample(self, f: FlowVector) -> CostOracleSample:
-        reduced = acyclic_reduce(self.skeleton, f)
-        cfg = EnforcementConfig(delta=self.delta_enforce)
+    def sample(
+        self, f: FlowVector, model: JacobianModel | None = None
+    ) -> CostOracleSample:
         skel = self.skeleton
-        start = None
-        if self.model is not None:
-            tau0, flow0, j_plus = self.model
-            predicted = _gauge_shift(skel, tau0 + j_plus @ (reduced.aggregate - flow0))
-            start = TollVector(np.clip(predicted, 0.0, skel.constants.T_max))
+        reduced = acyclic_reduce(skel, f)
+        cfg = EnforcementConfig(delta=self.delta_enforce)
+        start = None if model is None else model.start_tolls(skel, reduced.aggregate)
         result = enforce_flow(self.oracle, reduced, cfg, initial=start)
         if result.status is not EnforcementStatus.SUCCESS:
             raise OracleSampleFailed(
@@ -408,8 +388,7 @@ def _probe(
 
     Returns the steps s, the flow changes (column i is F_j - F0 for
     j = coords[i]) and the cost changes C_j - C0 against the sample's
-    accepted answer (F0, C0).  Each answer is a (flow, cost) pair accurate
-    to the oracle's promise, so no probe needs enforcement.
+    accepted answer (F0, C0).
     """
     tau0 = sample.enforcing_tolls.values
     flow0 = sample.response.aggregate_flow
@@ -427,53 +406,87 @@ def _probe(
 
 
 def _fit_gradient(
-    d_flow: np.ndarray, d_cost: np.ndarray, span: np.ndarray, basis: np.ndarray
+    d_flow: np.ndarray, d_cost: np.ndarray, span: np.ndarray, A: np.ndarray
 ) -> np.ndarray:
     """Hull-basis gradient from the probes: fit d_cost ~ g . d_flow by
     min-norm least squares (rcond 1e-10) in the coordinates of ``span``,
-    then take direction j's component (sum_i v_{j,i}) . g.
+    then take direction j's component A_j . g, A = ``basis.sum(axis=1)``.
     """
     coords = d_flow.T @ span
     gamma = np.linalg.lstsq(coords, d_cost, rcond=1e-10)[0]
-    return basis.sum(axis=1) @ (span @ gamma)
+    return A @ (span @ gamma)
 
 
-def _probe_model(
-    oracle: EquilibriumOracle,
-    sample: CostOracleSample,
-    span: np.ndarray,
-    basis: np.ndarray,
-    r: float,
-    coords: np.ndarray,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Probe the toll coordinates S = ``coords`` (``_probe_coordinates``)
-    around an enforced sample (``_probe``) and return two fitted hull-basis
-    gradients and the Jacobian model (tau0, F0, J+).
+@dataclass(frozen=True)
+class JacobianModel:
+    """One probe round's local model around an enforced sample: its tolls
+    tau0 and answer F0, J+, and the gradients g_hat and g_c on the hull
+    basis.
 
     J = dF/dtau is the Hessian of the concave dual V(tau) (see
     ``enforcement``), so it is symmetric with range in the aggregate hull
     span: J = span M span^T.  Its probed columns J_S, column i =
-    (F_j - F0) / s_j for j = S[i], fix M = (span^T J_S) span[S]^-T, and the
+    (F_j - F0) / s_j for j = S[i] (``_probe`` at the coordinates S of
+    ``_probe_coordinates``), fix M = (span^T J_S) span[S]^-T, and the
     other m - d toll directions only shift the gauge.
     J+ = span span[S]^T pinv(span^T J_S) span^T, which is
     span M^-1 span^T = pinv(span^T J) span^T.
 
-    The first gradient fits the raw cost changes, a forward difference
-    biased by each probe's curvature.  The second fits the cost changes
-    minus the model's curvature term 1/2 dF_j^T (-2 J+) dF_j, so it
-    estimates the gradient at F0 itself; it feeds only the Newton
-    decrement, because the descent steps along the first.
+    g_hat fits the raw cost changes, a forward difference biased by each
+    probe's curvature.  g_c fits the cost changes minus the model's
+    curvature term 1/2 dF_j^T (-2 J+) dF_j, so it estimates the gradient
+    at F0 itself; it feeds only the Newton decrement, because the descent
+    steps along g_hat.
+
+    With A = ``basis.sum(axis=1)`` the hull-basis Hessian is
+    H = A (-2 J+) A^T, and the Newton decrement
+    beta = 1/2 g_c^T pinv(H) g_c + 2mK^2 eps_query bounds the probed
+    sample's cost minus OPT from the answers alone; the second term covers
+    the answers' error.  For affine latencies -2 J+ is the cost Hessian on
+    the hull span and the cost is quadratic, so beta bounds the gap.  For
+    degree > 1 the true Hessian is -2 J+ plus diag(F l''), which the model
+    misses: beta is then a local bound that holds only while that part
+    stays small over the region between the sample and the optimum.
     """
-    steps, d_flow, d_cost = _probe(oracle, sample, r, coords)
-    jac_span = span.T @ (d_flow / steps)
-    j_plus = span @ span[coords].T @ np.linalg.pinv(jac_span) @ span.T
-    model = (sample.enforcing_tolls.values, sample.response.aggregate_flow, j_plus)
-    curvature = -np.einsum("ij,ik,kj->j", d_flow, j_plus, d_flow)
-    gradients = (
-        _fit_gradient(d_flow, d_cost, span, basis),
-        _fit_gradient(d_flow, d_cost - curvature, span, basis),
-    )
-    return gradients, model
+
+    tau0: np.ndarray
+    flow0: np.ndarray
+    j_plus: np.ndarray
+    g_hat: np.ndarray
+    g_c: np.ndarray
+
+    @classmethod
+    def probe(
+        cls,
+        oracle: EquilibriumOracle,
+        sample: CostOracleSample,
+        span: np.ndarray,
+        A: np.ndarray,
+        r: float,
+        coords: np.ndarray,
+    ) -> JacobianModel:
+        """Query the d probes around ``sample`` and fit the model."""
+        steps, d_flow, d_cost = _probe(oracle, sample, r, coords)
+        jac_span = span.T @ (d_flow / steps)
+        j_plus = span @ span[coords].T @ np.linalg.pinv(jac_span) @ span.T
+        curvature = -np.einsum("ij,ik,kj->j", d_flow, j_plus, d_flow)
+        return cls(
+            sample.enforcing_tolls.values,
+            sample.response.aggregate_flow,
+            j_plus,
+            _fit_gradient(d_flow, d_cost, span, A),
+            _fit_gradient(d_flow, d_cost - curvature, span, A),
+        )
+
+    def start_tolls(self, skel: GameSkeleton, aggregate: np.ndarray) -> TollVector:
+        """clip(``_gauge_shift``(tau0 + J+ (aggregate - F0)), 0, T_max)."""
+        predicted = _gauge_shift(skel, self.tau0 + self.j_plus @ (aggregate - self.flow0))
+        return TollVector(np.clip(predicted, 0.0, skel.constants.T_max))
+
+    def newton(self, A: np.ndarray) -> tuple[np.ndarray, float]:
+        """The Newton step -pinv(H) g_hat and 1/2 g_c^T pinv(H) g_c."""
+        h_pinv = np.linalg.pinv(A @ (-2.0 * self.j_plus) @ A.T, rcond=1e-10)
+        return -h_pinv @ self.g_hat, 0.5 * float(self.g_c @ h_pinv @ self.g_c)
 
 
 # ---------------------------------------------------------------------------
@@ -501,28 +514,16 @@ def compute_optimal_tolls(
     """Minimize total latency; return the best sample's enforcing tolls.
 
     Each descent iteration probes around the current sample, the last one
-    accepted (the reference sample at first), takes the gradient g and the
-    Jacobian model of that probe round, forms the hull-basis Hessian
-    H = A (-2 J+) A^T with A = ``basis.sum(axis=1)``, and samples one
-    candidate, the projection of f + lift(-pinv(H) g) mixed toward the
-    reference flow with weight 1e-3.  The candidate becomes the current
-    flow only if its cost is more than delta/2 below the current cost;
-    the globally best sample is tracked either way.  A candidate that is
-    not accepted ends the run, so every probe round surrounds the best
-    sample so far.
-
-    Before the candidate, the probe round's Newton decrement
-    beta = 1/2 g_c^T pinv(H) g_c + 2mK^2 eps_query bounds the probed
-    sample's cost minus OPT from the answers alone, and so the gap of the
-    sample whose tolls a decrement stop returns.  g_c is the gradient
-    fitted to the cost changes minus each probe's curvature term
-    1/2 dF_j^T (-2 J+) dF_j, which removes the forward-difference bias of
-    g; the step keeps g.  The second term covers the answers' error.  For
-    affine latencies -2 J+ is the cost Hessian on the hull span and the
-    cost is quadratic, so beta bounds the gap.  For degree > 1 the true
-    Hessian is -2 J+ plus diag(F l''), which the model misses: beta is
-    then a local bound that holds only while that part stays small over
-    the region between the sample and the optimum.  The estimated
+    accepted (the reference sample at first), fits that probe round's
+    ``JacobianModel`` and samples one candidate from the model's predicted
+    tolls: the projection of f plus the lifted Newton step, mixed toward
+    the reference flow with weight 1e-3.  The candidate becomes the
+    current flow only if its cost is more than delta/2 below the current
+    cost; the globally best sample is tracked either way.  A candidate
+    that is not accepted ends the run, so every probe round surrounds the
+    best sample so far.  Before the candidate, the model's Newton
+    decrement beta bounds the probed sample's cost minus OPT, and so the
+    gap of the sample whose tolls a decrement stop returns.  The estimated
     Frank-Wolfe gap, which needs only convexity, remains the global
     certificate.
 
@@ -574,14 +575,13 @@ def compute_optimal_tolls(
     for it in range(1, cfg.max_iterations + 1):
         f = current.requested_flow
         g_hat = newton = np.zeros(basis.shape[0])  # no hull direction: no probe
-        decrement = slack
+        decrement, model = slack, None
         try:
             if span.shape[1]:
-                probed = _probe_model(oracle, current, span, basis, r, coords)
-                (g_hat, g_c), engine.model = probed
-                h_pinv = np.linalg.pinv(A @ (-2.0 * engine.model[2]) @ A.T, rcond=1e-10)
-                newton = -h_pinv @ g_hat
-                decrement += 0.5 * float(g_c @ h_pinv @ g_c)
+                model = JacobianModel.probe(oracle, current, span, A, r, coords)
+                g_hat = model.g_hat
+                newton, model_decrement = model.newton(A)
+                decrement += model_decrement
         except OracleBudgetExceeded:
             status = "BUDGET_EXHAUSTED"
             break
@@ -599,7 +599,7 @@ def compute_optimal_tolls(
             # around this sample identify the gradient on all of them
             mixed = (1.0 - 1e-3) * target.per_commodity + 1e-3 * f_ref.per_commodity
             try:
-                cand = engine.sample(FlowVector(mixed))
+                cand = engine.sample(FlowVector(mixed), model)
             except OracleSampleFailed:
                 pass
             except OracleBudgetExceeded:

@@ -34,11 +34,11 @@ from tollopt.exact import marginal_cost_tolls, optimal_flow
 from tollopt.game import has_positive_cycle
 from tollopt.oracle import EquilibriumOracle, OracleMode
 from tollopt.zeroorder import (
+    JacobianModel,
     OptConfig,
     SampleEngine,
     _hull_span,
     _probe_coordinates,
-    _probe_model,
     _probe_step,
     affine_hull_basis,
     compute_optimal_tolls,
@@ -265,7 +265,9 @@ def test_criterion_6_numerical_properties():
         r = _probe_step(skel, oracle.eps_query)
         span = _hull_span(basis)
         # the raw and the curvature-corrected fit
-        gradients, _ = _probe_model(oracle, at, span, basis, r, _probe_coordinates(span))
+        A = basis.sum(axis=1)
+        model = JacobianModel.probe(oracle, at, span, A, r, _probe_coordinates(span))
+        gradients = (model.g_hat, model.g_c)
         h = 1e-5
         marginal = np.array(
             [

@@ -91,15 +91,33 @@ class TestZeroOrderCostOracle:
 
     def test_misses_without_model_start_from_zero_tolls(self):
         # without a Jacobian model every sample starts its enforcement at zero
-        # tolls, wherever the previous sample's tolls lie
+        # tolls, wherever the previous sample's tolls lie, also right after a
+        # sample that started from a model's prediction: the engine keeps no
+        # state between samples
         game = make_parallel([(0.2, 1.0), (0.5, 0.6), (0.1, 1.2)])
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         engine = SampleEngine(oracle, 0.01)
+        skel = oracle.skeleton
+        basis = affine_hull_basis(skel)
+        span = zeroorder._hull_span(basis)
+        coords = zeroorder._probe_coordinates(span)
+        r = zeroorder._probe_step(skel, oracle.eps_query)
         for split in ([0.2, 0.3, 0.5], [0.9, 0.05, 0.05], [0.1, 0.8, 0.1]):
             before = oracle.query_count
-            assert engine.sample(FlowVector.single(split)).queries_spent > 0
+            s = engine.sample(FlowVector.single(split))
+            assert s.queries_spent > 0
             first_tolls, _ = oracle.query_log[before]
             assert np.array_equal(first_tolls, np.zeros(game.m))
+            # a sample from the prediction of a model probed around s
+            model = zeroorder.JacobianModel.probe(
+                oracle, s, span, basis.sum(axis=1), r, coords
+            )
+            target = FlowVector.single([0.3, 0.4, 0.3])
+            before = oracle.query_count
+            engine.sample(target, model)
+            first_tolls, _ = oracle.query_log[before]
+            start = model.start_tolls(skel, target.aggregate).values
+            assert start.any() and np.array_equal(first_tolls, start)
 
     def test_misses_spend_only_enforcement_queries(self, monkeypatch):
         # the cost comes from the answer enforcement accepted, not from a
@@ -354,7 +372,7 @@ class TestProbeGradient:
         r = zeroorder._probe_step(skel, oracle.eps_query)
         coords = zeroorder._probe_coordinates(span)
         steps, d_flow, d_cost = zeroorder._probe(oracle, at, r, coords)
-        g_hat = zeroorder._fit_gradient(d_flow, d_cost, span, basis)
+        g_hat = zeroorder._fit_gradient(d_flow, d_cost, span, basis.sum(axis=1))
         sigma = np.linalg.svd(span.T @ (d_flow / steps), compute_uv=False).min()
         # the true gradient at the answer the probes surround
         F0 = at.response.aggregate_flow
@@ -391,7 +409,8 @@ class TestProbeGradient:
         r = zeroorder._probe_step(skel, oracle.eps_query)
         coords = zeroorder._probe_coordinates(span)
         before = oracle.query_count
-        _, (_, _, j_plus) = zeroorder._probe_model(oracle, at, span, basis, r, coords)
+        A = basis.sum(axis=1)
+        j_plus = zeroorder.JacobianModel.probe(oracle, at, span, A, r, coords).j_plus
         assert oracle.query_count - before == span.shape[1] < skel.m
         steps, d_flow, _ = zeroorder._probe(oracle, at, r, np.arange(skel.m))
         full = np.linalg.pinv(span.T @ (d_flow / steps)) @ span.T
@@ -430,7 +449,7 @@ class TestProbeGradient:
         span = zeroorder._hull_span(basis)
         r = zeroorder._probe_step(skel, oracle.eps_query)
         coords = zeroorder._probe_coordinates(span)
-        _, engine.model = zeroorder._probe_model(oracle, at, span, basis, r, coords)
+        model = zeroorder.JacobianModel.probe(oracle, at, span, basis.sum(axis=1), r, coords)
         calls = []
         enforce = zeroorder.enforce_flow
 
@@ -442,8 +461,8 @@ class TestProbeGradient:
         # a step along the first hull direction, projected back
         f = at.requested_flow.per_commodity
         target = project_to_polytope(skel, f + 0.05 * basis[0])
-        s = engine.sample(target)
-        tau0, flow0, j_plus = engine.model
+        s = engine.sample(target, model)
+        tau0, flow0, j_plus = model.tau0, model.flow0, model.j_plus
         shifted = zeroorder._gauge_shift(
             skel, tau0 + j_plus @ (s.requested_flow.aggregate - flow0)
         )
@@ -462,7 +481,9 @@ class TestProbeGradient:
         game, oracle, engine, at = _probe_setup(_PROBE_GAMES[0], 0.05)
         skel = oracle.skeleton
         m, t_max = skel.m, skel.constants.T_max
-        engine.model = (np.full(m, 0.5), at.response.aggregate_flow, np.zeros((m, m)))
+        model = zeroorder.JacobianModel(
+            np.full(m, 0.5), at.response.aggregate_flow, np.zeros((m, m)), None, None
+        )
         calls, records = [], []
         enforce = zeroorder.enforce_flow
 
@@ -472,7 +493,9 @@ class TestProbeGradient:
 
         monkeypatch.setattr(zeroorder, "enforce_flow", spy)
         f = at.requested_flow.per_commodity
-        s = engine.sample(project_to_polytope(skel, f + 0.05 * affine_hull_basis(skel)[0]))
+        s = engine.sample(
+            project_to_polytope(skel, f + 0.05 * affine_hull_basis(skel)[0]), model
+        )
         assert len(calls) == 1 and calls[0][0] is None
         assert np.array_equal(calls[0][1], np.clip(np.full(m, 0.5), 0.0, t_max))
         best = int(np.argmin([r.deviation for r in records[:m]]))
@@ -491,7 +514,9 @@ class TestProbeGradient:
         monkeypatch.setattr(enforcement, "DUAL_RESTART_PER_EDGE", 1)
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         engine = SampleEngine(oracle, 0.01)
-        engine.model = (np.zeros(2), np.array([1.0, 0.0]), np.zeros((2, 2)))
+        model = zeroorder.JacobianModel(
+            np.zeros(2), np.array([1.0, 0.0]), np.zeros((2, 2)), None, None
+        )
         records = []
         enforce = zeroorder.enforce_flow
 
@@ -499,7 +524,7 @@ class TestProbeGradient:
             return enforce(oracle_, target, cfg, records.append, initial=initial)
 
         monkeypatch.setattr(zeroorder, "enforce_flow", spy)
-        s = engine.sample(FlowVector.single([0.5, 0.5]))
+        s = engine.sample(FlowVector.single([0.5, 0.5]), model)
         first, second, resumed = records[:3]
         assert second.deviation < first.deviation
         assert resumed.iteration == 3
@@ -664,6 +689,30 @@ def test_one_enforcement_per_descent_iteration(monkeypatch):
     assert rep.total_oracle_queries <= 72
 
 
+def test_warm_game_caches_replay_the_run_bitwise():
+    # a whole run on a game whose caches are warm (its seed paths and
+    # admitted starts, and the projection games of its skeleton) gives the
+    # same bits as on a fresh game and on a freshly generated equal game
+    spec = InstanceSpec(topology="random_dag", n_vertices=6, degree=3, commodities=2, seed=2)
+
+    def run(game):
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        tolls, _ = compute_optimal_tolls(oracle, oracle.skeleton, OptConfig(epsilon=0.05))
+        log = [(tau, resp.aggregate_flow, resp.total_cost) for tau, resp in oracle.query_log]
+        return tolls.values, log
+
+    game = generate(spec)
+    cold_tolls, cold_log = run(game)
+    assert "zero_toll_paths" in vars(game) and game._zero_toll_starts
+    assert game.skeleton() in zeroorder._PROJECTION_GAMES
+    for tolls, log in (run(game), run(generate(spec))):
+        assert np.array_equal(tolls, cold_tolls)
+        assert len(log) == len(cold_log)
+        for (tau, flow, cost), (tau0, flow0, cost0) in zip(log, cold_log):
+            assert np.array_equal(tau, tau0) and np.array_equal(flow, flow0)
+            assert cost == cost0
+
+
 class TestReferenceFlow:
     def test_interior_on_usable_edges(self, braess):
         f = reference_flow(braess.skeleton())
@@ -732,7 +781,9 @@ class TestMinimize:
         # not accepted, and a repeat would replay it bitwise
         fit_gradient = zeroorder._fit_gradient
         monkeypatch.setattr(
-            zeroorder, "_fit_gradient", lambda *args: -fit_gradient(*args)
+            zeroorder,
+            "_fit_gradient",
+            lambda d_flow, d_cost, span, A: -fit_gradient(d_flow, d_cost, span, A),
         )
         monkeypatch.setattr(
             zeroorder, "_estimated_fw_gap", lambda *args: float("inf")
@@ -872,14 +923,14 @@ class TestNewtonDecrement:
         # probes surround minus OPT.  A candidate that is not accepted ends
         # the run, so the sample probed last is the best one, and a
         # decrement stop bounds the gap of the sample whose tolls return
-        probe_model = zeroorder._probe_model
+        probe = zeroorder.JacobianModel.probe
         costs = []
 
         def spy(oracle, sample, *args):
             costs.append(sample.observed_cost)
-            return probe_model(oracle, sample, *args)
+            return probe(oracle, sample, *args)
 
-        monkeypatch.setattr(zeroorder, "_probe_model", spy)
+        monkeypatch.setattr(zeroorder.JacobianModel, "probe", spy)
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         _, rep = compute_optimal_tolls(oracle, game.skeleton(), OptConfig(epsilon=epsilon))
         opt = optimal_flow(game, gap=1e-10)[1]
