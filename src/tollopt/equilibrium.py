@@ -153,57 +153,34 @@ def _line_search(A: np.ndarray, F: np.ndarray, D: np.ndarray, tau: np.ndarray) -
     """Exact step for the potential along F + gamma*D, gamma in [0, 1].
 
     The directional derivative phi'(gamma) = sum_e D_e (l_e(F_e + gamma D_e)
-    + tau_e) is a polynomial in gamma; its coefficients are assembled by
-    binomial expansion.  phi' is nondecreasing because the potential is
-    convex, so its root is bracketed: a linear phi' is solved in closed
-    form, anything else by Newton from the secant point, keeping the
-    bracket and bisecting whenever a step leaves it.  That takes about six
-    evaluations, the two end points included, where bisection to the same
-    accuracy takes sixty-two.
+    + tau_e) is nondecreasing because the potential is convex, so its root
+    is bracketed by [0, 1].  On an affine table phi' is linear and the root
+    is closed-form; otherwise sixty halvings of the bracket find it.
     """
-    rmax = A.shape[1] - 1
-    c = np.zeros(rmax + 1)
-    for i in range(rmax + 1):
-        inner = np.zeros(len(F))
-        for j in range(i, rmax + 1):
-            inner += A[:, j] * (math.comb(j, i) * F ** (j - i))
-        c[i] = float(np.dot(D ** (i + 1), inner))
-    c[0] += float(np.dot(D, tau))
-    while len(c) > 1 and c[-1] == 0.0:
-        c = c[:-1]
+    if A.shape[1] <= 2:  # phi'(gamma) = v0 + slope * gamma
+        v0 = float(np.dot(D, _eval_poly_rows(A, F))) + float(np.dot(D, tau))
+        slope = float(np.dot(D * D, np.ascontiguousarray(A[:, 1]))) if A.shape[1] == 2 else 0.0
+        if v0 >= 0.0:
+            return 0.0
+        if v0 + slope <= 0.0:
+            return 1.0
+        return -v0 / slope
 
-    def dphi(g: float) -> tuple[float, float]:
-        """phi'(g) and phi''(g), by one Horner pass."""
-        acc = slope = 0.0
-        for ci in c[::-1]:
-            slope = slope * g + acc
-            acc = acc * g + ci
-        return acc, slope
+    def dphi(g: float) -> float:
+        return float(np.dot(D, _eval_poly_rows(A, F + g * D) + tau))
 
-    v0, v1 = dphi(0.0)[0], dphi(1.0)[0]
-    if v0 >= 0.0:
+    if dphi(0.0) >= 0.0:
         return 0.0
-    if v1 <= 0.0:
+    if dphi(1.0) <= 0.0:
         return 1.0
-    if len(c) == 2:  # linear derivative: closed-form root
-        return float(-c[0] / c[1])
-    lo, hi = 0.0, 1.0
-    g = v0 / (v0 - v1)
+    lo, hi = 0.0, 1.0  # phi'(lo) < 0 <= phi'(hi)
     for _ in range(60):
-        v, slope = dphi(g)
-        if v == 0.0:
-            return float(g)
-        if v < 0.0:
-            lo = g
+        mid = 0.5 * (lo + hi)
+        if dphi(mid) < 0.0:
+            lo = mid
         else:
-            hi = g
-        nxt = g - v / slope if slope > 0.0 else -1.0  # flat: bisect
-        if not lo <= nxt <= hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - g) <= 1e-15 * nxt or hi - lo <= 1e-15 * hi:
-            return float(nxt)
-        g = nxt
-    return float(g)
+            hi = mid
+    return hi
 
 
 def _path_rows(rows: list[_Row], m: int, k: int) -> np.ndarray:

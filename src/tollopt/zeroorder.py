@@ -119,7 +119,7 @@ class OptimizationReport:
     total_oracle_queries: int
     iteration_trace: tuple[dict, ...]
     # CONVERGED when a certificate ends the descent: the Newton decrement
-    # (gap_bound) or, from iteration 2 on, estimated_gap <= epsilon / 2;
+    # (gap_bound) or estimated_gap <= epsilon / 2, before the candidate;
     # STALLED when a candidate is not accepted or cannot be enforced;
     # ITERATION_LIMIT when cfg.max_iterations ends the descent;
     # BUDGET_EXHAUSTED when the oracle's max_queries does.
@@ -529,10 +529,10 @@ def compute_optimal_tolls(
 
     Each ``iteration_trace`` entry records whether its candidate was
     ``accepted``, its ``decrement`` beta, and the d queries of its probe
-    round (``gradient_queries``).  Descent stops CONVERGED on
-    beta <= epsilon / 2, without sampling the candidate, with beta as the
-    report's ``gap_bound``, or on an ``estimated_gap`` of at most
-    epsilon / 2 (from iteration 2 on); BUDGET_EXHAUSTED on the oracle's
+    round (``gradient_queries``).  Descent stops CONVERGED, without
+    sampling the candidate, on beta <= epsilon / 2, with beta as the
+    report's ``gap_bound``, or else on an ``estimated_gap`` of at most
+    epsilon / 2; BUDGET_EXHAUSTED on the oracle's
     ``max_queries`` (a query past it ends the descent; reaching it does
     not); STALLED on a candidate that is not accepted or whose
     enforcement fails (a repeat of that iteration would replay it
@@ -593,6 +593,8 @@ def compute_optimal_tolls(
         stop = "STALLED"
         if decrement <= cfg.epsilon / 2.0:
             stop, gap_bound = "CONVERGED", decrement
+        elif est_gap <= cfg.epsilon / 2.0:
+            stop = "CONVERGED"
         else:
             target = project_to_polytope(skeleton, f.per_commodity + _lift(basis, newton))
             # the reference mix keeps every usable edge loaded, so the probes
@@ -623,8 +625,6 @@ def compute_optimal_tolls(
                 "queries": spent(),
             }
         )
-        if est_gap <= cfg.epsilon / 2.0 and it >= 2:
-            stop = "CONVERGED"
         if stop is not None:
             status = stop
             break

@@ -470,6 +470,13 @@ def test_line_search_matches_reference_root(seed, m, degree):
     tau = rng.uniform(0.0, 2.0, m)
     got = equilibrium._line_search(A, F, D, tau)
     assert abs(got - _reference_step(A, F, D, tau)) <= 1e-12
+    if degree == 1:
+        # affine: the closed-form root, bit for bit (its last bit moves
+        # whole optimize runs)
+        c0 = float(np.dot(D, A[:, 0] + A[:, 1] * F)) + float(np.dot(D, tau))
+        c1 = float(np.dot(D * D, np.ascontiguousarray(A[:, 1])))
+        want = 0.0 if c0 >= 0.0 else 1.0 if c0 + c1 <= 0.0 else -c0 / c1
+        assert got == want
 
 
 class TestWardropViolation:
