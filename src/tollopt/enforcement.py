@@ -60,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .ellipsoid import Ellipsoid, NumericBreakdown, unit_ball_log_volume
-from .game import FlowVector, TollVector, has_positive_cycle, is_feasible
+from .game import FlowVector, TollVector, _is_int_at_least, has_positive_cycle, is_feasible
 from .oracle import (
     ACCURACY_FLOOR,
     EquilibriumOracle,
@@ -124,14 +124,8 @@ class EnforcementConfig:
         if not 0.0 < self.delta < math.inf:  # False for NaN
             raise ValueError("delta must be positive and finite")
         cap = self.max_iterations
-        if cap is not None and not _is_positive_int(cap):
+        if cap is not None and not _is_int_at_least(cap, 1):
             raise ValueError("max_iterations must be None or an int >= 1")
-
-
-def _is_positive_int(value) -> bool:
-    """Whether ``value`` is an int of at least 1; a bool is not an int here."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    return is_int and value >= 1
 
 
 @dataclass(frozen=True)

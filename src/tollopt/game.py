@@ -478,6 +478,13 @@ def total_latency(game: RoutingGame, f: FlowVector) -> float:
     )
 
 
+def _is_int_at_least(value, low: int) -> bool:
+    """Whether ``value`` is an int of at least ``low``; a bool is not an int
+    here, and neither is a float such as NaN or 1.5."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return is_int and value >= low
+
+
 def _horner(coeffs: Iterable[float], x: float) -> float:
     """Polynomial with coefficients highest degree first, at x."""
     acc = 0.0

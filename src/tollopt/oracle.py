@@ -21,6 +21,7 @@ from .game import (
     RoutingGame,
     TollOutOfRange,
     TollVector,
+    _is_int_at_least,
     total_latency,
     validate_game,
 )
@@ -77,10 +78,10 @@ class EquilibriumOracle:
     ``eps_query`` is the accuracy promise on the returned aggregate flow
     (infinity norm against the exact deterministic equilibrium).  Queries
     mutate only the counter and log; responses are a pure function of the
-    toll vector.  ``max_queries``, when given, is a nonnegative cap on the
-    queries answered.  On a game whose costs overflow a double, so that no
-    solve can be certified, every query raises ``ValueError`` before any
-    solve.
+    toll vector.  ``max_queries``, when given, is an int >= 0 (not a
+    bool) capping the queries answered.  On a game whose costs overflow a
+    double, so that no solve can be certified, every query raises
+    ``ValueError`` before any solve.
     """
 
     def __init__(
@@ -95,8 +96,10 @@ class EquilibriumOracle:
             raise ValueError(
                 f"eps_query must be at least the precision floor {ACCURACY_FLOOR}"
             )
-        if max_queries is not None and max_queries < 0:
-            raise ValueError(f"max_queries must be nonnegative, got {max_queries}")
+        if max_queries is not None and not _is_int_at_least(max_queries, 0):
+            raise ValueError(
+                f"max_queries must be None or an int >= 0, got {max_queries!r}"
+            )
         self.__game = game
         self.mode = mode
         self.eps_query = float(eps_query)

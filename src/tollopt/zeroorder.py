@@ -11,19 +11,20 @@ On top of that delta-accurate value oracle the minimizer runs projected
 descent in the affine hull of the polytope, whose directions are an
 orthonormal basis of the per-commodity conservation null spaces.  Every
 flow it samples is mixed toward a strictly positive reference flow, so
-every enforced sample is interior.  Each iteration queries the oracle at
+every enforced sample is interior.  Each iteration runs one probe round,
+``JacobianModel.probe(oracle, sample, basis)``: it queries the oracle at
 tau0 + r e_j around the current sample's enforcing tolls tau0, for the d
-toll coordinates j whose rows of the aggregate hull span are independent,
-chosen once per run (regression-model derivative-free optimization on a
-determined sample set; Conn, Scheinberg & Vicente, 2009, ch. 4).  Every
-answer is a (flow, cost) pair near the current sample, accurate to the
-oracle's promise and needing no enforcement.  A ``JacobianModel`` fits
-each probe round's answers: the gradient along every hull direction,
-J = dF/dtau, the Newton step and decrement, and the tolls from which the
-next sample's enforcement starts.  The gradient's error is O(K'' r) from
-curvature plus O(2mK^2 eps_query / (r sigma)) from the answers, with
-sigma the smallest singular value of the probed columns of J on the hull
-span.  ``compute_optimal_tolls`` says how the descent steps and stops.
+toll coordinates j whose rows of the aggregate hull span are independent
+(regression-model derivative-free optimization on a determined sample
+set; Conn, Scheinberg & Vicente, 2009, ch. 4).  Every answer is a
+(flow, cost) pair near the current sample, accurate to the oracle's
+promise and needing no enforcement.  The model fits the round's answers:
+the gradient along every hull direction, J = dF/dtau, the Newton step
+and decrement, and the tolls from which the next sample's enforcement
+starts.  The gradient's error is O(K'' r) from curvature plus
+O(2mK^2 eps_query / (r sigma)) from the answers, with sigma the smallest
+singular value of the probed columns of J on the hull span.
+``compute_optimal_tolls`` says how the descent steps and stops.
 The equilibrium engine performs the Euclidean projections: one solve per
 commodity of a game whose Beckmann potential is the squared distance.
 """
@@ -40,7 +41,6 @@ from .enforcement import (
     EnforcementConfig,
     EnforcementStatus,
     _accuracy_shortfall,
-    _is_positive_int,
     enforce_flow,
 )
 from .equilibrium import EqConfig, solve_equilibrium
@@ -51,6 +51,7 @@ from .game import (
     PolyLatency,
     RoutingGame,
     TollVector,
+    _is_int_at_least,
     acyclic_reduce,
     is_feasible,
 )
@@ -72,6 +73,10 @@ __all__ = [
 ]
 
 
+#: Weight of the reference flow in every Newton candidate's mix.
+MIX_WEIGHT = 1e-3
+
+
 class OracleSampleFailed(RuntimeError):
     """Toll enforcement could not realize a requested flow."""
 
@@ -84,7 +89,8 @@ class OptConfig:
     The value-oracle error delta is epsilon / (8 N^2) where N = mk, a
     fixed polynomial factor below the optimality target.  It sets the
     enforcement tolerance.  Newton candidates mix in the reference flow
-    with weight 1e-3.  The query budget is the oracle's ``max_queries``.
+    with weight ``MIX_WEIGHT``.  The query budget is the oracle's
+    ``max_queries``.
     """
 
     epsilon: float
@@ -93,7 +99,7 @@ class OptConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < math.inf:  # False for NaN
             raise ValueError("epsilon must be positive and finite")
-        if not _is_positive_int(self.max_iterations):
+        if not _is_int_at_least(self.max_iterations, 1):
             raise ValueError("max_iterations must be an int >= 1")
 
     def resolved_delta(self, skeleton: GameSkeleton) -> float:
@@ -343,15 +349,6 @@ def project_to_polytope(skel: GameSkeleton, x) -> FlowVector:
 # ---------------------------------------------------------------------------
 
 
-def _probe_step(skel: GameSkeleton, eps_query: float) -> float:
-    """Toll probe step r = sqrt(2 m K^2 eps_query).
-
-    It balances the probe gradient's two error terms, K'' r and
-    2mK^2 eps_query / (r sigma), with K'' and sigma at 1.
-    """
-    return math.sqrt(2.0 * skel.m * skel.constants.K**2 * eps_query)
-
-
 def _hull_span(basis: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the aggregates of the hull directions,
     shape (m, d); the cost depends on the aggregate flow only.  The
@@ -420,8 +417,9 @@ def _fit_gradient(
 @dataclass(frozen=True)
 class JacobianModel:
     """One probe round's local model around an enforced sample: its tolls
-    tau0 and answer F0, J+, and the gradients g_hat and g_c on the hull
-    basis.
+    tau0 and answer F0, J+, the gradients g_hat and g_c on the hull basis,
+    the Newton step lifted to flow space, the Newton decrement beta and
+    the number d of probe queries.
 
     J = dF/dtau is the Hessian of the concave dual V(tau) (see
     ``enforcement``), so it is symmetric with range in the aggregate hull
@@ -439,7 +437,8 @@ class JacobianModel:
     steps along g_hat.
 
     With A = ``basis.sum(axis=1)`` the hull-basis Hessian is
-    H = A (-2 J+) A^T, and the Newton decrement
+    H = A (-2 J+) A^T, the Newton step is -pinv(H) g_hat on the hull
+    basis, and the Newton decrement
     beta = 1/2 g_c^T pinv(H) g_c + 2mK^2 eps_query bounds the probed
     sample's cost minus OPT from the answers alone; the second term covers
     the answers' error.  For affine latencies -2 J+ is the cost Hessian on
@@ -454,48 +453,49 @@ class JacobianModel:
     j_plus: np.ndarray
     g_hat: np.ndarray
     g_c: np.ndarray
+    newton_step: np.ndarray  # shape (k, m)
+    decrement: float
+    queries: int
 
     @classmethod
     def probe(
-        cls,
-        oracle: EquilibriumOracle,
-        sample: CostOracleSample,
-        span: np.ndarray,
-        A: np.ndarray,
-        r: float,
-        coords: np.ndarray,
+        cls, oracle: EquilibriumOracle, sample: CostOracleSample, basis: np.ndarray
     ) -> JacobianModel:
-        """Query the d probes around ``sample`` and fit the model."""
-        steps, d_flow, d_cost = _probe(oracle, sample, r, coords)
+        """Query the d probes around ``sample`` and fit the model.
+
+        ``basis`` is the ``affine_hull_basis`` of the oracle's skeleton.
+        The probes step r = sqrt(2mK^2 eps_query) at the coordinates of
+        ``_probe_coordinates``; r balances the gradient's two error terms,
+        K'' r and 2mK^2 eps_query / (r sigma), with K'' and sigma at 1.
+        With no hull direction (d = 0) nothing is queried, the step is
+        zero and beta is 2mK^2 eps_query.
+        """
+        skel = oracle.skeleton
+        A = basis.sum(axis=1)  # the hull directions' aggregates
+        span = _hull_span(basis)
+        coords = _probe_coordinates(span)
+        slack = 2.0 * skel.m * skel.constants.K**2 * oracle.eps_query
+        steps, d_flow, d_cost = _probe(oracle, sample, math.sqrt(slack), coords)
         jac_span = span.T @ (d_flow / steps)
         j_plus = span @ span[coords].T @ np.linalg.pinv(jac_span) @ span.T
         curvature = -np.einsum("ij,ik,kj->j", d_flow, j_plus, d_flow)
-        return cls(
-            sample.enforcing_tolls.values,
-            sample.response.aggregate_flow,
-            j_plus,
-            _fit_gradient(d_flow, d_cost, span, A),
-            _fit_gradient(d_flow, d_cost - curvature, span, A),
-        )
+        g_hat = _fit_gradient(d_flow, d_cost, span, A)
+        g_c = _fit_gradient(d_flow, d_cost - curvature, span, A)
+        h_pinv = np.linalg.pinv(A @ (-2.0 * j_plus) @ A.T, rcond=1e-10)
+        tau0, flow0 = sample.enforcing_tolls.values, sample.response.aggregate_flow
+        newton_step = np.tensordot(-h_pinv @ g_hat, basis, axes=1)
+        decrement = slack + 0.5 * float(g_c @ h_pinv @ g_c)
+        return cls(tau0, flow0, j_plus, g_hat, g_c, newton_step, decrement, len(coords))
 
     def start_tolls(self, skel: GameSkeleton, aggregate: np.ndarray) -> TollVector:
         """clip(``_gauge_shift``(tau0 + J+ (aggregate - F0)), 0, T_max)."""
         predicted = _gauge_shift(skel, self.tau0 + self.j_plus @ (aggregate - self.flow0))
         return TollVector(np.clip(predicted, 0.0, skel.constants.T_max))
 
-    def newton(self, A: np.ndarray) -> tuple[np.ndarray, float]:
-        """The Newton step -pinv(H) g_hat and 1/2 g_c^T pinv(H) g_c."""
-        h_pinv = np.linalg.pinv(A @ (-2.0 * self.j_plus) @ A.T, rcond=1e-10)
-        return -h_pinv @ self.g_hat, 0.5 * float(self.g_c @ h_pinv @ self.g_c)
-
 
 # ---------------------------------------------------------------------------
 # the minimizer
 # ---------------------------------------------------------------------------
-
-
-def _lift(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    return np.tensordot(coeffs, basis, axes=(0, 0))
 
 
 def _estimated_fw_gap(skel: GameSkeleton, G: np.ndarray, f: FlowVector) -> float:
@@ -514,12 +514,12 @@ def compute_optimal_tolls(
     """Minimize total latency; return the best sample's enforcing tolls.
 
     Each descent iteration probes around the current sample, the last one
-    accepted (the reference sample at first), fits that probe round's
-    ``JacobianModel`` and samples one candidate from the model's predicted
-    tolls: the projection of f plus the lifted Newton step, mixed toward
-    the reference flow with weight 1e-3.  The candidate becomes the
-    current flow only if its cost is more than delta/2 below the current
-    cost; the globally best sample is tracked either way.  A candidate
+    accepted (the reference sample at first), with ``JacobianModel.probe``
+    and samples one candidate from the model's predicted tolls: the
+    projection of f plus the Newton step, mixed toward the reference flow
+    with weight ``MIX_WEIGHT``.  The candidate becomes the current flow
+    only if its cost is more than delta/2 below the current cost; the
+    globally best sample is tracked either way.  A candidate
     that is not accepted ends the run, so every probe round surrounds the
     best sample so far.  Before the candidate, the model's Newton
     decrement beta bounds the probed sample's cost minus OPT, and so the
@@ -537,7 +537,8 @@ def compute_optimal_tolls(
     not); STALLED on a candidate that is not accepted or whose
     enforcement fails (a repeat of that iteration would replay it
     bitwise); ITERATION_LIMIT at the iteration cap.  A cyclic graph, a
-    skeleton not the oracle's and an epsilon finer than the oracle's
+    skeleton not equal to the oracle's (every field, so also the
+    commodities and constants) and an epsilon finer than the oracle's
     accuracy can serve raise ``ValueError`` before any query.
 
     The best sample was enforced at tolerance delta / (4mK^2) with
@@ -547,7 +548,7 @@ def compute_optimal_tolls(
     an equilibrium costing at most OPT + 2 epsilon whenever the best
     sampled flow is epsilon-optimal.
     """
-    if tuple(skeleton.edge_ids) != tuple(oracle.skeleton.edge_ids):
+    if skeleton != oracle.skeleton:
         raise ValueError("skeleton does not match the oracle's game")
     require_acyclic(skeleton)
     delta = cfg.resolved_delta(skeleton)
@@ -556,11 +557,7 @@ def compute_optimal_tolls(
     if shortfall is not None:
         raise ValueError(f"epsilon {cfg.epsilon} is too small: {shortfall}")
     basis = affine_hull_basis(skeleton)
-    A = basis.sum(axis=1)  # the hull directions' aggregates
-    span = _hull_span(basis)
-    coords = _probe_coordinates(span)
     f_ref = reference_flow(skeleton)
-    r = _probe_step(skeleton, oracle.eps_query)
     queries_start = oracle.query_count
     trace: list[dict] = []
 
@@ -571,35 +568,29 @@ def compute_optimal_tolls(
     current = best
     status = "ITERATION_LIMIT"
     gap_bound = None
-    slack = 2.0 * skeleton.m * skeleton.constants.K**2 * oracle.eps_query
     for it in range(1, cfg.max_iterations + 1):
         f = current.requested_flow
-        g_hat = newton = np.zeros(basis.shape[0])  # no hull direction: no probe
-        decrement, model = slack, None
         try:
-            if span.shape[1]:
-                model = JacobianModel.probe(oracle, current, span, A, r, coords)
-                g_hat = model.g_hat
-                newton, model_decrement = model.newton(A)
-                decrement += model_decrement
+            model = JacobianModel.probe(oracle, current, basis)
         except OracleBudgetExceeded:
             status = "BUDGET_EXHAUSTED"
             break
-        est_gap = _estimated_fw_gap(skeleton, _lift(basis, g_hat), f)
+        est_gap = _estimated_fw_gap(skeleton, np.tensordot(model.g_hat, basis, axes=1), f)
         accepted = False
         # STALLED unless the candidate is accepted: a repeat would replay
         # this iteration bitwise (same current, the same d probes answered
         # bitwise-equal, the same candidate enforced from the same start)
         stop = "STALLED"
-        if decrement <= cfg.epsilon / 2.0:
-            stop, gap_bound = "CONVERGED", decrement
+        if model.decrement <= cfg.epsilon / 2.0:
+            stop, gap_bound = "CONVERGED", model.decrement
         elif est_gap <= cfg.epsilon / 2.0:
             stop = "CONVERGED"
         else:
-            target = project_to_polytope(skeleton, f.per_commodity + _lift(basis, newton))
+            target = project_to_polytope(skeleton, f.per_commodity + model.newton_step)
             # the reference mix keeps every usable edge loaded, so the probes
             # around this sample identify the gradient on all of them
-            mixed = (1.0 - 1e-3) * target.per_commodity + 1e-3 * f_ref.per_commodity
+            w = MIX_WEIGHT
+            mixed = (1.0 - w) * target.per_commodity + w * f_ref.per_commodity
             try:
                 cand = engine.sample(FlowVector(mixed), model)
             except OracleSampleFailed:
@@ -619,9 +610,9 @@ def compute_optimal_tolls(
                 "best_cost": best.observed_cost,
                 "accepted": accepted,
                 "estimated_gap": est_gap,
-                "decrement": decrement,
-                "grad_norm": float(np.linalg.norm(g_hat)),
-                "gradient_queries": len(coords),  # one query per probe
+                "decrement": model.decrement,
+                "grad_norm": float(np.linalg.norm(model.g_hat)),
+                "gradient_queries": model.queries,
                 "queries": spent(),
             }
         )

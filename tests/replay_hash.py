@@ -7,12 +7,13 @@ and cost, then the returned tolls.  Run it from the repository root:
 
     PYTHONPATH=src python tests/replay_hash.py
 
-It prints one line per run (queries, status, gap_frac, ``Ellipsoid.update``
-calls, digest) and the total queries and digest over the per-run digests,
-in order.  gap_frac is (induced cost - OPT) / (2 epsilon), with the
-induced equilibrium and OPT re-solved at accuracy 1e-10 on a fresh game,
-as the benchmark's output check scores an optimize call.  This is a
-script, not a test.
+It prints one line per run (queries, status, descent iterations, the
+report's ``gap_bound`` or ``-`` when no decrement stopped the run,
+gap_frac, ``Ellipsoid.update`` calls, digest) and the total queries and
+digest over the per-run digests, in order.  gap_frac is
+(induced cost - OPT) / (2 epsilon), with the induced equilibrium and OPT
+re-solved at accuracy 1e-10 on a fresh game, as the benchmark's output
+check scores an optimize call.  This is a script, not a test.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ def runs() -> list[tuple[str, InstanceSpec, OptConfig]]:
     return out
 
 
-def replay(spec: InstanceSpec, cfg: OptConfig) -> tuple[int, str, float, int, str]:
-    """(queries, status, gap_frac, Ellipsoid.update calls, sha256 hex
-    digest) of one run on a fresh game."""
+def replay(spec: InstanceSpec, cfg: OptConfig) -> tuple:
+    """(queries, status, iterations, gap_bound, gap_frac, Ellipsoid.update
+    calls, sha256 hex digest) of one run on a fresh game."""
     update, updates = Ellipsoid.update, []
 
     def counted(self, g):
@@ -104,19 +105,22 @@ def replay(spec: InstanceSpec, cfg: OptConfig) -> tuple[int, str, float, int, st
     flow = solve_equilibrium(hidden, tolls, EqConfig(accuracy=1e-10)).flow
     opt = optimal_flow(hidden, gap=1e-10)[1]
     gap_frac = (total_latency(hidden, flow) - opt) / (2.0 * cfg.epsilon)
-    return oracle.query_count, rep.status, gap_frac, len(updates), h.hexdigest()
+    return (oracle.query_count, rep.status, len(rep.iteration_trace), rep.gap_bound,
+            gap_frac, len(updates), h.hexdigest())
 
 
 def main() -> None:
     total = hashlib.sha256()
     queries = 0
     for name, spec, cfg in runs():
-        n, status, gap_frac, updates, digest = replay(spec, cfg)
+        n, status, iterations, gap_bound, gap_frac, updates, digest = replay(spec, cfg)
         queries += n
         total.update(digest.encode())
-        print(f"{name:20s} {n:5d} {status:16s} {gap_frac:9.3g} {updates:3d} {digest}",
-              flush=True)
-    print(f"{'total':20s} {queries:5d} {'':16s} {'':9s} {'':3s} {total.hexdigest()}")
+        bound = "-" if gap_bound is None else f"{gap_bound:.3g}"
+        print(f"{name:20s} {n:5d} {status:16s} {iterations:3d} {bound:>9s} "
+              f"{gap_frac:9.3g} {updates:3d} {digest}", flush=True)
+    print(f"{'total':20s} {queries:5d} {'':16s} {'':3s} {'':9s} {'':9s} {'':3s} "
+          f"{total.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -37,9 +37,6 @@ from tollopt.zeroorder import (
     JacobianModel,
     OptConfig,
     SampleEngine,
-    _hull_span,
-    _probe_coordinates,
-    _probe_step,
     affine_hull_basis,
     compute_optimal_tolls,
     project_to_polytope,
@@ -262,11 +259,8 @@ def test_criterion_6_numerical_properties():
         split = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
         f = FlowVector.single(split / split.sum())
         at = SampleEngine(oracle, OptConfig(epsilon=0.05).resolved_delta(skel)).sample(f)
-        r = _probe_step(skel, oracle.eps_query)
-        span = _hull_span(basis)
         # the raw and the curvature-corrected fit
-        A = basis.sum(axis=1)
-        model = JacobianModel.probe(oracle, at, span, A, r, _probe_coordinates(span))
+        model = JacobianModel.probe(oracle, at, basis)
         gradients = (model.g_hat, model.g_c)
         h = 1e-5
         marginal = np.array(

@@ -103,8 +103,14 @@ def test_budget_exhaustion(pigou):
 
 
 def test_negative_budget_rejected(pigou):
-    with pytest.raises(ValueError, match="max_queries"):
-        EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, max_queries=-3)
+    # only None or an int >= 0: NaN would never bind, 1.5 would act as 2
+    # and True as 1
+    for budget in (-3, float("nan"), 1.5, 2.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="max_queries"):
+            EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, max_queries=budget)
+    for budget in (None, 0, 2, np.int64(2)):
+        oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY, max_queries=budget)
+        assert oracle.max_queries == budget
 
 
 def test_cost_consistency_with_returned_flow(rng):

@@ -99,9 +99,6 @@ class TestZeroOrderCostOracle:
         engine = SampleEngine(oracle, 0.01)
         skel = oracle.skeleton
         basis = affine_hull_basis(skel)
-        span = zeroorder._hull_span(basis)
-        coords = zeroorder._probe_coordinates(span)
-        r = zeroorder._probe_step(skel, oracle.eps_query)
         for split in ([0.2, 0.3, 0.5], [0.9, 0.05, 0.05], [0.1, 0.8, 0.1]):
             before = oracle.query_count
             s = engine.sample(FlowVector.single(split))
@@ -109,9 +106,7 @@ class TestZeroOrderCostOracle:
             first_tolls, _ = oracle.query_log[before]
             assert np.array_equal(first_tolls, np.zeros(game.m))
             # a sample from the prediction of a model probed around s
-            model = zeroorder.JacobianModel.probe(
-                oracle, s, span, basis.sum(axis=1), r, coords
-            )
+            model = zeroorder.JacobianModel.probe(oracle, s, basis)
             target = FlowVector.single([0.3, 0.4, 0.3])
             before = oracle.query_count
             engine.sample(target, model)
@@ -351,6 +346,22 @@ def _curvature(game) -> float:
     )
 
 
+def _probe_step(oracle):
+    """The documented probe step r = sqrt(2 m K^2 eps_query)."""
+    skel = oracle.skeleton
+    return np.sqrt(2.0 * skel.m * skel.constants.K**2 * oracle.eps_query)
+
+
+def _start_model(tau0, flow0):
+    """A model that predicts tau0 for every flow: J+ = 0; only
+    ``JacobianModel.start_tolls`` reads it."""
+    m = tau0.size
+    return zeroorder.JacobianModel(
+        tau0=tau0, flow0=flow0, j_plus=np.zeros((m, m)), g_hat=None, g_c=None,
+        newton_step=None, decrement=None, queries=0,
+    )
+
+
 def _probe_setup(spec, epsilon):
     """A fresh oracle, its engine, and the enforced reference sample."""
     game = generate(spec)
@@ -362,17 +373,21 @@ def _probe_setup(spec, epsilon):
 
 class TestProbeGradient:
     @pytest.mark.parametrize("spec", _PROBE_GAMES, ids=lambda s: s.topology)
-    def test_within_stated_bound_of_true_hull_gradient(self, spec):
+    def test_within_stated_bound_of_true_hull_gradient(self, spec, monkeypatch):
         # ||g_hat - g||_2 <= sqrt(k m) (K'' max_j ||dF_j||^2 / 2
         #                    + 4 m K^2 eps_query) / (r sigma)
         game, oracle, _, at = _probe_setup(spec, 0.05)
         skel = oracle.skeleton
         basis = affine_hull_basis(skel)
         span = zeroorder._hull_span(basis)
-        r = zeroorder._probe_step(skel, oracle.eps_query)
-        coords = zeroorder._probe_coordinates(span)
-        steps, d_flow, d_cost = zeroorder._probe(oracle, at, r, coords)
-        g_hat = zeroorder._fit_gradient(d_flow, d_cost, span, basis.sum(axis=1))
+        probe, probes = zeroorder._probe, []
+        monkeypatch.setattr(
+            zeroorder, "_probe", lambda *args: probes.append(probe(*args)) or probes[-1]
+        )
+        g_hat = zeroorder.JacobianModel.probe(oracle, at, basis).g_hat
+        steps, d_flow, _ = probes[0]
+        r = _probe_step(oracle)
+        assert np.array_equal(np.abs(steps), np.full(span.shape[1], r))
         sigma = np.linalg.svd(span.T @ (d_flow / steps), compute_uv=False).min()
         # the true gradient at the answer the probes surround
         F0 = at.response.aggregate_flow
@@ -406,15 +421,13 @@ class TestProbeGradient:
         skel = oracle.skeleton
         basis = affine_hull_basis(skel)
         span = zeroorder._hull_span(basis)
-        r = zeroorder._probe_step(skel, oracle.eps_query)
-        coords = zeroorder._probe_coordinates(span)
         before = oracle.query_count
-        A = basis.sum(axis=1)
-        j_plus = zeroorder.JacobianModel.probe(oracle, at, span, A, r, coords).j_plus
-        assert oracle.query_count - before == span.shape[1] < skel.m
+        model = zeroorder.JacobianModel.probe(oracle, at, basis)
+        assert oracle.query_count - before == model.queries == span.shape[1] < skel.m
+        r = _probe_step(oracle)
         steps, d_flow, _ = zeroorder._probe(oracle, at, r, np.arange(skel.m))
         full = np.linalg.pinv(span.T @ (d_flow / steps)) @ span.T
-        assert np.abs(j_plus - full).max() <= r * np.abs(full).max()
+        assert np.abs(model.j_plus - full).max() <= r * np.abs(full).max()
 
     def test_grid_probes_d_coordinates_per_iteration(self):
         # the 3x3 grid: m = 12 tolls, d = 4 hull dimensions
@@ -446,10 +459,7 @@ class TestProbeGradient:
         game, oracle, engine, at = _probe_setup(spec, 0.05)
         skel = oracle.skeleton
         basis = affine_hull_basis(skel)
-        span = zeroorder._hull_span(basis)
-        r = zeroorder._probe_step(skel, oracle.eps_query)
-        coords = zeroorder._probe_coordinates(span)
-        model = zeroorder.JacobianModel.probe(oracle, at, span, basis.sum(axis=1), r, coords)
+        model = zeroorder.JacobianModel.probe(oracle, at, basis)
         calls = []
         enforce = zeroorder.enforce_flow
 
@@ -481,9 +491,7 @@ class TestProbeGradient:
         game, oracle, engine, at = _probe_setup(_PROBE_GAMES[0], 0.05)
         skel = oracle.skeleton
         m, t_max = skel.m, skel.constants.T_max
-        model = zeroorder.JacobianModel(
-            np.full(m, 0.5), at.response.aggregate_flow, np.zeros((m, m)), None, None
-        )
+        model = _start_model(np.full(m, 0.5), at.response.aggregate_flow)
         calls, records = [], []
         enforce = zeroorder.enforce_flow
 
@@ -514,9 +522,7 @@ class TestProbeGradient:
         monkeypatch.setattr(enforcement, "DUAL_RESTART_PER_EDGE", 1)
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         engine = SampleEngine(oracle, 0.01)
-        model = zeroorder.JacobianModel(
-            np.zeros(2), np.array([1.0, 0.0]), np.zeros((2, 2)), None, None
-        )
+        model = _start_model(np.zeros(2), np.array([1.0, 0.0]))
         records = []
         enforce = zeroorder.enforce_flow
 
@@ -544,7 +550,7 @@ class TestProbeGradient:
         at = zeroorder.CostOracleSample(
             FlowVector.single(resp.aggregate_flow), tau0, resp.total_cost, 1, resp
         )
-        r = zeroorder._probe_step(oracle.skeleton, oracle.eps_query)
+        r = _probe_step(oracle)
         steps, _, _ = zeroorder._probe(oracle, at, r, np.array([0, 1]))
         assert list(steps) == [-r, r]
         probed = [tau for tau, _ in oracle.query_log[1:]]
@@ -559,6 +565,10 @@ class TestProbeGradient:
         assert rep.status == "CONVERGED"
         assert [r["gradient_queries"] for r in rep.iteration_trace] == [0]
         assert rep.total_oracle_queries == oracle.query_count
+        # d = 0: the decrement is the answers' slack 2 m K^2 eps_query alone
+        skel = oracle.skeleton
+        slack = 2.0 * skel.m * skel.constants.K**2 * oracle.eps_query
+        assert rep.gap_bound == rep.iteration_trace[0]["decrement"] == slack
 
     def test_budget_spent_during_probes_keeps_best_sample(self, monkeypatch):
         game = generate(InstanceSpec(topology="parallel", links=8, seed=5))
@@ -909,6 +919,24 @@ class TestMinimize:
         oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST, eps_query=1e-11)
         with pytest.raises(ValueError):
             compute_optimal_tolls(oracle, braess.skeleton(), OptConfig(epsilon=0.02))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            # the same edge ids and demand, K 1.999 against the oracle's 1.0
+            InstanceSpec(topology="parallel", links=8, seed=6, coeff_bound=0.1),
+            InstanceSpec(topology="parallel", links=8, seed=5, demand=2.0),
+        ],
+        ids=["other-K", "other-demand"],
+    )
+    def test_skeleton_with_the_oracles_edge_ids_rejected(self, other):
+        game = generate(InstanceSpec(topology="parallel", links=8, seed=5))
+        oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        skel = generate(other).skeleton()
+        assert skel.edge_ids == oracle.skeleton.edge_ids
+        with pytest.raises(ValueError, match="skeleton does not match"):
+            compute_optimal_tolls(oracle, skel, OptConfig(epsilon=0.25, max_iterations=5))
+        assert oracle.query_count == 0
 
 
 _CERTIFIED_CASES = criterion_5_cases() + criterion_8_cases()
