@@ -78,7 +78,8 @@ class EquilibriumOracle:
     ``eps_query`` is the accuracy promise on the returned aggregate flow
     (infinity norm against the exact deterministic equilibrium).  Queries
     mutate only the counter and log; responses are a pure function of the
-    toll vector.  ``max_queries``, when given, is an int >= 0 (not a
+    toll vector; the logged toll vectors and the answers' flows are
+    read-only arrays.  ``max_queries``, when given, is an int >= 0 (not a
     bool) capping the queries answered.  On a game whose costs overflow a
     double, so that no solve can be certified, every query raises
     ``ValueError`` before any solve.
@@ -142,11 +143,11 @@ class EquilibriumOracle:
         if self.mode is OracleMode.FLOW_AND_COST:
             cost = total_latency(self.__game, result.flow)
         self._count += 1
-        resp = OracleResponse(
-            aggregate_flow=result.flow.aggregate,
-            total_cost=cost,
-            query_index=self._count,
-        )
+        # the log is the determinism record, and samples hold its answers:
+        # neither the logged tolls nor the flow may change in place
+        flow = result.flow.aggregate
+        tau.flags.writeable = flow.flags.writeable = False
+        resp = OracleResponse(aggregate_flow=flow, total_cost=cost, query_index=self._count)
         self._log.append((tau, resp))
         return resp
 

@@ -5,7 +5,8 @@ from toll enforcement: to price a flow, cancel its cycles, search for
 tolls enforcing it to within delta/(2mK^2), and read the total latency
 from the answer the search accepted.  The Lipschitz constant 2mK^2 of
 the cost in the aggregate infinity norm turns that flow accuracy into a
-cost error of at most delta.
+cost error of at most delta.  With one commodity the answer is itself an
+exact sample: the engine keeps its flow in place of the target.
 
 On top of that delta-accurate value oracle the minimizer runs projected
 descent in the affine hull of the polytope, whose directions are an
@@ -76,6 +77,12 @@ __all__ = [
 #: Weight of the reference flow in every Newton candidate's mix.
 MIX_WEIGHT = 1e-3
 
+#: With one commodity the reference sample is enforced to the larger of
+#: ``SampleEngine.delta_enforce`` and this fraction of the smallest positive
+#: reference edge flow, so its answer keeps every usable edge at 3/4 or more
+#: of its reference share.
+REFERENCE_TOLERANCE = 1.0 / 8.0
+
 
 class OracleSampleFailed(RuntimeError):
     """Toll enforcement could not realize a requested flow."""
@@ -110,7 +117,9 @@ class OptConfig:
 
 @dataclass(frozen=True)
 class CostOracleSample:
-    requested_flow: FlowVector  # the cycle-free flow actually enforced
+    # one commodity: the accepted answer's aggregate flow, shape (1, m);
+    # more: the cycle-free target enforced to within 2 delta_enforce
+    flow: FlowVector
     enforcing_tolls: TollVector
     observed_cost: float
     queries_spent: int
@@ -148,8 +157,18 @@ class SampleEngine:
     queries, never change what success means: every success is verified
     against the oracle.
 
+    With one commodity the accepted answer is an exact (flow, cost) pair,
+    so the sample's ``flow`` is the answer's aggregate, and the reference
+    sample is enforced only to max(``delta_enforce``,
+    ``REFERENCE_TOLERANCE`` x its smallest positive edge flow): a deviation
+    of at most twice that leaves every usable edge at 3/4 or more of its
+    reference share, which is all the probes around it need.  With more
+    commodities the answer shows only the aggregate and the descent steps
+    from the per-commodity target, so every request is enforced to
+    ``delta_enforce`` and the sample's ``flow`` is the cycle-free target.
+
     The warm starts pay: starting every enforcement at zero tolls instead
-    raised the queries of a whole optimize run from 164 to 1,665 on 64
+    raised the queries of a whole optimize run from 150 to 1,473 on 64
     affine parallel links (seed 5, epsilon 0.25) and from 82 to 455 on
     a degree-3, two-commodity 6-vertex DAG (seed 2, epsilon 0.05).  The
     ``parallel-opt`` and ``grid-opt`` benchmark runs stop on the Newton
@@ -173,16 +192,22 @@ class SampleEngine:
     ) -> CostOracleSample:
         skel = self.skeleton
         reduced = acyclic_reduce(skel, f)
-        cfg = EnforcementConfig(delta=self.delta_enforce)
-        start = None if model is None else model.start_tolls(skel, reduced.aggregate)
+        delta, start = self.delta_enforce, None
+        if model is not None:
+            start = model.start_tolls(skel, reduced.aggregate)
+        elif skel.k == 1:  # a feasible flow carries its positive demand
+            agg = reduced.aggregate
+            delta = max(delta, REFERENCE_TOLERANCE * agg[agg > 0.0].min())
+        cfg = EnforcementConfig(delta=delta)
         result = enforce_flow(self.oracle, reduced, cfg, initial=start)
         if result.status is not EnforcementStatus.SUCCESS:
             raise OracleSampleFailed(
                 f"no tolls found for the requested flow "
                 f"(best deviation {result.achieved_deviation:.3e})"
             )
+        answer = result.response.aggregate_flow
         return CostOracleSample(
-            requested_flow=reduced,
+            flow=FlowVector.single(answer) if skel.k == 1 else reduced,
             enforcing_tolls=result.tolls,
             observed_cost=float(result.response.total_cost),
             queries_spent=result.queries_used,
@@ -541,12 +566,14 @@ def compute_optimal_tolls(
     commodities and constants) and an epsilon finer than the oracle's
     accuracy can serve raise ``ValueError`` before any query.
 
-    The best sample was enforced at tolerance delta / (4mK^2) with
-    delta = epsilon / (8 N^2), tighter than epsilon / (4mK^2), and its
-    ``observed_cost`` is the total latency of the equilibrium its tolls
-    induce.  So those tolls need no further enforcement, and they induce
-    an equilibrium costing at most OPT + 2 epsilon whenever the best
-    sampled flow is epsilon-optimal.
+    The best sample's ``observed_cost`` is the total latency of the
+    equilibrium its tolls induce.  With one commodity its flow is that
+    equilibrium's aggregate, as answered; with more, its tolls hold its
+    flow to within twice the tolerance delta / (4mK^2), with
+    delta = epsilon / (8 N^2), tighter than epsilon / (4mK^2).  So those
+    tolls need no further enforcement, and they induce an equilibrium
+    costing at most OPT + 2 epsilon whenever the best sampled flow is
+    epsilon-optimal.
     """
     if skeleton != oracle.skeleton:
         raise ValueError("skeleton does not match the oracle's game")
@@ -569,7 +596,7 @@ def compute_optimal_tolls(
     status = "ITERATION_LIMIT"
     gap_bound = None
     for it in range(1, cfg.max_iterations + 1):
-        f = current.requested_flow
+        f = current.flow
         try:
             model = JacobianModel.probe(oracle, current, basis)
         except OracleBudgetExceeded:
@@ -620,7 +647,7 @@ def compute_optimal_tolls(
             status = stop
             break
     return best.enforcing_tolls, OptimizationReport(
-        best_flow=best.requested_flow,
+        best_flow=best.flow,
         best_cost=best.observed_cost,
         final_tolls=best.enforcing_tolls,
         total_oracle_queries=spent(),

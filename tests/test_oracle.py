@@ -72,6 +72,22 @@ def test_determinism(pigou, rng):
     assert a.total_cost == b.total_cost
 
 
+def test_logged_tolls_and_answer_flows_are_read_only(pigou):
+    # samples hold the oracle's answers, so an in-place write would rewrite
+    # the log that the determinism contract rests on
+    oracle = EquilibriumOracle(pigou, OracleMode.FLOW_AND_COST)
+    tolls = TollVector(np.array([0.25, 0.5]))
+    resp = oracle.query(tolls)
+    flow, logged = resp.aggregate_flow.copy(), oracle.query_log[0][0].copy()
+    with pytest.raises(ValueError):
+        resp.aggregate_flow[0] = 7.0
+    with pytest.raises(ValueError):
+        oracle.query_log[0][0][0] = 7.0
+    assert np.array_equal(oracle.query_log[0][1].aggregate_flow, flow)
+    assert np.array_equal(oracle.query_log[0][0], logged)
+    assert np.array_equal(logged, tolls.values)
+
+
 def test_toll_out_of_range(pigou):
     oracle = EquilibriumOracle(pigou, OracleMode.FLOW_ONLY)
     with pytest.raises(TollOutOfRange):

@@ -86,8 +86,13 @@ class TestZeroOrderCostOracle:
             engine = SampleEngine(oracle, delta)
             split = rng.dirichlet(np.ones(3))
             s = engine.sample(FlowVector.single(split))
-            exact = total_latency(game, s.requested_flow)
+            exact = total_latency(game, s.flow)
             assert abs(s.observed_cost - exact) <= delta
+            # the sample's flow is the oracle's answer: an independent solve
+            # at its tolls gives the same flow and cost
+            induced = solve_equilibrium(game, s.enforcing_tolls, EqConfig(accuracy=1e-12))
+            assert np.abs(induced.flow.aggregate - s.flow.aggregate).max() <= oracle.eps_query
+            assert abs(s.observed_cost - total_latency(game, induced.flow)) <= delta
 
     def test_misses_without_model_start_from_zero_tolls(self):
         # without a Jacobian model every sample starts its enforcement at zero
@@ -147,7 +152,7 @@ class TestZeroOrderCostOracle:
                 engine.sample(f)
         assert engine.sample(f).queries_spent > 0  # nothing failed was kept
 
-    def test_requested_flow_is_cycle_free(self, rng):
+    def test_requested_flow_is_cycle_free(self, rng, monkeypatch):
         # a flow with a circulation gets reduced before enforcement
         from tollopt import Commodity, Edge, PolyLatency, RoutingGame, validate_game
 
@@ -161,10 +166,19 @@ class TestZeroOrderCostOracle:
             RoutingGame(("s", "v", "w", "t"), edges, (Commodity("s", "t", 1.0),))
         )
         oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
+        targets = []
+        enforce = zeroorder.enforce_flow
+
+        def spy(*args, **kwargs):
+            targets.append(args[1])
+            return enforce(*args, **kwargs)
+
+        monkeypatch.setattr(zeroorder, "enforce_flow", spy)
         f = FlowVector.single([1.0, 1.0, 0.2, 0.2])
         s = SampleEngine(oracle, 0.02).sample(f)
-        assert not has_positive_cycle(game, s.requested_flow)
-        assert np.allclose(s.requested_flow.per_commodity[0], [1, 1, 0, 0])
+        for flow in (targets[0], s.flow):  # the enforced target and the answer
+            assert not has_positive_cycle(game, flow)
+            assert np.allclose(flow.per_commodity[0], [1, 1, 0, 0])
 
 
 def _usable(skel, i):
@@ -464,25 +478,31 @@ class TestProbeGradient:
         enforce = zeroorder.enforce_flow
 
         def spy(*args, **kwargs):
-            calls.append((args[2].max_iterations, kwargs["initial"]))
+            calls.append((args[1], args[2].max_iterations, kwargs["initial"]))
             return enforce(*args, **kwargs)
 
         monkeypatch.setattr(zeroorder, "enforce_flow", spy)
         # a step along the first hull direction, projected back
-        f = at.requested_flow.per_commodity
+        f = at.flow.per_commodity
         target = project_to_polytope(skel, f + 0.05 * basis[0])
         s = engine.sample(target, model)
+        assert len(calls) == 1  # one uncapped search from the prediction
+        enforced, cap, start = calls[0]
         tau0, flow0, j_plus = model.tau0, model.flow0, model.j_plus
         shifted = zeroorder._gauge_shift(
-            skel, tau0 + j_plus @ (s.requested_flow.aggregate - flow0)
+            skel, tau0 + j_plus @ (enforced.aggregate - flow0)
         )
         predicted = np.clip(shifted, 0.0, skel.constants.T_max)
-        assert len(calls) == 1  # one uncapped search from the prediction
-        assert calls[0][0] is None
-        assert np.array_equal(calls[0][1].values, predicted)
+        assert cap is None
+        assert np.array_equal(start.values, predicted)
         induced = solve_equilibrium(game, s.enforcing_tolls, EqConfig(accuracy=1e-12))
-        dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
+        dev = np.max(np.abs(induced.flow.aggregate - enforced.aggregate))
         assert dev <= 2.0 * engine.delta_enforce
+        if skel.k == 1:  # the sample's flow is the answer at its tolls
+            error = np.max(np.abs(induced.flow.aggregate - s.flow.aggregate))
+            assert error <= oracle.eps_query
+        else:
+            assert s.flow is enforced
 
     def test_failed_predicted_start_hands_over_its_best_tolls(self, monkeypatch):
         # one search from the prediction; with a restart after m dual steps it
@@ -500,10 +520,9 @@ class TestProbeGradient:
             return enforce(oracle_, target, cfg, records.append, initial=initial)
 
         monkeypatch.setattr(zeroorder, "enforce_flow", spy)
-        f = at.requested_flow.per_commodity
-        s = engine.sample(
-            project_to_polytope(skel, f + 0.05 * affine_hull_basis(skel)[0]), model
-        )
+        f = at.flow.per_commodity
+        target = project_to_polytope(skel, f + 0.05 * affine_hull_basis(skel)[0])
+        s = engine.sample(target, model)
         assert len(calls) == 1 and calls[0][0] is None
         assert np.array_equal(calls[0][1], np.clip(np.full(m, 0.5), 0.0, t_max))
         best = int(np.argmin([r.deviation for r in records[:m]]))
@@ -513,7 +532,7 @@ class TestProbeGradient:
         assert np.array_equal(resumed.center, records[best].center)
         assert resumed.deviation == records[best].deviation
         induced = solve_equilibrium(game, s.enforcing_tolls, EqConfig(accuracy=1e-12))
-        dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
+        dev = np.max(np.abs(induced.flow.aggregate - target.aggregate))
         assert dev <= 2.0 * engine.delta_enforce
 
     def test_failed_predicted_start_hands_over_its_answer(self, pigou, monkeypatch):
@@ -530,7 +549,8 @@ class TestProbeGradient:
             return enforce(oracle_, target, cfg, records.append, initial=initial)
 
         monkeypatch.setattr(zeroorder, "enforce_flow", spy)
-        s = engine.sample(FlowVector.single([0.5, 0.5]), model)
+        target = FlowVector.single([0.5, 0.5])
+        s = engine.sample(target, model)
         first, second, resumed = records[:3]
         assert second.deviation < first.deviation
         assert resumed.iteration == 3
@@ -539,7 +559,7 @@ class TestProbeGradient:
         logged = [tolls.tobytes() for tolls, _ in oracle.query_log]
         assert len(set(logged)) == len(logged) == s.queries_spent
         induced = solve_equilibrium(pigou, s.enforcing_tolls, EqConfig(accuracy=1e-12))
-        dev = np.max(np.abs(induced.flow.aggregate - s.requested_flow.aggregate))
+        dev = np.max(np.abs(induced.flow.aggregate - target.aggregate))
         assert dev <= 2.0 * engine.delta_enforce
 
     def test_probe_steps_back_from_the_toll_cap(self, pigou):
@@ -735,6 +755,44 @@ class TestReferenceFlow:
         game = random_dag_game(6, 10, 2, rng)
         f = reference_flow(game.skeleton())
         assert is_feasible(game.skeleton(), f)
+
+
+class TestReferenceSample:
+    # one commodity: the reference sample is enforced to the larger of
+    # delta_enforce and 1/8 of the smallest reference edge flow, and its
+    # flow is its answer
+    @pytest.mark.parametrize(
+        "spec, epsilon, budget",
+        [
+            (InstanceSpec(topology="parallel", links=8, seed=5), 0.25, 6),
+            (InstanceSpec(topology="grid", width=3, height=3, seed=5), 0.1, 4),
+        ],
+        ids=["parallel-opt", "grid-opt"],
+    )
+    def test_one_commodity_flow_is_its_answer(self, spec, epsilon, budget):
+        game, oracle, engine, s = _probe_setup(spec, epsilon)
+        f_ref = reference_flow(oracle.skeleton).aggregate
+        assert s.flow.per_commodity.shape == (1, game.m)
+        assert s.flow.per_commodity.tobytes() == s.response.aggregate_flow.tobytes()
+        usable = f_ref > 0.0
+        assert np.all(s.flow.aggregate[usable] >= 0.75 * f_ref[usable])
+        assert s.queries_spent == oracle.query_count <= budget
+
+    def test_two_commodities_enforce_the_target_at_delta_enforce(self, monkeypatch):
+        calls = []
+        enforce = zeroorder.enforce_flow
+
+        def spy(*args, **kwargs):
+            calls.append((args[1], args[2].delta))
+            return enforce(*args, **kwargs)
+
+        monkeypatch.setattr(zeroorder, "enforce_flow", spy)
+        game, oracle, engine, s = _probe_setup(_UNCERTIFIED_DAG, 0.05)
+        target = zeroorder.acyclic_reduce(oracle.skeleton, reference_flow(oracle.skeleton))
+        assert len(calls) == 1
+        assert calls[0][1] == engine.delta_enforce
+        assert s.flow is calls[0][0]
+        assert np.array_equal(s.flow.per_commodity, target.per_commodity)
 
 
 class TestMinimize:
