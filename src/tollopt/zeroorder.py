@@ -146,26 +146,30 @@ class OptimizationReport:
 class SampleEngine:
     """Zero-order value oracle built from toll enforcement.
 
-    Every request is enforced, and spends no other query: the cost is read
-    from the answer the enforcement accepted.  Given a ``JacobianModel``, a
-    request runs one ``enforce_flow`` from the model's predicted tolls
-    (``JacobianModel.start_tolls``); without one (the minimizer's reference
-    sample), from zero tolls.  The engine keeps no state between requests.
-    A search that has not succeeded after 5m steps restarts once from its
-    best tolls, and when ascent fails, it falls back to the paper's
-    ellipsoid search over the whole toll box.  Start tolls only save
-    queries, never change what success means: every success is verified
-    against the oracle.
+    ``sample(f)`` prices a flow: it enforces the cycle-free ``f`` to within
+    ``delta_enforce`` = delta/(4mK^2) and reads the cost from the answer
+    the enforcement accepted, spending no other query; that cost is within
+    delta of the cost of ``f``.  Given a ``JacobianModel``, the search
+    starts from the model's predicted tolls (``JacobianModel.start_tolls``);
+    without one, from zero tolls.  ``reference()`` is the minimizer's first
+    sample, of the reference flow ``f_ref`` from zero tolls.  The engine
+    keeps no state between requests.  A search that has not succeeded
+    after 5m steps restarts once from its best tolls, and when ascent
+    fails, it falls back to the paper's ellipsoid search over the whole
+    toll box.  Start tolls only save queries, never change what success
+    means: every success is verified against the oracle.
 
     With one commodity the accepted answer is an exact (flow, cost) pair,
-    so the sample's ``flow`` is the answer's aggregate, and the reference
-    sample is enforced only to max(``delta_enforce``,
-    ``REFERENCE_TOLERANCE`` x its smallest positive edge flow): a deviation
-    of at most twice that leaves every usable edge at 3/4 or more of its
-    reference share, which is all the probes around it need.  With more
+    so a sample's ``flow`` is the answer's aggregate.  The reference sample
+    is then enforced only to max(``delta_enforce``, ``REFERENCE_TOLERANCE``
+    x the smallest positive edge flow of ``f_ref``): a deviation of at most
+    twice that leaves every usable edge at 3/4 or more of its reference
+    share, which is all the probes around it need, and its cost is exact
+    for its own flow, not delta-close to that of ``f_ref``.  With more
     commodities the answer shows only the aggregate and the descent steps
-    from the per-commodity target, so every request is enforced to
-    ``delta_enforce`` and the sample's ``flow`` is the cycle-free target.
+    from the per-commodity target, so every request, the reference too, is
+    enforced to ``delta_enforce`` and the sample's ``flow`` is the
+    cycle-free target.
 
     The warm starts pay: starting every enforcement at zero tolls instead
     raised the queries of a whole optimize run from 150 to 1,473 on 64
@@ -182,6 +186,7 @@ class SampleEngine:
         skel = oracle.skeleton
         const = skel.constants
         self.skeleton = skel
+        self.f_ref = reference_flow(skel)
         try:
             self.delta_enforce = delta / (4.0 * skel.m * const.K**2)
         except OverflowError:  # K**2 past the double range: no tolerance is left
@@ -190,16 +195,31 @@ class SampleEngine:
     def sample(
         self, f: FlowVector, model: JacobianModel | None = None
     ) -> CostOracleSample:
-        skel = self.skeleton
-        reduced = acyclic_reduce(skel, f)
-        delta, start = self.delta_enforce, None
+        """Price ``f`` to within delta, from ``model``'s predicted tolls
+        when given, else from zero tolls."""
+        reduced = acyclic_reduce(self.skeleton, f)
+        start = None
         if model is not None:
-            start = model.start_tolls(skel, reduced.aggregate)
-        elif skel.k == 1:  # a feasible flow carries its positive demand
+            start = model.start_tolls(self.skeleton, reduced.aggregate)
+        return self._enforced(reduced, self.delta_enforce, start)
+
+    def reference(self) -> CostOracleSample:
+        """Sample ``f_ref`` from zero tolls; with one commodity only to
+        max(``delta_enforce``, ``REFERENCE_TOLERANCE`` x its smallest
+        positive edge flow)."""
+        skel = self.skeleton
+        reduced = acyclic_reduce(skel, self.f_ref)
+        delta = self.delta_enforce
+        if skel.k == 1:  # a feasible flow carries its positive demand
             agg = reduced.aggregate
             delta = max(delta, REFERENCE_TOLERANCE * agg[agg > 0.0].min())
+        return self._enforced(reduced, delta, None)
+
+    def _enforced(
+        self, target: FlowVector, delta: float, start: TollVector | None
+    ) -> CostOracleSample:
         cfg = EnforcementConfig(delta=delta)
-        result = enforce_flow(self.oracle, reduced, cfg, initial=start)
+        result = enforce_flow(self.oracle, target, cfg, initial=start)
         if result.status is not EnforcementStatus.SUCCESS:
             raise OracleSampleFailed(
                 f"no tolls found for the requested flow "
@@ -207,7 +227,7 @@ class SampleEngine:
             )
         answer = result.response.aggregate_flow
         return CostOracleSample(
-            flow=FlowVector.single(answer) if skel.k == 1 else reduced,
+            flow=FlowVector.single(answer) if self.skeleton.k == 1 else target,
             enforcing_tolls=result.tolls,
             observed_cost=float(result.response.total_cost),
             queries_spent=result.queries_used,
@@ -584,14 +604,14 @@ def compute_optimal_tolls(
     if shortfall is not None:
         raise ValueError(f"epsilon {cfg.epsilon} is too small: {shortfall}")
     basis = affine_hull_basis(skeleton)
-    f_ref = reference_flow(skeleton)
+    f_ref = engine.f_ref
     queries_start = oracle.query_count
     trace: list[dict] = []
 
     def spent() -> int:
         return oracle.query_count - queries_start
 
-    best = engine.sample(f_ref)
+    best = engine.reference()
     current = best
     status = "ITERATION_LIMIT"
     gap_bound = None

@@ -12,8 +12,8 @@ sample, the probe rounds and the candidate samples; status, descent
 iterations, the report's ``gap_bound`` or ``-`` when no decrement stopped
 the run, gap_frac, ``Ellipsoid.update`` calls, digest) and the totals and
 the digest over the per-run digests, in order.  The split comes from
-wrapping ``SampleEngine.sample`` (a call with no model is the reference
-sample) and ``JacobianModel.probe``; the wrappers only count queries.
+wrapping ``SampleEngine.reference``, ``SampleEngine.sample`` and
+``JacobianModel.probe``; the wrappers only count queries.
 gap_frac is (induced cost - OPT) / (2 epsilon), with the induced
 equilibrium and OPT re-solved at accuracy 1e-10 on a fresh game, as the
 benchmark's output check scores an optimize call.  This is a script, not
@@ -23,7 +23,7 @@ a test.
 from __future__ import annotations
 
 import hashlib
-from contextlib import ExitStack, contextmanager
+from unittest.mock import patch
 
 import numpy as np
 
@@ -89,25 +89,14 @@ def runs() -> list[tuple[str, InstanceSpec, OptConfig]]:
     return out
 
 
-@contextmanager
-def _wrapped(owner, name, wrapper):
-    """Replace the attribute ``name`` of ``owner`` by ``wrapper`` while
-    the block runs."""
-    original = vars(owner)[name]
-    setattr(owner, name, wrapper)
-    try:
-        yield
-    finally:
-        setattr(owner, name, original)
-
-
 def replay(spec: InstanceSpec, cfg: OptConfig) -> tuple:
     """(queries, (reference, probe, candidate) queries, status, iterations,
     gap_bound, gap_frac, Ellipsoid.update calls, sha256 hex digest) of one
     run on a fresh game."""
     game = generate(spec)
     oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
-    update, sample, probe = Ellipsoid.update, SampleEngine.sample, JacobianModel.probe
+    update, probe = Ellipsoid.update, JacobianModel.probe
+    reference, sample = SampleEngine.reference, SampleEngine.sample
     updates = []
     phases = {"reference": 0, "probes": 0, "candidates": 0}
 
@@ -122,16 +111,21 @@ def replay(spec: InstanceSpec, cfg: OptConfig) -> tuple:
         finally:
             phases[phase] += oracle.query_count - before
 
+    def referenced(self):
+        return charged("reference", reference, self)
+
     def sampled(self, f, model=None):
-        return charged("reference" if model is None else "candidates", sample, self, f, model)
+        return charged("candidates", sample, self, f, model)
 
     def probed(cls, oracle_, current, basis):
         return charged("probes", probe, oracle_, current, basis)
 
-    with ExitStack() as stack:
-        stack.enter_context(_wrapped(Ellipsoid, "update", counted))
-        stack.enter_context(_wrapped(SampleEngine, "sample", sampled))
-        stack.enter_context(_wrapped(JacobianModel, "probe", classmethod(probed)))
+    with (
+        patch.object(Ellipsoid, "update", counted),
+        patch.object(SampleEngine, "reference", referenced),
+        patch.object(SampleEngine, "sample", sampled),
+        patch.object(JacobianModel, "probe", classmethod(probed)),
+    ):
         tolls, rep = compute_optimal_tolls(oracle, oracle.skeleton, cfg)
     h = hashlib.sha256()
     for tau, resp in oracle.query_log:

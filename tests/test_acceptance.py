@@ -173,11 +173,11 @@ def test_criterion_4_oracle_accuracy():
             raw = rng.normal(0.4, 0.4, size=(game.k, game.m))
             flow = project_to_polytope(game.skeleton(), raw)
         sample = engine.sample(flow)
-        # the hidden cost of the sample's flow, and of an independent solve
-        # at its tolls: with one commodity the flow is the oracle's answer
+        # the hidden cost of the requested flow (cycle-free on these DAGs),
+        # of the sample's flow and of an independent solve at its tolls
         induced = solve_equilibrium(game, sample.enforcing_tolls, EqConfig(1e-12)).flow
-        for exact in (total_latency(game, sample.flow), total_latency(game, induced)):
-            worst = max(worst, abs(sample.observed_cost - exact))
+        for priced in (flow, sample.flow, induced):
+            worst = max(worst, abs(sample.observed_cost - total_latency(game, priced)))
         checked += 1
     elapsed = time.perf_counter() - start
     ok = worst <= delta and checked == 100

@@ -86,7 +86,7 @@ class TestZeroOrderCostOracle:
             engine = SampleEngine(oracle, delta)
             split = rng.dirichlet(np.ones(3))
             s = engine.sample(FlowVector.single(split))
-            exact = total_latency(game, s.flow)
+            exact = total_latency(game, FlowVector.single(split))
             assert abs(s.observed_cost - exact) <= delta
             # the sample's flow is the oracle's answer: an independent solve
             # at its tolls gives the same flow and cost
@@ -382,7 +382,7 @@ def _probe_setup(spec, epsilon):
     oracle = EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11)
     skel = oracle.skeleton
     engine = SampleEngine(oracle, OptConfig(epsilon=epsilon).resolved_delta(skel))
-    return game, oracle, engine, engine.sample(reference_flow(skel))
+    return game, oracle, engine, engine.reference()
 
 
 class TestProbeGradient:
@@ -607,7 +607,7 @@ class TestProbeGradient:
         first = SampleEngine(
             EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11),
             cfg.resolved_delta(free.skeleton),
-        ).sample(reference_flow(free.skeleton))
+        ).reference()
         oracle = EquilibriumOracle(
             game, OracleMode.FLOW_AND_COST, eps_query=1e-11, max_queries=budget
         )
@@ -757,18 +757,21 @@ class TestReferenceFlow:
         assert is_feasible(game.skeleton(), f)
 
 
+_BENCH_RUNS = pytest.mark.parametrize(
+    "spec, epsilon, budget",
+    [
+        (InstanceSpec(topology="parallel", links=8, seed=5), 0.25, 6),
+        (InstanceSpec(topology="grid", width=3, height=3, seed=5), 0.1, 4),
+    ],
+    ids=["parallel-opt", "grid-opt"],
+)
+
+
 class TestReferenceSample:
     # one commodity: the reference sample is enforced to the larger of
     # delta_enforce and 1/8 of the smallest reference edge flow, and its
     # flow is its answer
-    @pytest.mark.parametrize(
-        "spec, epsilon, budget",
-        [
-            (InstanceSpec(topology="parallel", links=8, seed=5), 0.25, 6),
-            (InstanceSpec(topology="grid", width=3, height=3, seed=5), 0.1, 4),
-        ],
-        ids=["parallel-opt", "grid-opt"],
-    )
+    @_BENCH_RUNS
     def test_one_commodity_flow_is_its_answer(self, spec, epsilon, budget):
         game, oracle, engine, s = _probe_setup(spec, epsilon)
         f_ref = reference_flow(oracle.skeleton).aggregate
@@ -777,6 +780,29 @@ class TestReferenceSample:
         usable = f_ref > 0.0
         assert np.all(s.flow.aggregate[usable] >= 0.75 * f_ref[usable])
         assert s.queries_spent == oracle.query_count <= budget
+
+    @_BENCH_RUNS
+    def test_sample_of_the_same_flow_stays_delta_accurate(
+        self, spec, epsilon, budget, monkeypatch
+    ):
+        # only reference() is loosened: sample(f_ref) enforces f_ref to
+        # delta_enforce and prices it to within delta
+        deltas = []
+        enforce = zeroorder.enforce_flow
+
+        def spy(*args, **kwargs):
+            deltas.append(args[2].delta)
+            return enforce(*args, **kwargs)
+
+        monkeypatch.setattr(zeroorder, "enforce_flow", spy)
+        game, oracle, engine, _ = _probe_setup(spec, epsilon)
+        s = engine.sample(engine.f_ref)
+        assert deltas == [deltas[0], engine.delta_enforce]
+        assert deltas[0] > engine.delta_enforce
+        deviation = np.abs(s.flow.aggregate - engine.f_ref.aggregate).max()
+        assert deviation <= 2.0 * engine.delta_enforce
+        delta = OptConfig(epsilon=epsilon).resolved_delta(oracle.skeleton)
+        assert abs(s.observed_cost - total_latency(game, engine.f_ref)) <= delta
 
     def test_two_commodities_enforce_the_target_at_delta_enforce(self, monkeypatch):
         calls = []
@@ -896,7 +922,7 @@ class TestMinimize:
         first = SampleEngine(
             EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11),
             cfg.resolved_delta(oracle.skeleton),
-        ).sample(reference_flow(oracle.skeleton))
+        ).reference()
         assert rep.best_cost == first.observed_cost
         assert np.array_equal(tolls.values, first.enforcing_tolls.values)
         assert np.array_equal(rep.final_tolls.values, tolls.values)
@@ -935,7 +961,7 @@ class TestMinimize:
         tolls, rep = compute_optimal_tolls(oracle, oracle.skeleton, cfg)
         first = SampleEngine(
             EquilibriumOracle(game, OracleMode.FLOW_AND_COST, eps_query=1e-11), delta
-        ).sample(reference_flow(oracle.skeleton))
+        ).reference()
         costs = [first.observed_cost] + [r["cost"] for r in rep.iteration_trace]
         for before, entry in zip(costs, rep.iteration_trace):
             if entry["accepted"]:
